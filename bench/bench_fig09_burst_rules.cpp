@@ -8,10 +8,11 @@
 /// rules grow linearly with burst size, steeper with more participants
 /// (~2.5k rules for a 100-update burst at 300 participants).
 ///
-/// The `mode` column contrasts the two fast-path execution strategies over
-/// the *same* burst: `per-update` (one restricted compilation per update,
-/// the paper's Figure 9 setting) and `batched` (one fast_update_batch pass
-/// whose mini-FEC shares bindings across equal-signature prefixes and
+/// The `mode` column contrasts two ways of feeding the one fast stage,
+/// fast_update_batch, the *same* burst: `per-update` (each update its own
+/// batch of one — one restricted compilation per update, the paper's
+/// Figure 9 setting) and `batched` (the whole burst as one batch, whose
+/// mini-FEC shares bindings across equal-signature prefixes and
 /// de-duplicates the installed rules).
 
 #include <algorithm>
@@ -78,7 +79,8 @@ int main() {
           updated.push_back(prefix);
         }
         for (auto prefix : updated) {
-          per_update += engine.fast_update(prefix, vnh).additional_rules;
+          per_update +=
+              engine.fast_update_batch({prefix}, vnh).additional_rules;
         }
         // Background pass between bursts (the paper's two-stage design) —
         // also the reset that lets the batched mode replay the same burst.

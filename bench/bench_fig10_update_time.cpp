@@ -7,14 +7,15 @@
 /// count. Expected here: the same shape at far lower absolute numbers
 /// (optimized C++ vs Python).
 ///
-/// Three `mode` series per participant count:
-///   per-update      — one restricted compilation per update (the paper's
-///                     setting);
-///   batched         — updates flushed in batches of 32 through
-///                     fast_update_batch; the per-update figure is the
-///                     batch latency amortized over its members;
-///   async-recompile — per-update latency of the inline fast path while a
-///                     full optimal recompilation of a snapshot runs
+/// Every mode runs the one fast stage, fast_update_batch. Three `mode`
+/// series per participant count:
+///   per-update      — each update its own batch of one: one restricted
+///                     compilation per update (the paper's setting);
+///   batched         — updates flushed in batches of 32; the per-update
+///                     figure is the batch latency amortized over its
+///                     members;
+///   async-recompile — per-update latency of batches of one while a full
+///                     optimal recompilation of a snapshot runs
 ///                     concurrently on a pool worker (the §4.3.2 background
 ///                     stage actually in the background).
 
@@ -94,12 +95,12 @@ int main() {
       return prefix;
     };
 
-    // --- per-update: one restricted compilation per update ---------------
+    // --- per-update: one batch of one per update -------------------------
     std::vector<double> times_ms;
     times_ms.reserve(static_cast<std::size_t>(kUpdates));
     for (int i = 0; i < kUpdates; ++i) {
       const auto prefix = announce_update(i);
-      auto result = engine.fast_update(prefix, vnh);
+      auto result = engine.fast_update_batch({prefix}, vnh);
       fast_seconds.observe(result.seconds);
       fast_rules.inc(result.additional_rules);
       times_ms.push_back(result.seconds * 1e3);
@@ -128,7 +129,7 @@ int main() {
     print_percentiles(participants, "batched", std::move(times_ms));
     engine.full_recompile(vnh);
 
-    // --- async-recompile: inline fast path racing a background compile ----
+    // --- async-recompile: batches of one racing a background compile -----
     // Snapshot the compiler inputs (as SdxRuntime::start_background_
     // recompile does) and run the full pipeline on a pool worker while the
     // control loop keeps absorbing updates through the fast path.
@@ -146,7 +147,7 @@ int main() {
     times_ms.clear();
     for (int i = 0; i < kUpdates; ++i) {
       const auto prefix = announce_update(i);
-      auto result = engine.fast_update(prefix, vnh);
+      auto result = engine.fast_update_batch({prefix}, vnh);
       fast_seconds.observe(result.seconds);
       fast_rules.inc(result.additional_rules);
       times_ms.push_back(result.seconds * 1e3);

@@ -47,40 +47,38 @@ Explanation explain(const SdxRuntime& runtime, ParticipantId sender,
     return out;
   }
 
-  // 1. Border-router step: LPM over the routes advertised to the sender.
-  auto route = runtime.route_server().best_route_lpm(sender,
-                                                     payload.dst_ip());
-  if (!route) {
+  // 1. Border-router step, framed exactly as BorderRouter::forward does it
+  // (LPM over the router's own RIB → next hop → ARP) but without touching
+  // the router's counters: the router holds whatever was advertised to it,
+  // including a partitioned deployment's per-receiver bindings.
+  const dp::BorderRouter* router =
+      runtime.fabric().router_at(s.ports[port_index].id);
+  const bgp::Route* route =
+      router == nullptr ? nullptr : router->rib().lookup(payload.dst_ip());
+  if (route == nullptr) {
     out.kind = RuleKind::kNoRoute;
     return out;
   }
   out.route_prefix = route->prefix;
-  out.route_via = route->learned_from;
-
-  net::MacAddress dst_mac;
-  if (auto binding = runtime.current_binding(route->prefix)) {
-    dst_mac = binding->vmac;
-    if (runtime.installed()) {
-      auto it = runtime.compiled().fecs.group_of.find(route->prefix);
-      if (it != runtime.compiled().fecs.group_of.end()) {
-        out.group = it->second;
-      }
+  if (auto best = runtime.route_server().best_route(sender, route->prefix)) {
+    out.route_via = best->learned_from;
+  }
+  if (runtime.installed()) {
+    const auto& group_of = runtime.compiled().fecs.group_of;
+    if (auto it = group_of.find(route->prefix); it != group_of.end()) {
+      out.group = it->second;
     }
-  } else if (auto rb = runtime.remote_binding(route->learned_from)) {
-    dst_mac = rb->vmac;
-  } else {
-    auto resolved = runtime.fabric().arp().resolve(route->attrs.next_hop);
-    if (!resolved) {
-      out.kind = RuleKind::kArpFailure;
-      return out;
-    }
-    dst_mac = *resolved;
+  }
+  const auto dst_mac = runtime.fabric().arp().resolve(route->attrs.next_hop);
+  if (!dst_mac) {
+    out.kind = RuleKind::kArpFailure;
+    return out;
   }
 
   out.frame = payload;
   out.frame.set_port(s.ports[port_index].id);
   out.frame.set_src_mac(s.ports[port_index].router_mac);
-  out.frame.set_dst_mac(dst_mac);
+  out.frame.set_dst_mac(*dst_mac);
   out.frame.set(net::Field::kEthType, net::kEthTypeIpv4);
 
   // 2. Fabric step: the matching installed rule.

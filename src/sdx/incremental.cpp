@@ -121,36 +121,6 @@ std::size_t IncrementalEngine::synth_and_compose(
   return appended;
 }
 
-IncrementalEngine::FastPathResult IncrementalEngine::fast_update(
-    Ipv4Prefix prefix, VnhAllocator& vnh) {
-  const auto t0 = std::chrono::steady_clock::now();
-  FastPathResult result;
-  result.prefix = prefix;
-
-  const std::vector<Hit> hits = hits_for(prefix);
-  const DefaultVector defaults = compiler_.defaults_for(prefix);
-  const bool any_default =
-      std::any_of(defaults.begin(), defaults.end(),
-                  [](const auto& d) { return d.has_value(); });
-
-  if (hits.empty() &&
-      (!any_default || !compiler_.options_.vmac_grouping)) {
-    // Fully withdrawn (nothing to install), or no per-prefix default rules
-    // without VMAC grouping: a plain re-advertisement suffices.
-    result.seconds = seconds_since(t0);
-    return result;
-  }
-
-  // Assume a new VNH is needed — no minimum-disjoint-set computation.
-  const VnhBinding binding = vnh.allocate();
-  result.binding = binding;
-  result.additional_rules = synth_and_compose(hits, defaults, binding,
-                                              result.rules,
-                                              result.compositions);
-  result.seconds = seconds_since(t0);
-  return result;
-}
-
 IncrementalEngine::PartitionUpdate IncrementalEngine::recompile_partition(
     ParticipantId owner, VnhAllocator& vnh) {
   const auto t0 = std::chrono::steady_clock::now();

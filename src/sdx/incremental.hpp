@@ -13,8 +13,8 @@
 /// sets, rebuild the whole table) runs in the background between update
 /// bursts — full_recompile(), or adopt() when the pipeline ran off-thread.
 ///
-/// fast_update_batch() is the burst-amortized variant: one pass over a set
-/// of dirty prefixes that shares the clause scan, groups prefixes with
+/// fast_update_batch() is the one fast stage, and a single update is a
+/// batch of one. A burst shares the clause scan, groups prefixes with
 /// identical restricted signatures (a mini-FEC over the dirty set) under
 /// one fresh binding, allocates VNHs in a single sweep, and composes the
 /// combined rule list through the shared stage-2 memo in one walk — so an
@@ -57,23 +57,6 @@ class IncrementalEngine {
   const CompiledSdx& current() const { return *current_; }
   CompiledSdx& current() { return *current_; }
 
-  struct FastPathResult {
-    Ipv4Prefix prefix;
-    /// Fresh binding for the prefix; nullopt when no policy touches it (the
-    /// update then only needs a plain re-advertisement, no new rules).
-    std::optional<VnhBinding> binding;
-    /// High-priority rules for the affected prefix, already composed
-    /// through stage 2.
-    std::vector<policy::Rule> rules;
-    std::size_t additional_rules = 0;
-    /// Stage-1 rules pushed through a stage-2 pull_back walk.
-    std::size_t compositions = 0;
-    double seconds = 0;
-  };
-
-  /// The fast stage for one updated prefix.
-  FastPathResult fast_update(Ipv4Prefix prefix, VnhAllocator& vnh);
-
   /// One dirty prefix of a batched flush. Prefixes whose restricted
   /// signatures coincide share a binding (and their rules were emitted
   /// once); `additional_rules` attributes the group's rule count to its
@@ -93,8 +76,9 @@ class IncrementalEngine {
     double seconds = 0;
   };
 
-  /// The fast stage for a burst: one restricted-compilation pass over every
-  /// prefix in \p prefixes (duplicates collapse to their first occurrence).
+  /// The fast stage: one restricted-compilation pass over every prefix in
+  /// \p prefixes (duplicates collapse to their first occurrence). A single
+  /// updated prefix is the batch {p}.
   BatchResult fast_update_batch(const std::vector<Ipv4Prefix>& prefixes,
                                 VnhAllocator& vnh);
 

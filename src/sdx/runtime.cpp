@@ -358,10 +358,18 @@ void SdxRuntime::withdraw(ParticipantId from, Ipv4Prefix prefix) {
 
 const CompiledSdx& SdxRuntime::deploy() {
   // A synchronous rebuild outruns any in-flight asynchronous one: mark the
-  // job superseded so its (older) result is discarded at poll time.
+  // job superseded so its (older) result is discarded at poll time. The
+  // rebuild reads the live RIB, so it covers every raced delta too.
   if (job_) job_->superseded = true;
+  raced_order_.clear();
+  raced_set_.clear();
   const CompiledSdx& compiled = engine_->full_recompile(vnh_);
+  install_compiled(compiled);
+  run_safety_stage(nullptr);
+  return compiled;
+}
 
+void SdxRuntime::install_compiled(const CompiledSdx& compiled) {
   // One binding per remote participant, advertised as the next hop of its
   // otherwise-unreachable announcements so senders can frame the traffic.
   remote_bindings_.clear();
@@ -372,21 +380,23 @@ const CompiledSdx& SdxRuntime::deploy() {
   install_base_tables(compiled);
   fast_bindings_.clear();
   bind_arp(compiled);
-  // The rebuild covers every update absorbed so far: pending batches, raced
-  // deltas and the per-update log are all superseded. Pending prefixes that
-  // left the RIB entirely still need their (deferred) withdrawal
-  // re-advertised — the loop below only walks prefixes the RIB still holds.
+  // The new base covers every pending dirty prefix and the per-update log;
+  // anything that raced past an asynchronous snapshot re-applies through
+  // one batched fast pass on top of it (note_post_install_update recorded
+  // both). Pending prefixes that left the RIB entirely still need their
+  // (deferred) withdrawal re-advertised — the all_prefixes() walk only
+  // sees prefixes the RIB still holds.
   std::vector<Ipv4Prefix> pending = std::move(dirty_order_);
   dirty_order_.clear();
   dirty_set_.clear();
   pending_clock_ = 0;
+  std::vector<Ipv4Prefix> raced = std::move(raced_order_);
   raced_order_.clear();
   raced_set_.clear();
   update_log_.clear();
   for (auto prefix : server_.all_prefixes()) readvertise(prefix);
   for (auto prefix : pending) readvertise(prefix);
-  run_safety_stage(nullptr);
-  return compiled;
+  install_batch(raced);
 }
 
 const CompiledSdx& SdxRuntime::install() {
@@ -484,33 +494,10 @@ void SdxRuntime::apply_recompile(RecompileJob job) {
   telemetry::Span span = telemetry_.tracer.span("recompile_swap");
   const auto t0 = std::chrono::steady_clock::now();
   // Double-buffer swap: adopt the worker's compiled state and allocator,
-  // then rebuild the derived installation exactly as deploy() would —
-  // the same allocator sequence keeps async byte-identical to sync.
+  // then install it through the same routine as deploy() — the same
+  // allocator sequence keeps async byte-identical to sync.
   vnh_ = std::move(job.vnh);
-  const CompiledSdx& compiled = engine_->adopt(std::move(job.result));
-  remote_bindings_.clear();
-  for (const auto& p : participants_) {
-    if (p.is_remote()) remote_bindings_[p.id] = vnh_.allocate();
-  }
-  install_base_tables(compiled);
-  fast_bindings_.clear();
-  bind_arp(compiled);
-  update_log_.clear();
-  // Every pending dirty prefix predating the snapshot is covered by the new
-  // table; anything that raced past it re-applies through one batched fast
-  // pass on top of the new base (note_post_install_update recorded both).
-  // Pending prefixes whose deferred withdrawal emptied their RIB entry get
-  // an explicit re-advertisement — the all_prefixes() walk can't see them.
-  std::vector<Ipv4Prefix> pending = std::move(dirty_order_);
-  dirty_order_.clear();
-  dirty_set_.clear();
-  pending_clock_ = 0;
-  std::vector<Ipv4Prefix> raced = std::move(raced_order_);
-  raced_order_.clear();
-  raced_set_.clear();
-  for (auto prefix : server_.all_prefixes()) readvertise(prefix);
-  for (auto prefix : pending) readvertise(prefix);
-  install_batch(raced);
+  install_compiled(engine_->adopt(std::move(job.result)));
   swap_seconds_->observe(seconds_since(t0));
   // Full re-verification after the swap (the raced-delta batch above already
   // re-checked its own prefixes incrementally; the new base needs the rest).
@@ -585,20 +572,13 @@ void SdxRuntime::bind_arp(const CompiledSdx& compiled) {
   }
 }
 
-std::optional<VnhBinding> SdxRuntime::advertised_binding(
+std::optional<VnhBinding> SdxRuntime::current_binding(
     Ipv4Prefix prefix) const {
   if (auto it = fast_bindings_.find(prefix); it != fast_bindings_.end()) {
     return it->second;
   }
-  if (installed()) {
-    if (auto b = compiled().binding_for(prefix)) return b;
-  }
+  if (installed()) return compiled().binding_for(prefix);
   return std::nullopt;
-}
-
-std::optional<VnhBinding> SdxRuntime::current_binding(
-    Ipv4Prefix prefix) const {
-  return advertised_binding(prefix);
 }
 
 std::optional<VnhBinding> SdxRuntime::remote_binding(
@@ -706,7 +686,7 @@ std::string SdxRuntime::dump_trace() const {
 }
 
 void SdxRuntime::readvertise(Ipv4Prefix prefix) {
-  const auto global = advertised_binding(prefix);
+  const auto global = current_binding(prefix);
   const bool partitioned = installed() && compiled().partitioned;
   for (std::size_t slot = 0; slot < participants_.size(); ++slot) {
     const auto& p = participants_[slot];
@@ -766,32 +746,12 @@ void SdxRuntime::note_post_install_update(Ipv4Prefix prefix) {
     }
     return;
   }
-  handle_post_install_update(prefix);
-}
-
-void SdxRuntime::handle_post_install_update(Ipv4Prefix prefix) {
-  telemetry::Span span = telemetry_.tracer.span("fast_update");
-  auto result = engine_->fast_update(prefix, vnh_);
-  fast_updates_->inc();
-  fast_rules_->inc(result.additional_rules);
-  fast_compositions_->inc(result.compositions);
-  fast_seconds_->observe(result.seconds);
-  if (result.binding) {
-    fast_bindings_[prefix] = *result.binding;
-    fabric_.arp().bind(result.binding->vnh, result.binding->vmac);
-    auto& table = fabric_.sdx_switch().table();
-    policy::Classifier extra(std::move(result.rules));
-    table.install_classifier(extra, kFastPriority, next_cookie_++);
-  }
-  readvertise(prefix);
-  log_update(UpdateReport{prefix, result.additional_rules, result.seconds});
-  const std::vector<Ipv4Prefix> dirty{prefix};
-  run_safety_stage(&dirty);
+  install_batch({prefix});
 }
 
 void SdxRuntime::install_batch(const std::vector<Ipv4Prefix>& prefixes) {
   if (prefixes.empty()) return;
-  telemetry::Span span = telemetry_.tracer.span("fast_update_batch");
+  telemetry::Span span = telemetry_.tracer.span("fast_update");
   auto batch = engine_->fast_update_batch(prefixes, vnh_);
   fast_updates_->inc(batch.items.size());
   fast_rules_->inc(batch.additional_rules);

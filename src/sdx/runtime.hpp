@@ -12,11 +12,13 @@
 ///      bindings and BGP re-advertisement to every participant router;
 ///   4. further announce()/withdraw() calls run the §4.3.2 fast path
 ///      automatically (higher-priority rules + re-advertisement), logging
-///      per-update cost. With enable_batching() they enqueue instead and a
-///      flush() (explicit, size- or clock-triggered) amortizes the burst;
-///      background_recompile() coalesces synchronously, while
-///      start_background_recompile() runs the optimal pipeline off-thread
-///      against a versioned snapshot and swaps the result in atomically.
+///      per-update cost. There is one fast stage: an inline update is a
+///      batch of one, installed immediately. With enable_batching() updates
+///      enqueue instead and a flush() (explicit, size- or clock-triggered)
+///      installs the whole burst as one batch; background_recompile()
+///      coalesces synchronously, while start_background_recompile() runs
+///      the optimal pipeline off-thread against a versioned snapshot and
+///      swaps the result in atomically.
 ///   5. send() pushes packets through the emulated data plane end to end.
 
 #include <array>
@@ -202,15 +204,15 @@ class SdxRuntime {
     double max_delay_seconds = 0.05;
   };
 
-  /// Switches announce()/withdraw() after install() from inline fast-path
-  /// compilation to enqueueing: a burst of N updates then costs one batched
-  /// pass (shared clause scan and stage-2 memo, one VNH sweep, one
-  /// composition walk, de-duplicated installation) instead of N restricted
-  /// compilations. Updates are *visible* only after the flush.
+  /// Switches announce()/withdraw() after install() from an immediate
+  /// batch of one per update to enqueueing: a burst of N updates then costs
+  /// one batched pass (shared clause scan and stage-2 memo, one VNH sweep,
+  /// one composition walk, de-duplicated installation) instead of N
+  /// batches of one. Updates are *visible* only after the flush.
   void enable_batching(BatchOptions options);
   void enable_batching() { enable_batching(BatchOptions{}); }
 
-  /// Flushes any pending updates, then returns to inline fast-path mode.
+  /// Flushes any pending updates, then returns to batches of one.
   void disable_batching();
 
   bool batching() const { return batching_; }
@@ -311,10 +313,12 @@ class SdxRuntime {
   const dp::Fabric& fabric() const { return fabric_; }
   dp::BorderRouter& router(ParticipantId id, std::size_t port_index = 0);
 
-  /// The (VNH, VMAC) binding currently advertised for \p prefix — the
-  /// fast-path binding when one is live, else the compiled group binding,
-  /// else the remote-participant binding for its advertiser; std::nullopt
-  /// when the prefix is advertised with its real next hop.
+  /// The receiver-independent (VNH, VMAC) binding for \p prefix: the
+  /// fast-path binding when one is live, else the pairwise compiled group
+  /// binding; std::nullopt otherwise. It does not cover the next hop of a
+  /// remote participant's announcements (see remote_binding()) nor the
+  /// per-receiver bindings of a partitioned deployment
+  /// (CompiledSdx::partition_binding_for()).
   std::optional<VnhBinding> current_binding(Ipv4Prefix prefix) const;
 
   /// The next-hop binding assigned to a remote participant's own
@@ -395,7 +399,15 @@ class SdxRuntime {
     bool superseded = false;  ///< a synchronous recompile outran this job
   };
 
+  /// Full compile on the control thread, then install_compiled() and a
+  /// full safety pass. Supersedes any in-flight asynchronous recompile.
   const CompiledSdx& deploy();
+  /// Installs a freshly compiled (or adopted) state — shared by deploy()
+  /// and apply_recompile(): remote-participant bindings, base tables, ARP,
+  /// re-advertisement of every prefix; drops the fast-path bindings,
+  /// pending batch and update log it supersedes, then re-applies raced
+  /// deltas through one batched fast pass.
+  void install_compiled(const CompiledSdx& compiled);
   /// Clears the flow table and installs the compiled base state: the whole
   /// fabric under kBaseCookie (pairwise), or the shared band plus one
   /// priority band per partition under per-slot cookies (partitioned),
@@ -407,23 +419,22 @@ class SdxRuntime {
   void recompile_participant_partition(ParticipantId id);
   void readvertise(Ipv4Prefix prefix);
   void bind_arp(const CompiledSdx& compiled);
-  /// Post-install update routing: raced-delta tracking, then either the
-  /// inline fast path or the dirty queue (batching).
+  /// Post-install update routing: raced-delta tracking, then either an
+  /// immediate batch of one or the dirty queue (batching).
   void note_post_install_update(Ipv4Prefix prefix);
-  void handle_post_install_update(Ipv4Prefix prefix);
   /// One batched fast pass over \p prefixes: compile, install, re-advertise,
-  /// log. Shared by flush() and the post-swap raced-delta re-application.
+  /// log. The single fast-path install: inline updates (a batch of one),
+  /// flush() and the post-swap raced-delta re-application all run here.
   void install_batch(const std::vector<Ipv4Prefix>& prefixes);
   /// Applies a finished, non-stale job on the control thread: swap tables,
   /// drop superseded fast rules, re-apply raced deltas, re-advertise.
   void apply_recompile(RecompileJob job);
   void log_update(UpdateReport report);
-  std::optional<VnhBinding> advertised_binding(Ipv4Prefix prefix) const;
-  /// Registers the journal's telemetry series on the runtime registry.
   /// Runs the enabled safety stage: full when \p dirty is null, else an
   /// incremental re-check of exactly those prefixes. No-op unless
   /// verification is enabled and the runtime is installed.
   void run_safety_stage(const std::vector<Ipv4Prefix>* dirty);
+  /// Registers the journal's telemetry series on the runtime registry.
   void wire_journal_hooks();
   /// Re-applies a checkpoint into this (fresh) runtime; sets report.warm
   /// when the fingerprint check allows adopting the persisted tables.

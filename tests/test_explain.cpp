@@ -15,26 +15,33 @@ using net::PacketBuilder;
 
 class ExplainFixture : public ::testing::Test {
  protected:
-  ExplainFixture() {
-    a = rt.add_participant("A", 65001);
-    b = rt.add_participant("B", 65002);
-    c = rt.add_participant("C", 65003);
-    tenant = rt.add_remote_participant("tenant", 65010);
-    rt.set_outbound(a, {OutboundClause{ClauseMatch{}.dst_port(80), b}});
-    rt.set_inbound(
+  ExplainFixture() { populate(rt); }
+
+  /// A diverts port 80 to B although C is the BGP best for 100.1/16; the
+  /// remote tenant rewrites one host of it toward 100.2/16.
+  void populate(SdxRuntime& target) {
+    a = target.add_participant("A", 65001);
+    b = target.add_participant("B", 65002);
+    c = target.add_participant("C", 65003);
+    tenant = target.add_remote_participant("tenant", 65010);
+    target.set_outbound(a, {OutboundClause{ClauseMatch{}.dst_port(80), b}});
+    target.set_inbound(
         tenant,
         {InboundClause{ClauseMatch{}.dst(Ipv4Prefix::host(
                            net::Ipv4Address::parse("100.1.9.9"))),
                        {{net::Field::kDstIp,
                          net::Ipv4Address::parse("100.2.0.5").value()}},
                        std::nullopt}});
-    rt.announce(b, Ipv4Prefix::parse("100.1.0.0/16"),
-                net::AsPath{65002, 9});
-    rt.announce(c, Ipv4Prefix::parse("100.1.0.0/16"), net::AsPath{65003});
-    rt.announce(c, Ipv4Prefix::parse("100.2.0.0/16"), net::AsPath{65003});
+    target.announce(b, Ipv4Prefix::parse("100.1.0.0/16"),
+                    net::AsPath{65002, 9});
+    target.announce(c, Ipv4Prefix::parse("100.1.0.0/16"),
+                    net::AsPath{65003});
+    target.announce(c, Ipv4Prefix::parse("100.2.0.0/16"),
+                    net::AsPath{65003});
     // An untouched prefix (no policy covers it).
-    rt.announce(c, Ipv4Prefix::parse("100.3.0.0/16"), net::AsPath{65003});
-    rt.install();
+    target.announce(c, Ipv4Prefix::parse("100.3.0.0/16"),
+                    net::AsPath{65003});
+    target.install();
   }
 
   Explanation run(const char* dst, std::uint64_t port) {
@@ -93,20 +100,27 @@ TEST_F(ExplainFixture, NoRouteVerdict) {
 }
 
 TEST_F(ExplainFixture, ExplanationMatchesLiveDataPlane) {
-  for (const char* dst : {"100.1.1.1", "100.2.0.7", "100.3.4.5"}) {
-    for (std::uint64_t port : {80u, 53u}) {
-      auto payload = PacketBuilder()
-                         .src_ip("96.25.160.5")
-                         .dst_ip(dst)
-                         .proto(net::kProtoTcp)
-                         .dst_port(port)
-                         .build();
-      auto e = explain(rt, a, payload, 0);
-      auto live = rt.send(a, payload);
-      ASSERT_EQ(e.egress.has_value(), !live.empty()) << dst << ":" << port;
-      if (!live.empty()) {
-        EXPECT_EQ(*e.egress, live[0].port);
-        EXPECT_EQ(e.delivered, live[0].frame);
+  // The same exchange compiled partitioned: each router is advertised its
+  // own partition's binding, which the explanation must follow too.
+  SdxRuntime partitioned({}, CompileOptions{.partitioned = true});
+  populate(partitioned);
+  for (SdxRuntime* runtime : {&rt, &partitioned}) {
+    SCOPED_TRACE(runtime == &partitioned ? "partitioned" : "pairwise");
+    for (const char* dst : {"100.1.1.1", "100.2.0.7", "100.3.4.5"}) {
+      for (std::uint64_t port : {80u, 53u}) {
+        auto payload = PacketBuilder()
+                           .src_ip("96.25.160.5")
+                           .dst_ip(dst)
+                           .proto(net::kProtoTcp)
+                           .dst_port(port)
+                           .build();
+        auto e = explain(*runtime, a, payload, 0);
+        auto live = runtime->send(a, payload);
+        ASSERT_EQ(e.egress.has_value(), !live.empty()) << dst << ":" << port;
+        if (!live.empty()) {
+          EXPECT_EQ(*e.egress, live[0].port) << dst << ":" << port;
+          EXPECT_EQ(e.delivered, live[0].frame) << dst << ":" << port;
+        }
       }
     }
   }

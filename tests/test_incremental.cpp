@@ -38,11 +38,15 @@ TEST_F(IncrementalFixture, FastUpdateAllocatesFreshBindingPerCall) {
   engine.full_recompile(vnh);
   const auto before = vnh.allocated();
 
-  auto r1 = engine.fast_update(Ipv4Prefix::parse("100.1.0.0/16"), vnh);
-  auto r2 = engine.fast_update(Ipv4Prefix::parse("100.1.0.0/16"), vnh);
-  ASSERT_TRUE(r1.binding.has_value());
-  ASSERT_TRUE(r2.binding.has_value());
-  EXPECT_NE(r1.binding->vmac, r2.binding->vmac);  // "assume a new VNH"
+  // A single update is a batch of one.
+  auto r1 = engine.fast_update_batch({Ipv4Prefix::parse("100.1.0.0/16")}, vnh);
+  auto r2 = engine.fast_update_batch({Ipv4Prefix::parse("100.1.0.0/16")}, vnh);
+  ASSERT_EQ(r1.items.size(), 1u);
+  ASSERT_EQ(r2.items.size(), 1u);
+  ASSERT_TRUE(r1.items[0].binding.has_value());
+  ASSERT_TRUE(r2.items[0].binding.has_value());
+  // "assume a new VNH"
+  EXPECT_NE(r1.items[0].binding->vmac, r2.items[0].binding->vmac);
   EXPECT_EQ(vnh.allocated(), before + 2);
   EXPECT_GT(r1.additional_rules, 0u);
   EXPECT_EQ(r1.additional_rules, r1.rules.size());
@@ -55,8 +59,9 @@ TEST_F(IncrementalFixture, UntouchedPrefixWithDefaultsStillGetsRules) {
   IncrementalEngine engine(compiler);
   VnhAllocator vnh;
   engine.full_recompile(vnh);
-  auto r = engine.fast_update(Ipv4Prefix::parse("100.9.0.0/16"), vnh);
-  ASSERT_TRUE(r.binding.has_value());
+  auto r = engine.fast_update_batch({Ipv4Prefix::parse("100.9.0.0/16")}, vnh);
+  ASSERT_EQ(r.items.size(), 1u);
+  ASSERT_TRUE(r.items[0].binding.has_value());
   EXPECT_GT(r.additional_rules, 0u);
   // All its rules are default rules: they match the fresh VMAC.
   for (const auto& rule : r.rules) {
@@ -70,8 +75,9 @@ TEST_F(IncrementalFixture, FullyWithdrawnPrefixNeedsNothing) {
   IncrementalEngine engine(compiler);
   VnhAllocator vnh;
   engine.full_recompile(vnh);
-  auto r = engine.fast_update(Ipv4Prefix::parse("100.1.0.0/16"), vnh);
-  EXPECT_FALSE(r.binding.has_value());
+  auto r = engine.fast_update_batch({Ipv4Prefix::parse("100.1.0.0/16")}, vnh);
+  ASSERT_EQ(r.items.size(), 1u);
+  EXPECT_FALSE(r.items[0].binding.has_value());
   EXPECT_EQ(r.additional_rules, 0u);
 }
 
@@ -138,7 +144,7 @@ TEST(IncrementalNoVmac, FastPathIsIdleWithoutGrouping) {
   // Without VMAC grouping there is a clause hit, so rules are still
   // emitted — but a pure-default prefix needs none.
   rt.route_server().withdraw(b, Ipv4Prefix::parse("100.1.0.0/16"));
-  auto r = engine.fast_update(Ipv4Prefix::parse("100.1.0.0/16"), vnh);
+  auto r = engine.fast_update_batch({Ipv4Prefix::parse("100.1.0.0/16")}, vnh);
   EXPECT_EQ(r.additional_rules, 0u);
 }
 

@@ -136,11 +136,20 @@ TEST(RuntimeTelemetry, CompilerStageSpansNestUnderOneCompileSpan) {
       [](const SpanTracer::Record& r) { return r.name == "install"; });
   ASSERT_NE(install, records.end());
   EXPECT_TRUE(install->encloses(compile));
-  EXPECT_EQ(std::count_if(records.begin(), records.end(),
-                          [](const SpanTracer::Record& r) {
-                            return r.name == "fast_update";
-                          }),
-            2);
+  auto fast_update_spans = [&rt] {
+    const auto now = rt.telemetry().tracer.records();
+    return std::count_if(now.begin(), now.end(),
+                         [](const SpanTracer::Record& r) {
+                           return r.name == "fast_update";
+                         });
+  };
+  EXPECT_EQ(fast_update_spans(), 2);
+  // A batched flush runs the same fast stage, under the same span name.
+  rt.enable_batching();
+  rt.announce(rt.find("C")->id, Ipv4Prefix::parse("100.3.0.0/16"),
+              net::AsPath{65003});
+  ASSERT_EQ(rt.flush(), 1u);
+  EXPECT_EQ(fast_update_spans(), 3);
 
   // And the exported Chrome JSON carries them as complete events.
   const std::string json = rt.dump_trace();
