@@ -26,6 +26,14 @@ class Rib {
   /// Exact-prefix lookup.
   const Route* find(Ipv4Prefix prefix) const;
 
+  /// Exact-prefix lookup for in-place replacement. Re-advertisement is the
+  /// common write (every fast-path update gives its prefix a fresh VNH and
+  /// re-announces it to every router), so a router assigns the new
+  /// attributes over the stored route's and the AS path and community
+  /// vectors reuse their capacity (BorderRouter::process_update). The
+  /// pointer is valid until the next add, withdraw or clear.
+  Route* find(Ipv4Prefix prefix) { return trie_.find(prefix); }
+
   /// Longest-prefix-match lookup for a destination address.
   const Route* lookup(Ipv4Address addr) const;
 

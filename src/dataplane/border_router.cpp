@@ -6,6 +6,13 @@ void BorderRouter::process_update(const bgp::UpdateMessage& update) {
   for (auto prefix : update.withdrawn) rib_.withdraw(prefix);
   if (update.attrs.has_value()) {
     for (auto prefix : update.nlri) {
+      // A re-advertisement (every fast-path update gives the prefix a new
+      // VNH) overwrites the stored attributes in place; only a fresh prefix
+      // builds a Route.
+      if (bgp::Route* stored = rib_.find(prefix)) {
+        stored->attrs = *update.attrs;
+        continue;
+      }
       bgp::Route r;
       r.prefix = prefix;
       r.attrs = *update.attrs;

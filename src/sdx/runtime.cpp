@@ -706,14 +706,14 @@ void SdxRuntime::readvertise(Ipv4Prefix prefix) {
     if (!best) {
       msg.withdrawn.push_back(prefix);
     } else {
-      bgp::RouteAttributes attrs = best->attrs;
+      // best_route returns a copy: move its attributes into the message.
+      msg.attrs = std::move(best->attrs);
       if (binding) {
-        attrs.next_hop = binding->vnh;
+        msg.attrs->next_hop = binding->vnh;
       } else if (auto rb = remote_bindings_.find(best->learned_from);
                  rb != remote_bindings_.end()) {
-        attrs.next_hop = rb->second.vnh;
+        msg.attrs->next_hop = rb->second.vnh;
       }
-      msg.attrs = std::move(attrs);
       msg.nlri.push_back(prefix);
     }
     if (frontend_ && frontend_->established(p.id)) {

@@ -217,6 +217,96 @@ TEST_F(BorderRouterFixture, WithdrawalRemovesFibEntry) {
       router.forward(PacketBuilder().dst_ip("100.1.2.3").build(), arp));
 }
 
+/// The route a border router must hold for \p prefix after \p msg: what a
+/// fresh Route built from the message holds, whatever the FIB held before.
+bgp::Route route_from(const bgp::UpdateMessage& msg, Ipv4Prefix prefix) {
+  bgp::Route r;
+  r.prefix = prefix;
+  r.attrs = *msg.attrs;
+  return r;
+}
+
+TEST_F(BorderRouterFixture, ReannouncementReplacesRouteInPlace) {
+  const auto p = Ipv4Prefix::parse("100.2.0.0/16");
+  bgp::UpdateMessage first;
+  first.attrs.emplace();
+  first.attrs->as_path = net::AsPath{65002, 65010, 65020};
+  first.attrs->next_hop = Ipv4Address::parse("172.16.0.1");
+  first.attrs->med = 50;
+  first.attrs->communities = {bgp::make_community(65002, 1),
+                              bgp::make_community(65002, 2)};
+  first.nlri = {p};
+  router.process_update(first);
+  ASSERT_NE(router.rib().find(p), nullptr);
+  EXPECT_EQ(*router.rib().find(p), route_from(first, p));
+
+  // Shorter path, no communities, no MED, new next hop: nothing of the
+  // first announcement may survive the in-place replacement.
+  bgp::UpdateMessage second;
+  second.attrs.emplace();
+  second.attrs->as_path = net::AsPath{65003};
+  second.attrs->next_hop = Ipv4Address::parse("172.16.0.2");
+  second.nlri = {p};
+  router.process_update(second);
+  ASSERT_NE(router.rib().find(p), nullptr);
+  EXPECT_EQ(*router.rib().find(p), route_from(second, p));
+  EXPECT_EQ(router.rib().size(), 2u);
+}
+
+TEST_F(BorderRouterFixture, WithdrawThenReannounce) {
+  const auto p = Ipv4Prefix::parse("100.1.0.0/16");
+  bgp::UpdateMessage withdraw;
+  withdraw.withdrawn = {p};
+  router.process_update(withdraw);
+  EXPECT_EQ(router.rib().find(p), nullptr);
+  EXPECT_TRUE(router.rib().empty());
+
+  bgp::UpdateMessage announce;
+  announce.attrs.emplace();
+  announce.attrs->as_path = net::AsPath{65004, 65005};
+  announce.attrs->next_hop = Ipv4Address::parse("172.16.0.1");
+  announce.attrs->communities = {bgp::kNoExport};
+  announce.nlri = {p};
+  router.process_update(announce);
+  ASSERT_NE(router.rib().find(p), nullptr);
+  EXPECT_EQ(*router.rib().find(p), route_from(announce, p));
+  EXPECT_TRUE(
+      router.forward(PacketBuilder().dst_ip("100.1.2.3").build(), arp));
+}
+
+TEST_F(BorderRouterFixture, MixedUpdateWithdrawsAndAnnounces) {
+  // One UPDATE withdraws the fixture's prefix, re-announces a second one
+  // the router already holds, and announces a fresh one.
+  const auto held = Ipv4Prefix::parse("100.1.0.0/16");
+  const auto other = Ipv4Prefix::parse("100.3.0.0/16");
+  const auto fresh = Ipv4Prefix::parse("100.4.0.0/24");
+  bgp::UpdateMessage seed;
+  seed.attrs.emplace();
+  seed.attrs->as_path = net::AsPath{65002, 65009};
+  seed.attrs->next_hop = Ipv4Address::parse("172.16.0.5");
+  seed.attrs->communities = {bgp::make_community(65002, 7)};
+  seed.nlri = {other};
+  router.process_update(seed);
+
+  bgp::UpdateMessage mixed;
+  mixed.withdrawn = {held};
+  mixed.attrs.emplace();
+  mixed.attrs->as_path = net::AsPath{65006};
+  mixed.attrs->next_hop = Ipv4Address::parse("172.16.0.6");
+  mixed.attrs->local_pref = 200;
+  mixed.nlri = {other, fresh};
+  router.process_update(mixed);
+
+  EXPECT_EQ(router.rib().find(held), nullptr);
+  ASSERT_NE(router.rib().find(other), nullptr);
+  EXPECT_EQ(*router.rib().find(other), route_from(mixed, other));
+  ASSERT_NE(router.rib().find(fresh), nullptr);
+  EXPECT_EQ(*router.rib().find(fresh), route_from(mixed, fresh));
+  const std::vector<bgp::Route> expected = {route_from(mixed, other),
+                                            route_from(mixed, fresh)};
+  EXPECT_EQ(router.rib().routes(), expected);
+}
+
 TEST_F(BorderRouterFixture, AcceptsOwnMacAndBroadcastOnly) {
   EXPECT_TRUE(router.accepts(
       PacketBuilder().dst_mac(router.mac()).build()));

@@ -5,6 +5,8 @@
 
 #include <map>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "netbase/as_path.hpp"
@@ -255,12 +257,15 @@ TEST(PrefixTrie, RandomizedLpmAgainstLinearScan) {
   }
 }
 
-TEST(PrefixTrie, ModelFuzzWithInsertEraseLookup) {
-  // Model-based fuzz against std::map: random insert/overwrite/erase
-  // interleaved with exact-find and LPM queries.
-  SplitMix64 rng(2718);
-  PrefixTrie<int> trie;
-  std::map<Ipv4Prefix, int> model;
+/// Model-based fuzz against std::map: random insert/overwrite/erase
+/// interleaved with exact-find and LPM queries. \p make_value maps a random
+/// number to a stored value, so one walk covers both trivially copyable and
+/// heap-owning values (whose erased slots are reset and recycled).
+template <typename V, typename MakeValue>
+void model_fuzz_insert_erase_lookup(std::uint64_t seed, MakeValue make_value) {
+  SplitMix64 rng(seed);
+  PrefixTrie<V> trie;
+  std::map<Ipv4Prefix, V> model;
   auto random_prefix = [&rng]() {
     return Ipv4Prefix(Ipv4Address(static_cast<std::uint32_t>(
                           rng.below(16) << 28)),
@@ -270,7 +275,7 @@ TEST(PrefixTrie, ModelFuzzWithInsertEraseLookup) {
     const auto p = random_prefix();
     switch (rng.below(3)) {
       case 0: {
-        const int v = static_cast<int>(rng.below(1000));
+        const V v = make_value(rng.below(1000));
         const bool fresh_trie = trie.insert(p, v);
         const bool fresh_model = model.insert_or_assign(p, v).second;
         ASSERT_EQ(fresh_trie, fresh_model);
@@ -280,7 +285,7 @@ TEST(PrefixTrie, ModelFuzzWithInsertEraseLookup) {
         ASSERT_EQ(trie.erase(p), model.erase(p) > 0);
         break;
       default: {
-        const int* found = trie.find(p);
+        const V* found = trie.find(p);
         auto it = model.find(p);
         ASSERT_EQ(found != nullptr, it != model.end());
         if (found != nullptr) {
@@ -306,6 +311,74 @@ TEST(PrefixTrie, ModelFuzzWithInsertEraseLookup) {
     }
     ASSERT_EQ(trie.size(), model.size());
   }
+  std::vector<std::pair<Ipv4Prefix, V>> visited;
+  trie.for_each([&](Ipv4Prefix p, const V& v) { visited.emplace_back(p, v); });
+  EXPECT_EQ(visited, (std::vector<std::pair<Ipv4Prefix, V>>(model.begin(),
+                                                             model.end())));
+}
+
+TEST(PrefixTrie, ModelFuzzWithInsertEraseLookup) {
+  model_fuzz_insert_erase_lookup<int>(
+      2718, [](std::uint64_t r) { return static_cast<int>(r); });
+}
+
+TEST(PrefixTrie, ModelFuzzWithHeapOwningValues) {
+  // Strings longer than the small-string buffer, so every recycled slot
+  // held heap memory that erase must release and insert must replace.
+  model_fuzz_insert_erase_lookup<std::string>(2719, [](std::uint64_t r) {
+    return std::string(24 + r % 40, static_cast<char>('a' + r % 26));
+  });
+}
+
+TEST(PrefixTrie, ErasedSlotsAreRecycled) {
+  PrefixTrie<std::string> trie;
+  const auto a = Ipv4Prefix::parse("10.0.0.0/8");
+  const auto b = Ipv4Prefix::parse("10.1.0.0/16");
+  const auto c = Ipv4Prefix::parse("192.168.0.0/16");
+  EXPECT_TRUE(trie.insert(a, "a"));
+  EXPECT_TRUE(trie.insert(b, "b"));
+  EXPECT_TRUE(trie.insert(c, "c"));
+
+  // Erase then re-insert: the prefix is fresh again and reads the new value.
+  EXPECT_TRUE(trie.erase(b));
+  EXPECT_EQ(trie.find(b), nullptr);
+  EXPECT_EQ(trie.size(), 2u);
+  EXPECT_TRUE(trie.insert(b, "b2"));
+  ASSERT_NE(trie.find(b), nullptr);
+  EXPECT_EQ(*trie.find(b), "b2");
+  EXPECT_EQ(trie.lookup(Ipv4Address::parse("10.1.2.3"))->first, b);
+
+  // A different prefix can take the slot an erase freed.
+  EXPECT_TRUE(trie.erase(a));
+  const auto d = Ipv4Prefix::parse("172.16.0.0/12");
+  EXPECT_TRUE(trie.insert(d, "d"));
+  EXPECT_EQ(trie.find(a), nullptr);
+  EXPECT_EQ(*trie.find(d), "d");
+  EXPECT_EQ(trie.size(), 3u);
+
+  std::vector<std::pair<Ipv4Prefix, std::string>> visited;
+  trie.for_each([&](Ipv4Prefix p, const std::string& v) {
+    visited.emplace_back(p, v);
+  });
+  const std::vector<std::pair<Ipv4Prefix, std::string>> expected = {
+      {b, "b2"}, {d, "d"}, {c, "c"}};
+  EXPECT_EQ(visited, expected);
+
+  // clear() empties the trie, and it is reusable afterwards.
+  trie.clear();
+  EXPECT_TRUE(trie.empty());
+  EXPECT_EQ(trie.find(b), nullptr);
+  EXPECT_FALSE(trie.lookup(Ipv4Address::parse("10.1.2.3")).has_value());
+  EXPECT_TRUE(trie.insert(c, "c2"));
+  EXPECT_TRUE(trie.insert(a, "a2"));
+  EXPECT_EQ(trie.size(), 2u);
+  visited.clear();
+  trie.for_each([&](Ipv4Prefix p, const std::string& v) {
+    visited.emplace_back(p, v);
+  });
+  const std::vector<std::pair<Ipv4Prefix, std::string>> after_clear = {
+      {a, "a2"}, {c, "c2"}};
+  EXPECT_EQ(visited, after_clear);
 }
 
 TEST(FieldMatch, SubsumesAgreesWithMatchSemantics) {
