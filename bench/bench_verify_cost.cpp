@@ -10,9 +10,10 @@
 ///
 /// The interesting gap is full vs incremental: the incremental re-check
 /// touches O(senders × variants) classes instead of O(prefixes × senders ×
-/// variants), so its cost must stay roughly flat in the prefix count while
-/// the full pass grows linearly — the property that makes it affordable to
-/// verify after every update.
+/// variants), so its cost must stay flat in the prefix count while the
+/// full pass grows linearly — the property that makes it affordable to
+/// verify after every update. ci/check_verify_scaling.py gates that
+/// flatness on this CSV (incremental 50×2000 against 50×500).
 ///
 /// CSV: mode,participants,prefixes,clauses,classes,edges,checks,check_ms
 ///
@@ -80,7 +81,10 @@ int main() {
   const bool smoke = bench::smoke();
   core::CompileOptions options;
   options.threads = bench::bench_threads();
-  const std::size_t incremental_checks = smoke ? 4 : 16;
+  // Enough checks (~0.1 s of them per configuration) that a ~0.1 ms
+  // incremental re-check is measurable and one scheduler stall cannot swing
+  // the scaling gate; the smoke count feeds the CI counter baseline.
+  const std::size_t incremental_checks = smoke ? 4 : 1024;
 
   struct Config {
     std::size_t participants;

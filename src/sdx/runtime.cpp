@@ -1095,6 +1095,34 @@ verify::DeploymentView SdxRuntime::deployment_view() const {
     }
     return std::vector<Ipv4Prefix>(known.begin(), known.end());
   };
+  // The same union, queried from live state: the incremental pass asks
+  // about a handful of dirty prefixes and must not rebuild it per flush.
+  view.is_known = [self](Ipv4Prefix prefix) {
+    if (self->server_.candidates(prefix) != nullptr) return true;
+    for (const auto& router : self->routers_) {
+      if (router.rib().find(prefix) != nullptr) return true;
+    }
+    return false;
+  };
+  view.known_covering =
+      [self](net::Ipv4Address addr) -> std::optional<Ipv4Prefix> {
+    std::optional<Ipv4Prefix> best;
+    for (int len = 32; len >= 0; --len) {
+      const Ipv4Prefix candidate(addr, len);
+      if (self->server_.candidates(candidate) != nullptr) {
+        best = candidate;
+        break;
+      }
+    }
+    for (const auto& router : self->routers_) {
+      const bgp::Route* route = router.rib().lookup(addr);
+      if (route == nullptr) continue;
+      if (!best || route->prefix.length() > best->length()) {
+        best = route->prefix;
+      }
+    }
+    return best;
+  };
   return view;
 }
 

@@ -7,13 +7,6 @@
 
 namespace sdx::verify {
 
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 /// A header variant: the non-IP exact matches (proto/ports) of a deployed
 /// clause plus its first source prefix. Together with a destination prefix
 /// it names one packet equivalence class — headers inside a class traverse
@@ -24,6 +17,17 @@ struct Variant {
 
   friend bool operator==(const Variant&, const Variant&) = default;
 };
+
+namespace {
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// Source address of a class whose variant names no source prefix.
+constexpr net::Ipv4Address kDefaultSource =
+    net::Ipv4Address::from_octets(192, 0, 2, 1);
 
 bool variant_less(const Variant& a, const Variant& b) {
   if (a.exact != b.exact) return a.exact < b.exact;
@@ -77,8 +81,7 @@ net::Ipv4Address representative(Ipv4Prefix prefix) {
 PacketHeader make_payload(Ipv4Prefix prefix, const Variant& v) {
   PacketHeader h;
   h.set_dst_ip(representative(prefix));
-  h.set_src_ip(v.src ? representative(*v.src)
-                     : net::Ipv4Address::parse("192.0.2.1"));
+  h.set_src_ip(v.src ? representative(*v.src) : kDefaultSource);
   h.set(net::Field::kEthType, net::kEthTypeIpv4);
   for (const auto& [field, value] : v.exact) h.set(field, value);
   return h;
@@ -133,21 +136,6 @@ std::string hops_string(const DeploymentView& view,
   return out;
 }
 
-struct WalkContext {
-  const DeploymentView& view;
-  const std::vector<Ipv4Prefix>& known;  ///< sorted, for rewrite re-anchoring
-  std::size_t max_hops;
-};
-
-std::optional<Ipv4Prefix> containing_prefix(
-    const std::vector<Ipv4Prefix>& known, net::Ipv4Address addr) {
-  std::optional<Ipv4Prefix> best;
-  for (auto p : known) {
-    if (p.contains(addr) && (!best || p.length() > best->length())) best = p;
-  }
-  return best;
-}
-
 std::vector<ParticipantId> extend(std::vector<ParticipantId> hops,
                                   ParticipantId next) {
   hops.push_back(next);
@@ -157,12 +145,13 @@ std::vector<ParticipantId> extend(std::vector<ParticipantId> hops,
 /// The shared forwarding-graph walk: one (sender, class) node through the
 /// deployed tables until delivery, loop, or blackhole. `first_frame` must
 /// already be framed (it IS the counterexample packet); every violation
-/// found along the walk is appended to `out`.
-void walk_from(const WalkContext& ctx, ParticipantId sender,
-               Ipv4Prefix prefix, const std::string& desc,
-               const PacketHeader& first_frame,
+/// found along the walk is appended to `out`. `describe()` names the class
+/// in violation text; it runs only when a violation is recorded.
+template <typename Describe>
+void walk_from(const DeploymentView& view, std::size_t max_hops,
+               ParticipantId sender, Ipv4Prefix prefix,
+               const Describe& describe, const PacketHeader& first_frame,
                std::vector<SafetyViolation>& out, std::size_t& edges) {
-  const DeploymentView& view = ctx.view;
   std::vector<ParticipantId> path{sender};
   ParticipantId current = sender;
   PacketHeader frame = first_frame;
@@ -179,9 +168,9 @@ void walk_from(const WalkContext& ctx, ParticipantId sender,
   };
 
   for (;;) {
-    if (path.size() > ctx.max_hops) {
+    if (path.size() > max_hops) {
       out.push_back({ViolationKind::kLoop,
-                     desc + ": hop budget (" + std::to_string(ctx.max_hops) +
+                     describe() + ": hop budget (" + std::to_string(max_hops) +
                          ") exhausted without reaching an egress (" +
                          hops_string(view, path) + ")",
                      witness(path)});
@@ -196,7 +185,7 @@ void walk_from(const WalkContext& ctx, ParticipantId sender,
     if (copies.empty()) {
       if (!only_remote_advertisers(view, dst_prefix)) {
         out.push_back({ViolationKind::kBlackhole,
-                       desc + ": the fabric dropped the class at " +
+                       describe() + ": the fabric dropped the class at " +
                            name_of(view, current) + " (no egress copy)",
                        witness(path)});
       }
@@ -211,7 +200,7 @@ void walk_from(const WalkContext& ctx, ParticipantId sender,
       const auto owner = view.owner_of(out_port);
       if (!owner) {
         out.push_back({ViolationKind::kBlackhole,
-                       desc + ": frame egresses at unclaimed port " +
+                       describe() + ": frame egresses at unclaimed port " +
                            std::to_string(out_port) + " from " +
                            name_of(view, current),
                        witness(path)});
@@ -222,7 +211,7 @@ void walk_from(const WalkContext& ctx, ParticipantId sender,
       if (!mac || (copy.dst_mac() != *mac &&
                    copy.dst_mac() != MacAddress::broadcast())) {
         out.push_back({ViolationKind::kBlackhole,
-                       desc + ": " + name_of(view, x) +
+                       describe() + ": " + name_of(view, x) +
                            "'s router drops the frame at port " +
                            std::to_string(out_port) + " (dst MAC " +
                            copy.dst_mac().to_string() + " is not its own)",
@@ -233,12 +222,12 @@ void walk_from(const WalkContext& ctx, ParticipantId sender,
       // prefix; re-anchor the class before the BGP-relation checks.
       Ipv4Prefix pfx = dst_prefix;
       if (!pfx.contains(copy.dst_ip())) {
-        if (auto re = containing_prefix(ctx.known, copy.dst_ip())) pfx = *re;
+        if (auto re = view.known_covering(copy.dst_ip())) pfx = *re;
       }
       if (!view.server->exports_to(x, current, pfx)) {
         out.push_back(
             {ViolationKind::kIsolation,
-             desc + ": " + name_of(view, x) + " attracts traffic for " +
+             describe() + ": " + name_of(view, x) + " attracts traffic for " +
                  pfx.to_string() + " from " + name_of(view, current) +
                  " without exporting the prefix to it",
              witness(extend(path, x))});
@@ -247,7 +236,7 @@ void walk_from(const WalkContext& ctx, ParticipantId sender,
       }
       if (std::find(path.begin(), path.end(), x) != path.end()) {
         out.push_back({ViolationKind::kLoop,
-                       desc + ": forwarding loop " +
+                       describe() + ": forwarding loop " +
                            hops_string(view, extend(path, x)),
                        witness(extend(path, x))});
         continue;  // never walk deeper along a cycle
@@ -263,7 +252,7 @@ void walk_from(const WalkContext& ctx, ParticipantId sender,
       if (!onward) {
         if (!only_remote_advertisers(view, pfx)) {
           out.push_back({ViolationKind::kBlackhole,
-                         desc + ": " + name_of(view, x) +
+                         describe() + ": " + name_of(view, x) +
                              " attracts traffic for " + pfx.to_string() +
                              " but its border router has no onward route "
                              "(next hop withdrawn)",
@@ -282,13 +271,6 @@ void walk_from(const WalkContext& ctx, ParticipantId sender,
     dst_prefix = next_prefix;
     path.push_back(current);
   }
-}
-
-std::vector<Ipv4Prefix> sorted_known(const DeploymentView& view) {
-  auto known = view.known_prefixes();
-  std::sort(known.begin(), known.end());
-  known.erase(std::unique(known.begin(), known.end()), known.end());
-  return known;
 }
 
 }  // namespace
@@ -336,55 +318,73 @@ std::string SafetyReport::to_string() const {
 }
 
 SafetyChecker::PrefixFinding SafetyChecker::check_prefix(
-    const DeploymentView& view, Ipv4Prefix prefix) {
+    const DeploymentView& view, Ipv4Prefix prefix,
+    const std::vector<Variant>& variants) const {
   PrefixFinding f;
-  const auto variants = build_variants(*view.participants,
-                                       options_.max_variants);
   for (const auto& p : *view.participants) {
     if (p.is_remote()) continue;
     for (std::size_t vi = 0; vi < variants.size(); ++vi) {
-      PacketHeader payload = make_payload(prefix, variants[vi]);
-      auto framed = view.forward(p.id, payload);
+      auto framed = view.forward(p.id, make_payload(prefix, variants[vi]));
       if (!framed) continue;  // the router holds no route: no traffic
       ++f.classes;
-      const std::string desc = "class dst=" + prefix.to_string() +
-                               " variant#" + std::to_string(vi) + " from " +
-                               p.name;
-      WalkContext ctx{view, known_, options_.max_hops};
-      walk_from(ctx, p.id, prefix, desc, *framed, f.violations, f.edges);
+      const auto describe = [&] {
+        return "class dst=" + prefix.to_string() + " variant#" +
+               std::to_string(vi) + " from " + p.name;
+      };
+      walk_from(view, options_.max_hops, p.id, prefix, describe, *framed,
+                f.violations, f.edges);
     }
   }
   return f;
 }
 
+void SafetyChecker::store(Ipv4Prefix prefix, PrefixFinding finding) {
+  drop(prefix);
+  classes_total_ += finding.classes;
+  edges_total_ += finding.edges;
+  if (!finding.violations.empty()) violating_.insert(prefix);
+  cache_.emplace(prefix, std::move(finding));
+}
+
+void SafetyChecker::drop(Ipv4Prefix prefix) {
+  const auto it = cache_.find(prefix);
+  if (it == cache_.end()) return;
+  classes_total_ -= it->second.classes;
+  edges_total_ -= it->second.edges;
+  violating_.erase(prefix);
+  cache_.erase(it);
+}
+
 SafetyReport SafetyChecker::full(const DeploymentView& view) {
   const auto t0 = std::chrono::steady_clock::now();
-  known_ = sorted_known(view);
   cache_.clear();
-  for (auto prefix : known_) {
-    cache_.emplace(prefix, check_prefix(view, prefix));
+  classes_total_ = 0;
+  edges_total_ = 0;
+  violating_.clear();
+  const auto variants = build_variants(*view.participants,
+                                       options_.max_variants);
+  for (auto prefix : view.known_prefixes()) {
+    store(prefix, check_prefix(view, prefix, variants));
   }
-  variants_seen_ =
-      build_variants(*view.participants, options_.max_variants).size();
+  variants_seen_ = variants.size();
   return assemble(false, seconds_since(t0));
 }
 
 SafetyReport SafetyChecker::incremental(const DeploymentView& view,
                                         const std::vector<Ipv4Prefix>& dirty) {
   const auto t0 = std::chrono::steady_clock::now();
-  known_ = sorted_known(view);
-  const std::unordered_set<Ipv4Prefix> known_set(known_.begin(), known_.end());
+  const auto variants = build_variants(*view.participants,
+                                       options_.max_variants);
   std::unordered_set<Ipv4Prefix> seen;
   for (auto prefix : dirty) {
     if (!seen.insert(prefix).second) continue;
-    if (known_set.contains(prefix)) {
-      cache_[prefix] = check_prefix(view, prefix);
+    if (view.is_known(prefix)) {
+      store(prefix, check_prefix(view, prefix, variants));
     } else {
-      cache_.erase(prefix);  // the prefix left the deployment entirely
+      drop(prefix);  // the prefix left the deployment entirely
     }
   }
-  variants_seen_ =
-      build_variants(*view.participants, options_.max_variants).size();
+  variants_seen_ = variants.size();
   return assemble(true, seconds_since(t0));
 }
 
@@ -401,18 +401,13 @@ SafetyReport SafetyChecker::assemble(bool incremental, double seconds) const {
   report.variants = variants_seen_;
   report.local_rules_checked = local_rules_checked_;
   report.violations = local_;
-  std::vector<Ipv4Prefix> order;
-  order.reserve(cache_.size());
-  for (const auto& [prefix, finding] : cache_) order.push_back(prefix);
-  std::sort(order.begin(), order.end());
-  for (auto prefix : order) {
-    const auto& finding = cache_.at(prefix);
-    report.classes_checked += finding.classes;
-    report.edges_walked += finding.edges;
-    report.violations.insert(report.violations.end(),
-                             finding.violations.begin(),
-                             finding.violations.end());
+  for (auto prefix : violating_) {
+    const auto& found = cache_.at(prefix).violations;
+    report.violations.insert(report.violations.end(), found.begin(),
+                             found.end());
   }
+  report.classes_checked = classes_total_;
+  report.edges_walked = edges_total_;
   report.prefixes_checked = cache_.size();
   return report;
 }
@@ -421,9 +416,9 @@ ReplayResult replay(const DeploymentView& view, const Counterexample& cx,
                     std::size_t max_hops) {
   std::vector<SafetyViolation> violations;
   std::size_t edges = 0;
-  const auto known = sorted_known(view);
-  WalkContext ctx{view, known, max_hops};
-  walk_from(ctx, cx.sender, cx.prefix, "replay", cx.packet, violations, edges);
+  const auto describe = [] { return std::string("replay"); };
+  walk_from(view, max_hops, cx.sender, cx.prefix, describe, cx.packet,
+            violations, edges);
   ReplayResult result;
   result.hops = edges;
   for (const auto& v : violations) {

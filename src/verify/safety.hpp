@@ -37,10 +37,18 @@
 /// never the runtime itself. SdxRuntime builds the view and drives the
 /// checker (full after a recompile, incremental over dirty prefixes after
 /// fast-path updates); see SdxRuntime::enable_verification().
+///
+/// Cost: the full pass is O(known prefixes × senders × variants). The
+/// incremental pass is O(dirty prefixes × senders × variants) plus
+/// O(violations) to reassemble the report: it asks the view whether each
+/// dirty prefix is still known (is_known) and re-anchors rewritten
+/// destinations with known_covering, so nothing in it enumerates the
+/// deployment.
 
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -57,6 +65,10 @@ using net::Ipv4Prefix;
 using net::MacAddress;
 using net::PacketHeader;
 using net::PortId;
+
+/// A header variant: the transport fields and source prefix of a deployed
+/// clause (defined in safety.cpp).
+struct Variant;
 
 enum class ViolationKind : std::uint8_t {
   kLoop = 0,       ///< a participant repeats on the forwarding walk
@@ -129,8 +141,18 @@ struct DeploymentView {
 
   /// Every prefix the deployment can carry traffic for: the route server's
   /// RIB *plus* prefixes still present in border-router FIBs (stale
-  /// advertisements are exactly where violations live).
+  /// advertisements are exactly where violations live). Only the full pass
+  /// enumerates it; the two queries below answer from the same union
+  /// without building it.
   std::function<std::vector<Ipv4Prefix>()> known_prefixes;
+
+  /// True when \p prefix is in known_prefixes(): the route server holds
+  /// candidates for it or some border-router FIB still holds it.
+  std::function<bool(Ipv4Prefix)> is_known;
+
+  /// The longest prefix in known_prefixes() that contains \p addr; nullopt
+  /// when none does. Re-anchors a destination an inbound rewrite moved.
+  std::function<std::optional<Ipv4Prefix>(net::Ipv4Address)> known_covering;
 };
 
 /// Outcome of re-walking a counterexample packet through the view.
@@ -168,7 +190,8 @@ class SafetyChecker {
 
   /// Re-checks only \p dirty prefixes (deduplicated; prefixes that left the
   /// deployment drop out of the cache) and reassembles the report from the
-  /// cached remainder — the fast-path / partition-recompile stage.
+  /// cached remainder — the fast-path / partition-recompile stage. Never
+  /// calls view.known_prefixes().
   SafetyReport incremental(const DeploymentView& view,
                            const std::vector<Ipv4Prefix>& dirty);
 
@@ -188,12 +211,18 @@ class SafetyChecker {
     std::size_t edges = 0;
   };
 
-  PrefixFinding check_prefix(const DeploymentView& view, Ipv4Prefix prefix);
+  PrefixFinding check_prefix(const DeploymentView& view, Ipv4Prefix prefix,
+                            const std::vector<Variant>& variants) const;
+  /// Cache writes keep the running totals and the violating set in step.
+  void store(Ipv4Prefix prefix, PrefixFinding finding);
+  void drop(Ipv4Prefix prefix);
   SafetyReport assemble(bool incremental, double seconds) const;
 
   Options options_;
   std::unordered_map<Ipv4Prefix, PrefixFinding> cache_;
-  std::vector<Ipv4Prefix> known_;    ///< sorted snapshot of the last pass
+  std::size_t classes_total_ = 0;    ///< sum over cache_
+  std::size_t edges_total_ = 0;      ///< sum over cache_
+  std::set<Ipv4Prefix> violating_;   ///< cached prefixes with violations
   std::size_t variants_seen_ = 0;
   std::vector<SafetyViolation> local_;
   std::size_t local_rules_checked_ = 0;

@@ -4,9 +4,14 @@
 /// two-participant forwarding loop, a prefix steered to a non-exporting
 /// participant, a next-hop withdrawal blackhole) are each detected with a
 /// counterexample packet that reproduces through FlowTable::process; the
-/// incremental re-check covers exactly the dirty prefixes.
+/// incremental re-check covers exactly the dirty prefixes and answers its
+/// "is this prefix known?" questions from live state, never by enumerating
+/// the deployment.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <random>
 
 #include "sdx/runtime.hpp"
 #include "verify/safety.hpp"
@@ -290,6 +295,204 @@ TEST(SafetyVerify, StandaloneCheckerIncrementalDropsDepartedPrefixes) {
   EXPECT_TRUE(report.incremental);
   EXPECT_TRUE(report.ok()) << report.to_string();
   EXPECT_EQ(report.prefixes_checked, 2u);
+}
+
+TEST(SafetyVerify, StaleFibPrefixStaysInTheIncrementalProof) {
+  SdxRuntime rt;
+  auto pa = rt.add_participant("A", 65001);
+  auto px = rt.add_participant("X", 65002);
+  const auto p = Ipv4Prefix::parse("100.5.0.0/16");
+  rt.announce(px, p);  // sole advertiser
+  rt.set_outbound(pa, {OutboundClause{ClauseMatch{}.dst_port(8080), px}});
+  rt.install();
+  verify::SafetyChecker checker;
+  const auto view = rt.deployment_view();
+  const auto primed = checker.full(view);
+  ASSERT_TRUE(primed.ok()) << primed.to_string();
+
+  // p leaves the route server but survives in A's FIB: it is still known,
+  // so the incremental pass must re-walk it, not evict it.
+  rt.route_server().withdraw(px, p);
+  const auto report = checker.incremental(view, {p});
+  EXPECT_EQ(report.prefixes_checked, primed.prefixes_checked);
+  EXPECT_GE(report.count(ViolationKind::kBlackhole), 1u)
+      << report.to_string();
+  assert_replayable(rt, report, ViolationKind::kBlackhole);
+}
+
+// --- live known-prefix queries ----------------------------------------------
+
+/// Brute force over the enumerated union: the longest known prefix holding
+/// \p addr.
+std::optional<Ipv4Prefix> covering_in(const std::vector<Ipv4Prefix>& known,
+                                      net::Ipv4Address addr) {
+  std::optional<Ipv4Prefix> best;
+  for (auto p : known) {
+    if (p.contains(addr) && (!best || p.length() > best->length())) best = p;
+  }
+  return best;
+}
+
+TEST(SafetyVerify, LiveKnownQueriesEqualTheEnumeratedUnion) {
+  SdxRuntime rt;
+  auto pa = rt.add_participant("A", 65001);
+  auto pb = rt.add_participant("B", 65002);
+  auto pc = rt.add_participant("C", 65003);
+  auto pt = rt.add_remote_participant("T", 65010);
+  const auto wide = Ipv4Prefix::parse("100.1.0.0/16");
+  const auto narrow = Ipv4Prefix::parse("100.1.5.0/24");
+  const auto stale = Ipv4Prefix::parse("100.1.7.0/24");
+  rt.announce(pb, wide, net::AsPath{65002, 7});
+  rt.announce(pc, narrow, net::AsPath{65003});
+  rt.announce(pc, stale, net::AsPath{65003});
+  rt.announce(pa, Ipv4Prefix::parse("204.57.0.0/16"), net::AsPath{65001});
+  rt.announce(pt, Ipv4Prefix::parse("74.126.0.0/16"));
+  rt.set_outbound(pa, {OutboundClause{ClauseMatch{}.dst_port(80), pc}});
+  rt.install();
+  // Behind the runtime's back: `stale` now lives only in router FIBs.
+  rt.route_server().withdraw(pc, stale);
+
+  const auto view = rt.deployment_view();
+  const auto known = view.known_prefixes();
+  ASSERT_NE(std::find(known.begin(), known.end(), stale), known.end())
+      << "the FIB-only prefix must stay in the union";
+  ASSERT_EQ(rt.route_server().candidates(stale), nullptr);
+
+  auto probes = known;
+  for (const char* absent : {"100.1.0.0/17", "100.1.5.0/25", "100.0.0.0/8",
+                             "10.0.0.0/8", "0.0.0.0/0", "100.1.7.9/32"}) {
+    const auto q = Ipv4Prefix::parse(absent);
+    ASSERT_EQ(std::find(known.begin(), known.end(), q), known.end()) << absent;
+    probes.push_back(q);
+  }
+  for (auto q : probes) {
+    const bool in_union =
+        std::find(known.begin(), known.end(), q) != known.end();
+    EXPECT_EQ(view.is_known(q), in_union) << q.to_string();
+  }
+
+  std::mt19937 rng(7);
+  std::vector<net::Ipv4Address> addrs;
+  for (int i = 0; i < 200; ++i) addrs.emplace_back(rng());
+  for (auto q : known) {
+    const std::uint32_t host_mask = q.length() == 32 ? 0u : ~0u >> q.length();
+    for (int i = 0; i < 8; ++i) {
+      addrs.emplace_back(q.network().value() | (rng() & host_mask));
+    }
+  }
+  for (auto a : addrs) {
+    EXPECT_EQ(view.known_covering(a), covering_in(known, a)) << a.to_string();
+  }
+  // The FIB-only /24 beats the server's /16 around it.
+  EXPECT_EQ(view.known_covering(net::Ipv4Address::parse("100.1.7.9")), stale);
+}
+
+TEST(SafetyVerify, IncrementalStageNeverEnumeratesTheDeployment) {
+  SdxRuntime rt;
+  auto p1 = rt.add_participant("P1", 65001);
+  auto p2 = rt.add_participant("P2", 65002);
+  const auto q = Ipv4Prefix::parse("203.0.113.0/24");
+  const auto other = Ipv4Prefix::parse("198.51.100.0/24");
+  rt.announce(p1, q, net::AsPath{65001, 900});
+  rt.announce(p2, q, net::AsPath{65002, 901});
+  rt.announce(p2, other, net::AsPath{65002});
+  rt.set_outbound(p1, {OutboundClause{ClauseMatch{}.dst_port(53), p2}});
+  rt.set_outbound(p2, {OutboundClause{ClauseMatch{}.dst_port(53), p1}});
+  rt.install();
+
+  std::size_t enumerations = 0;
+  std::size_t membership_queries = 0;
+  auto view = rt.deployment_view();
+  view.known_prefixes = [&, inner = view.known_prefixes] {
+    ++enumerations;
+    return inner();
+  };
+  view.is_known = [&, inner = view.is_known](Ipv4Prefix p) {
+    ++membership_queries;
+    return inner(p);
+  };
+  verify::SafetyChecker checker;
+  ASSERT_TRUE(checker.full(view).ok());
+  EXPECT_EQ(enumerations, 1u) << "the full pass enumerates once";
+
+  rt.route_server().withdraw(p1, q);
+  rt.route_server().withdraw(p2, q);
+  enumerations = 0;
+  const auto gone = Ipv4Prefix::parse("192.0.2.0/24");
+  const auto report = checker.incremental(view, {q, other, q, gone, other});
+  EXPECT_EQ(enumerations, 0u);
+  EXPECT_EQ(membership_queries, 3u) << "once per distinct dirty prefix";
+  ASSERT_GE(report.count(ViolationKind::kLoop), 1u) << report.to_string();
+
+  for (const auto& v : report.violations) {
+    if (!v.counterexample) continue;
+    EXPECT_TRUE(verify::replay(view, *v.counterexample).reproduces(v.kind))
+        << v.what;
+  }
+  EXPECT_EQ(enumerations, 0u) << "replay must not enumerate either";
+}
+
+TEST(SafetyVerify, ChurnIncrementalReportsEqualFreshFullPasses) {
+  SdxRuntime rt;
+  rt.enable_verification();
+  constexpr std::size_t kMembers = 5;
+  for (std::size_t j = 1; j <= kMembers; ++j) {
+    rt.add_participant("P" + std::to_string(j),
+                       static_cast<net::Asn>(65000 + j));
+  }
+  for (std::size_t j = 1; j <= kMembers; j += 2) {
+    const auto to = static_cast<bgp::ParticipantId>(j % kMembers + 1);
+    rt.set_outbound(static_cast<bgp::ParticipantId>(j),
+                    {OutboundClause{ClauseMatch{}.dst_port(80), to},
+                     OutboundClause{ClauseMatch{}.dst_port(443), to}});
+  }
+  // Disjoint /24s: 100.7.<i>.0/24.
+  const auto slash24 = [](std::uint32_t i) {
+    return Ipv4Prefix(net::Ipv4Address((100u << 24) | (7u << 16) | (i << 8)),
+                      24);
+  };
+  constexpr std::uint32_t kPrefixes = 24;
+  for (std::uint32_t i = 0; i < kPrefixes; i += 2) {
+    rt.announce(static_cast<bgp::ParticipantId>(i % kMembers + 1), slash24(i),
+                net::AsPath{static_cast<net::Asn>(65000 + i % kMembers + 1)});
+  }
+  rt.install();
+  rt.enable_batching({0, 0});
+
+  const auto graph_violations = [](const verify::SafetyReport& r) {
+    std::vector<std::pair<ViolationKind, std::string>> out;
+    for (const auto& v : r.violations) {
+      if (v.counterexample) out.emplace_back(v.kind, v.what);
+    }
+    return out;
+  };
+  std::mt19937 rng(20240517);
+  std::size_t compared = 0;
+  for (int op = 0; op < 200; ++op) {
+    const auto who = static_cast<bgp::ParticipantId>(rng() % kMembers + 1);
+    const auto prefix = slash24(rng() % kPrefixes);
+    switch (rng() % 3) {
+      case 0:
+        rt.announce(who, prefix,
+                    net::AsPath{static_cast<net::Asn>(65000 + who),
+                                static_cast<net::Asn>(1000 + rng() % 5)});
+        break;
+      case 1:
+        rt.withdraw(who, prefix);
+        break;
+      default: {
+        rt.flush();
+        const auto staged = rt.last_safety_report();
+        const auto fresh = rt.verify_now();
+        EXPECT_EQ(staged.prefixes_checked, fresh.prefixes_checked) << op;
+        EXPECT_EQ(staged.classes_checked, fresh.classes_checked) << op;
+        EXPECT_EQ(staged.edges_walked, fresh.edges_walked) << op;
+        EXPECT_EQ(graph_violations(staged), graph_violations(fresh)) << op;
+        compared += staged.incremental ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(compared, 20u) << "the churn must stage incremental checks";
 }
 
 // --- report plumbing --------------------------------------------------------
