@@ -1,10 +1,13 @@
 /// Micro-benchmarks (google-benchmark) for the policy-compiler primitives
 /// the SDX pipeline is built from: predicate compilation (including the
 /// linear-size BGP prefix-list path), parallel/sequential classifier
-/// composition, pull-back, flow-table lookup, and border-router FIB
-/// re-advertisement.
+/// composition, pull-back, flow-table lookup (including a single call
+/// against a burst of one), and border-router FIB re-advertisement.
 
 #include <benchmark/benchmark.h>
+
+#include <span>
+#include <vector>
 
 #include "dataplane/border_router.hpp"
 #include "dataplane/flow_table.hpp"
@@ -211,6 +214,67 @@ void BM_FlowTableLookupVmacClassified(benchmark::State& state) {
   lookup_loop(state, table, dp::FlowTable::LookupMode::kClassified, packet);
 }
 BENCHMARK(BM_FlowTableLookupVmacClassified)->Range(64, 4096)->Complexity();
+
+/// A single lookup()/process() call against a burst of one through
+/// lookup_batch()/process_batch(), on the 4096-rule prefix (`vmac:0`) and
+/// VMAC (`vmac:1`) tables, rotating over 1024 packets that each hit an
+/// installed rule. `call`: 0 lookup, 1 lookup_batch, 2 process,
+/// 3 process_batch. Prices keeping the per-packet path beside the burst
+/// path.
+void BM_SingleVsBurstOfOne(benchmark::State& state) {
+  constexpr std::size_t kRules = 4096;
+  const bool vmac = state.range(0) == 1;
+  dp::FlowTable table;
+  if (vmac) {
+    table.set_vmac_lanes(vmac_spec());
+    fill_vmac_rules(table, kRules);
+  } else {
+    fill_prefix_rules(table, kRules);
+  }
+  net::SplitMix64 rng(5);
+  std::vector<net::PacketHeader> packets;
+  for (int i = 0; i < 1024; ++i) {
+    std::uint64_t n = rng.below(kRules);
+    if (vmac) {
+      if (n % 8 == 7) --n;  // land on an installed per-group default
+      packets.push_back(
+          net::PacketBuilder()
+              .dst_mac(net::MacAddress(vmac_spec().top_value | n))
+              .build());
+    } else {
+      packets.push_back(
+          net::PacketBuilder()
+              .dst_ip(net::Ipv4Address(0x0A000000u +
+                                       (static_cast<std::uint32_t>(n) << 8)))
+              .build());
+    }
+  }
+  std::size_t next = 0;
+  const auto one = [&] {
+    return std::span<const net::PacketHeader>(&packets[next++ & 1023], 1);
+  };
+  const dp::FlowRule* hit[1];
+  switch (state.range(1)) {
+    case 0:
+      for (auto _ : state) benchmark::DoNotOptimize(table.lookup(one()[0]));
+      break;
+    case 1:
+      for (auto _ : state) {
+        table.lookup_batch(one(), hit);
+        benchmark::DoNotOptimize(hit[0]);
+      }
+      break;
+    case 2:
+      for (auto _ : state) benchmark::DoNotOptimize(table.process(one()[0]));
+      break;
+    default:
+      for (auto _ : state) benchmark::DoNotOptimize(table.process_batch(one()));
+      break;
+  }
+}
+BENCHMARK(BM_SingleVsBurstOfOne)
+    ->ArgsProduct({{0, 1}, {0, 1, 2, 3}})
+    ->ArgNames({"vmac", "call"});
 
 /// The route server's re-advertisement fan-out (paper §4.2): every
 /// fast-path update gives a prefix a fresh VNH and re-announces it to every

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -24,6 +23,22 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
+
+/// One pipeline stage: a child span of the compile span, and the stage's
+/// wall time added to \p seconds when the scope ends.
+class StageTimer {
+ public:
+  StageTimer(telemetry::SpanTracer* tracer, const char* name, double& seconds)
+      : span_(tracer, name), seconds_(seconds) {}
+  ~StageTimer() { seconds_ += seconds_since(t0_); }
+  StageTimer(const StageTimer&) = delete;
+  StageTimer& operator=(const StageTimer&) = delete;
+
+ private:
+  telemetry::Span span_;
+  double& seconds_;
+  std::chrono::steady_clock::time_point t0_ = std::chrono::steady_clock::now();
+};
 
 /// Post-compile metric recording: stage timings as histograms (they vary
 /// run to run) and the work the pipeline did as counters (deterministic —
@@ -59,6 +74,22 @@ void record_compile_metrics(telemetry::MetricRegistry& reg,
       .set(static_cast<double>(s.prefix_groups));
   reg.gauge("sdx_compile_threads", "pool width of the latest compile")
       .set(static_cast<double>(s.threads_used));
+}
+
+/// One wall-time observation per physical partition. The observation count
+/// is deterministic (one per participant per compile) even though the
+/// timings themselves vary run to run, so counter-series byte-stability is
+/// unaffected.
+void record_partition_metrics(telemetry::MetricRegistry& reg,
+                              const std::vector<Participant>& participants,
+                              const CompiledSdx& result) {
+  for (std::size_t slot = 0; slot < result.partitions.size(); ++slot) {
+    if (participants[slot].is_remote()) continue;
+    reg.histogram("sdx_partition_compile_seconds",
+                  "per-partition compile wall time (seconds)", {},
+                  {{"participant", participants[slot].name}})
+        .observe(result.partitions[slot].seconds);
+  }
 }
 
 }  // namespace
@@ -257,6 +288,23 @@ std::vector<FlowMatch> SdxCompiler::clause_matches(
   return out;
 }
 
+void SdxCompiler::synthesize_clause(const Participant& owner,
+                                    const OutboundClause& c, Field f,
+                                    std::span<const net::FieldMatch> dsts,
+                                    std::vector<Rule>& out) const {
+  const ActionSeq act = ActionSeq::set(Field::kPort, ports_.vport(c.to));
+  for (net::PortId port : owner.port_ids()) {
+    for (const auto& dst : dsts) {
+      FlowMatch base = FlowMatch::on(Field::kPort, port);
+      base.set(f, dst);
+      for (auto& fm :
+           clause_matches(c.match, base, /*keep_dst_prefixes=*/false)) {
+        out.push_back(Rule{fm, {act}});
+      }
+    }
+  }
+}
+
 Classifier SdxCompiler::stage2_for(const Participant& p) const {
   if (p.is_remote()) {
     throw std::logic_error("remote participant has no stage-2 classifier");
@@ -380,73 +428,83 @@ void SdxCompiler::synthesize_remote_rewrites(std::vector<Rule>& out) const {
   }
 }
 
+template <typename Stage2Of>
+void SdxCompiler::compose_rule(Rule& rule, const Stage2Of& stage2_of,
+                               std::vector<Rule>& out,
+                               Composition& work) const {
+  if (!rule.drops()) {
+    const ActionSeq& act = rule.actions.front();
+    const auto port_written = act.written(Field::kPort);
+    if (port_written &&
+        PortMap::is_virtual(static_cast<net::PortId>(*port_written))) {
+      const ParticipantId target =
+          ports_.vport_owner(static_cast<net::PortId>(*port_written));
+      const Classifier& stage2 = stage2_of(slot_of_.at(target));
+      ++work.rules;
+      work.visits += stage2.size();
+      auto run = policy::pull_back(rule.match, act, stage2);
+      if (out.empty()) {
+        out = std::move(run);
+      } else {
+        out.insert(out.end(), std::make_move_iterator(run.begin()),
+                   std::make_move_iterator(run.end()));
+      }
+      return;
+    }
+  }
+  out.push_back(std::move(rule));
+}
+
+Classifier SdxCompiler::compose_serial(std::vector<Rule> stage1,
+                                       Stage2Memo& memo,
+                                       Composition& work) const {
+  const auto from_memo = [&](std::size_t slot) -> const Classifier& {
+    return memo.get(*this, slot);
+  };
+  std::vector<Rule> out;
+  out.reserve(stage1.size());
+  for (Rule& r : stage1) compose_rule(r, from_memo, out, work);
+  Classifier c(std::move(out));
+  c.optimize(false);
+  return c;
+}
+
 Classifier SdxCompiler::compose(std::vector<Rule> stage1,
                                 CompileStats& stats,
                                 net::ThreadPool& pool) const {
-  // Stage-2 classifiers are memoized once up front, per participant slot
-  // (built concurrently, read-only afterward — no locking on the hot path).
-  std::vector<std::unique_ptr<Classifier>> stage2_by_slot(
-      participants_.size());
-  const bool prebuild = !options_.prune_pairs || options_.memoize_stage2;
-  if (prebuild) {
-    pool.parallel_for(
-        participants_.size(), 1, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            if (participants_[i].is_remote()) continue;
-            stage2_by_slot[i] =
-                std::make_unique<Classifier>(stage2_for(participants_[i]));
-          }
-        });
-  }
-  Classifier merged_stage2;  // used when pair pruning is disabled
+  // The stage-2 source: the memo, filled up front across the pool so the
+  // fan-out only reads it — unless an ablation asks for every stage-2
+  // classifier concatenated (prune_pairs off) or one rebuilt for every
+  // composed rule (memoize_stage2 off).
+  Stage2Memo memo;
+  if (!options_.prune_pairs || options_.memoize_stage2) memo.fill(*this, pool);
+  Classifier merged_stage2;
   if (!options_.prune_pairs) {
     std::vector<Rule> all;
-    for (const auto& s2 : stage2_by_slot) {
-      if (s2 == nullptr) continue;
+    for (std::size_t slot = 0; slot < participants_.size(); ++slot) {
+      if (participants_[slot].is_remote()) continue;
+      const auto& s2 = memo.get(*this, slot).rules();
       // Strip the per-participant catch-all drop; one shared one suffices.
-      all.insert(all.end(), s2->rules().begin(), s2->rules().end() - 1);
+      all.insert(all.end(), s2.begin(), s2.end() - 1);
     }
     all.push_back(Rule{FlowMatch::any(), {}});
     merged_stage2 = Classifier(std::move(all));
   }
 
-  // Fan pull_back out across stage-1 rules. Each rule writes its composed
-  // run into its own slot; concatenating slots in order reproduces the
-  // serial rule order exactly.
+  // Each rule writes its composed run into its own slot; concatenating the
+  // slots in order reproduces the serial rule order exactly.
   std::vector<std::vector<Rule>> composed(stage1.size());
-  std::vector<std::size_t> visits(stage1.size(), 0);
+  std::vector<Composition> work(stage1.size());
   pool.parallel_for(
       stage1.size(), 16, [&](std::size_t begin, std::size_t end) {
+        Classifier fresh;
+        const auto stage2_of = [&](std::size_t slot) -> const Classifier& {
+          if (!options_.prune_pairs) return merged_stage2;
+          if (options_.memoize_stage2) return memo.get(*this, slot);
+          return fresh = stage2_for(participants_[slot]);
+        };
         for (std::size_t i = begin; i < end; ++i) {
-          Rule& r = stage1[i];
-          if (r.drops()) {
-            composed[i].push_back(std::move(r));
-            continue;
-          }
-          const ActionSeq& act = r.actions.front();
-          const auto port_written = act.written(Field::kPort);
-          if (!port_written ||
-              !PortMap::is_virtual(static_cast<net::PortId>(*port_written))) {
-            composed[i].push_back(std::move(r));
-            continue;
-          }
-          const auto vport = static_cast<net::PortId>(*port_written);
-          const Classifier* stage2 = nullptr;
-          Classifier fresh;
-          if (!options_.prune_pairs) {
-            stage2 = &merged_stage2;
-          } else {
-            const ParticipantId target = ports_.vport_owner(vport);
-            const std::size_t slot = slot_of_.at(target);
-            if (options_.memoize_stage2) {
-              stage2 = stage2_by_slot[slot].get();
-            } else {
-              fresh = stage2_for(participants_[slot]);
-              stage2 = &fresh;
-            }
-          }
-          visits[i] = stage2->size();
-          composed[i] = policy::pull_back(r.match, act, *stage2);
+          compose_rule(stage1[i], stage2_of, composed[i], work[i]);
         }
       });
 
@@ -455,13 +513,69 @@ Classifier SdxCompiler::compose(std::vector<Rule> stage1,
   std::vector<Rule> out;
   out.reserve(total);
   for (std::size_t i = 0; i < composed.size(); ++i) {
-    stats.pair_compositions += visits[i];
+    stats.pair_compositions += work[i].visits;
     out.insert(out.end(), std::make_move_iterator(composed[i].begin()),
                std::make_move_iterator(composed[i].end()));
   }
   Classifier c(std::move(out));
   c.optimize(false);
   return c;
+}
+
+const Classifier& Stage2Memo::get(const SdxCompiler& compiler,
+                                  std::size_t slot) {
+  const Participant& p = compiler.participants()[slot];
+  if (by_slot_.size() <= slot) by_slot_.resize(compiler.participants().size());
+  Entry& e = by_slot_[slot];
+  if (!e.classifier || e.inbound != p.inbound) {
+    e.classifier = compiler.stage2_for(p);
+    e.inbound = p.inbound;
+  }
+  return *e.classifier;
+}
+
+void Stage2Memo::fill(const SdxCompiler& compiler, net::ThreadPool& pool) {
+  const auto& participants = compiler.participants();
+  if (by_slot_.size() < participants.size()) {
+    by_slot_.resize(participants.size());
+  }
+  pool.parallel_for(
+      participants.size(), 1, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t slot = begin; slot < end; ++slot) {
+          if (!participants[slot].is_remote()) get(compiler, slot);
+        }
+      });
+}
+
+telemetry::SpanTracer* SdxCompiler::span_tracer() const {
+  return telemetry_ != nullptr ? &telemetry_->tracer : nullptr;
+}
+
+std::vector<ClauseReach> SdxCompiler::clause_reaches(
+    std::size_t first, std::size_t last, net::ThreadPool& pool) const {
+  // Clauses are independent: each writes its pre-sized slot.
+  struct ClauseRef {
+    const Participant* owner;
+    std::size_t index;
+  };
+  std::vector<ClauseRef> clause_list;
+  for (std::size_t slot = first; slot < last; ++slot) {
+    const Participant& p = participants_[slot];
+    for (std::size_t ci = 0; ci < p.outbound.size(); ++ci) {
+      clause_list.push_back(ClauseRef{&p, ci});
+    }
+  }
+  std::vector<ClauseReach> reaches(clause_list.size());
+  pool.parallel_for(
+      clause_list.size(), 1, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const auto& [owner, ci] = clause_list[i];
+          reaches[i].owner = owner->id;
+          reaches[i].clause_index = ci;
+          reaches[i].prefixes = clause_reach(*owner, owner->outbound[ci]);
+        }
+      });
+  return reaches;
 }
 
 CompiledSdx SdxCompiler::compile(VnhAllocator& vnh) const {
@@ -471,15 +585,20 @@ CompiledSdx SdxCompiler::compile(VnhAllocator& vnh) const {
           "partitioned compilation requires vmac_grouping: attribute bits "
           "are carried in the group VMAC tag");
     }
-    return compile_partitioned(vnh);
+    if (participants_.size() > vnh.layout().nexthop_capacity()) {
+      throw std::length_error(
+          "partitioned compile: " + std::to_string(participants_.size()) +
+          " participant slots do not fit the VMAC next-hop field (" +
+          vnh.layout().descriptor() + ")");
+    }
   }
-  telemetry::SpanTracer* tracer =
-      telemetry_ != nullptr ? &telemetry_->tracer : nullptr;
+  telemetry::SpanTracer* const tracer = span_tracer();
   telemetry::Span compile_span(tracer, "compile");
   const auto t_start = std::chrono::steady_clock::now();
   net::ThreadPool pool(options_.threads);
   CompiledSdx result;
   result.layout = vnh.layout();
+  result.partitioned = options_.partitioned;
   CompileStats& stats = result.stats;
   stats.participants = participants_.size();
   stats.prefixes_total = server_.prefix_count();
@@ -488,176 +607,139 @@ CompiledSdx SdxCompiler::compile(VnhAllocator& vnh) const {
   // 0. Per-participant best-route snapshot: one RIB pass per participant,
   // taken concurrently. Every defaults lookup below hits the snapshot
   // instead of probing the route server per (participant, prefix).
-  auto t0 = std::chrono::steady_clock::now();
-  telemetry::Span stage_span(tracer, "snapshot");
   BestRouteSnapshot snapshot(participants_.size());
-  pool.parallel_for(
-      participants_.size(), 1, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          snapshot[i] = server_.best_nexthops(participants_[i].id);
-        }
-      });
-  stats.snapshot_seconds = seconds_since(t0);
-  stage_span.finish();
+  {
+    StageTimer stage(tracer, "snapshot", stats.snapshot_seconds);
+    pool.parallel_for(
+        participants_.size(), 1, [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            snapshot[i] = server_.best_nexthops(participants_[i].id);
+          }
+        });
+  }
 
   // 1. Clause reach sets, in global clause order (participant slot-major).
-  // Clauses are independent: each writes its pre-sized slot.
-  t0 = std::chrono::steady_clock::now();
-  stage_span = telemetry::Span(tracer, "reach");
-  struct ClauseRef {
-    const Participant* owner;
-    std::size_t index;
-  };
-  std::vector<ClauseRef> clause_list;
-  for (const auto& p : participants_) {
-    for (std::size_t ci = 0; ci < p.outbound.size(); ++ci) {
-      clause_list.push_back(ClauseRef{&p, ci});
-    }
+  std::vector<ClauseReach> reaches;
+  {
+    StageTimer stage(tracer, "reach", stats.reach_seconds);
+    reaches = clause_reaches(0, participants_.size(), pool);
   }
-  result.reaches.resize(clause_list.size());
-  pool.parallel_for(
-      clause_list.size(), 1, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto& [owner, ci] = clause_list[i];
-          ClauseReach cr;
-          cr.owner = owner->id;
-          cr.clause_index = ci;
-          cr.prefixes = clause_reach(*owner, owner->outbound[ci]);
-          result.reaches[i] = std::move(cr);
-        }
-      });
-  stats.clause_count = result.reaches.size();
-  stats.reach_seconds = seconds_since(t0);
-  stage_span.finish();
+  stats.clause_count = reaches.size();
 
-  // 2+3. FEC computation (sharded by prefix hash, canonical merge) and
-  // VNH/VMAC assignment.
-  t0 = std::chrono::steady_clock::now();
-  stage_span = telemetry::Span(tracer, "fec_vnh");
-  vnh.reset();
-  if (options_.vmac_grouping) {
-    result.fecs = compute_fecs(
-        result.reaches,
-        [this, &snapshot](Ipv4Prefix prefix) {
-          return defaults_from(snapshot, prefix);
-        },
-        &pool);
-    result.bindings.reserve(result.fecs.groups.size());
-    for (std::size_t g = 0; g < result.fecs.groups.size(); ++g) {
-      result.bindings.push_back(vnh.allocate());
-    }
-  }
-  stats.prefix_groups = result.fecs.groups.size();
-  stats.prefixes_grouped = result.fecs.group_of.size();
-  stats.vnh_seconds = seconds_since(t0);
-  stage_span.finish();
-
-  // Index: global clause id → groups fully inside its reach set.
-  std::vector<std::vector<std::uint32_t>> clause_groups(
-      result.reaches.size());
-  for (std::uint32_t g = 0; g < result.fecs.groups.size(); ++g) {
-    for (auto cid : result.fecs.groups[g].clauses) {
-      clause_groups[cid].push_back(g);
-    }
+  if (options_.partitioned) {
+    compile_partitioned(snapshot, std::move(reaches), vnh, pool, result);
+  } else {
+    result.reaches = std::move(reaches);
+    compile_pairwise(snapshot, vnh, pool, result);
   }
 
-  // 4. Stage-1 synthesis.
-  t0 = std::chrono::steady_clock::now();
-  stage_span = telemetry::Span(tracer, "synth");
-  std::vector<Rule> stage1;
-  std::size_t clause_id = 0;
-  for (const auto& p : participants_) {
-    for (std::size_t ci = 0; ci < p.outbound.size(); ++ci, ++clause_id) {
-      const OutboundClause& c = p.outbound[ci];
-      const ActionSeq act =
-          ActionSeq::set(Field::kPort, ports_.vport(c.to));
-      for (net::PortId port : p.port_ids()) {
-        if (options_.vmac_grouping) {
-          for (auto g : clause_groups[clause_id]) {
-            FlowMatch base = FlowMatch::on(Field::kPort, port);
-            base.with(Field::kDstMac, result.bindings[g].vmac.bits());
-            for (auto& fm :
-                 clause_matches(c.match, base, /*keep_dst_prefixes=*/false)) {
-              stage1.push_back(Rule{fm, {act}});
-            }
-          }
-        } else {
-          for (auto prefix : result.reaches[clause_id].prefixes) {
-            FlowMatch base = FlowMatch::on(Field::kPort, port);
-            base.with_prefix(Field::kDstIp, prefix);
-            for (auto& fm :
-                 clause_matches(c.match, base, /*keep_dst_prefixes=*/false)) {
-              stage1.push_back(Rule{fm, {act}});
-            }
-          }
-        }
-      }
-    }
-  }
-
-  // Remote-participant rewrite clauses (wide-area load balancing): matched
-  // on destination address directly, ahead of default forwarding.
-  synthesize_remote_rewrites(stage1);
-
-  // Per-group default forwarding (VMAC mode only; without grouping the
-  // route server leaves next-hops untouched and MAC learning suffices).
-  if (options_.vmac_grouping) {
-    for (std::uint32_t g = 0; g < result.fecs.groups.size(); ++g) {
-      synthesize_group_defaults(result.fecs.groups[g].defaults,
-                                result.bindings[g].vmac, stage1);
-    }
-  }
-
-  // MAC-learning rules for traffic addressed to real router MACs.
-  for (const auto& p : participants_) {
-    for (const auto& port : p.ports) {
-      FlowMatch fm = FlowMatch::on(Field::kDstMac, port.router_mac.bits());
-      stage1.push_back(
-          Rule{fm, {ActionSeq::set(Field::kPort, ports_.vport(p.id))}});
-    }
-  }
-
-  stage1.push_back(Rule{FlowMatch::any(), {}});
-  stats.stage1_rules = stage1.size();
-  stats.synth_seconds = seconds_since(t0);
-  stage_span.finish();
-
-  // 5+6. Targeted composition through stage-2.
-  t0 = std::chrono::steady_clock::now();
-  stage_span = telemetry::Span(tracer, "compose");
-  result.fabric = compose(std::move(stage1), stats, pool);
-  stats.compose_seconds = seconds_since(t0);
-  stage_span.finish();
-
-  if (options_.full_optimize) result.fabric.optimize(/*full=*/true);
   stats.final_rules = result.fabric.size();
   stats.total_seconds = seconds_since(t_start);
   compile_span.finish();
   if (telemetry_ != nullptr) {
     record_compile_metrics(telemetry_->metrics, stats);
+    if (result.partitioned) {
+      record_partition_metrics(telemetry_->metrics, participants_, result);
+    }
   }
   return result;
 }
 
-namespace {
+void SdxCompiler::compile_pairwise(const BestRouteSnapshot& snapshot,
+                                   VnhAllocator& vnh, net::ThreadPool& pool,
+                                   CompiledSdx& result) const {
+  CompileStats& stats = result.stats;
 
-/// One wall-time observation per physical partition. The observation count
-/// is deterministic (one per participant per compile) even though the
-/// timings themselves vary run to run, so counter-series byte-stability is
-/// unaffected.
-void record_partition_metrics(telemetry::MetricRegistry& reg,
-                              const std::vector<Participant>& participants,
-                              const CompiledSdx& result) {
-  for (std::size_t slot = 0; slot < result.partitions.size(); ++slot) {
-    if (participants[slot].is_remote()) continue;
-    reg.histogram("sdx_partition_compile_seconds",
-                  "per-partition compile wall time (seconds)", {},
-                  {{"participant", participants[slot].name}})
-        .observe(result.partitions[slot].seconds);
+  // 2+3. FEC computation (sharded by prefix hash, canonical merge) and
+  // VNH/VMAC assignment.
+  {
+    StageTimer stage(span_tracer(), "fec_vnh", stats.vnh_seconds);
+    vnh.reset();
+    if (options_.vmac_grouping) {
+      result.fecs = compute_fecs(
+          result.reaches,
+          [this, &snapshot](Ipv4Prefix prefix) {
+            return defaults_from(snapshot, prefix);
+          },
+          &pool);
+      result.bindings.reserve(result.fecs.groups.size());
+      for (std::size_t g = 0; g < result.fecs.groups.size(); ++g) {
+        result.bindings.push_back(vnh.allocate());
+      }
+    }
   }
-}
+  stats.prefix_groups = result.fecs.groups.size();
+  stats.prefixes_grouped = result.fecs.group_of.size();
 
-}  // namespace
+  // 4. Stage-1 synthesis.
+  std::vector<Rule> stage1;
+  {
+    StageTimer stage(span_tracer(), "synth", stats.synth_seconds);
+    // Index: global clause id → groups fully inside its reach set.
+    std::vector<std::vector<std::uint32_t>> clause_groups(
+        result.reaches.size());
+    for (std::uint32_t g = 0; g < result.fecs.groups.size(); ++g) {
+      for (auto cid : result.fecs.groups[g].clauses) {
+        clause_groups[cid].push_back(g);
+      }
+    }
+    // Clause rules match the group VMACs — or, without VMAC grouping, the
+    // reached destination prefixes directly.
+    const Field dst_field =
+        options_.vmac_grouping ? Field::kDstMac : Field::kDstIp;
+    std::vector<net::FieldMatch> dsts;
+    std::size_t clause_id = 0;
+    for (const auto& p : participants_) {
+      for (const auto& c : p.outbound) {
+        dsts.clear();
+        if (options_.vmac_grouping) {
+          for (auto g : clause_groups[clause_id]) {
+            dsts.push_back(
+                net::FieldMatch::exact(result.bindings[g].vmac.bits()));
+          }
+        } else {
+          for (auto prefix : result.reaches[clause_id].prefixes) {
+            dsts.push_back(net::FieldMatch::prefix(prefix));
+          }
+        }
+        synthesize_clause(p, c, dst_field, dsts, stage1);
+        ++clause_id;
+      }
+    }
+
+    // Remote-participant rewrite clauses (wide-area load balancing):
+    // matched on destination address directly, ahead of default forwarding.
+    synthesize_remote_rewrites(stage1);
+
+    // Per-group default forwarding (VMAC mode only; without grouping the
+    // route server leaves next-hops untouched and MAC learning suffices).
+    if (options_.vmac_grouping) {
+      for (std::uint32_t g = 0; g < result.fecs.groups.size(); ++g) {
+        synthesize_group_defaults(result.fecs.groups[g].defaults,
+                                  result.bindings[g].vmac, stage1);
+      }
+    }
+
+    // MAC-learning rules for traffic addressed to real router MACs.
+    for (const auto& p : participants_) {
+      for (const auto& port : p.ports) {
+        FlowMatch fm = FlowMatch::on(Field::kDstMac, port.router_mac.bits());
+        stage1.push_back(
+            Rule{fm, {ActionSeq::set(Field::kPort, ports_.vport(p.id))}});
+      }
+    }
+
+    stage1.push_back(Rule{FlowMatch::any(), {}});
+  }
+  stats.stage1_rules = stage1.size();
+
+  // 5+6. Targeted composition through stage-2.
+  {
+    StageTimer stage(span_tracer(), "compose", stats.compose_seconds);
+    result.fabric = compose(std::move(stage1), stats, pool);
+  }
+  if (options_.full_optimize) result.fabric.optimize(/*full=*/true);
+}
 
 FecResult SdxCompiler::partition_fecs(
     const std::vector<ClauseReach>& reaches,
@@ -700,7 +782,6 @@ void SdxCompiler::bind_partition(CompiledPartition& part,
     part.bindings.push_back(vnh.allocate_attributed(nexthop_plus1, attrs));
   }
 }
-
 std::vector<Rule> SdxCompiler::partition_stage1(
     const Participant& owner, const CompiledPartition& part,
     const VmacLayout& layout) const {
@@ -713,35 +794,23 @@ std::vector<Rule> SdxCompiler::partition_stage1(
       clause_groups[cid].push_back(g);
     }
   }
+  std::vector<net::FieldMatch> dsts;
   for (std::size_t ci = 0; ci < owner.outbound.size(); ++ci) {
     if (clause_groups[ci].empty()) continue;  // clause reaches nothing
-    const OutboundClause& c = owner.outbound[ci];
-    const ActionSeq act = ActionSeq::set(Field::kPort, ports_.vport(c.to));
-    for (net::PortId port : owner.port_ids()) {
-      if (ci < layout.attr_bits) {
-        // One masked rule per (clause, inport): matches every group tag of
-        // this partition carrying the clause's attribute bit — the
-        // group-count factor of the pairwise cross product disappears.
-        FlowMatch base = FlowMatch::on(Field::kPort, port);
-        base.set(Field::kDstMac,
-                 layout.attr_bit_match(static_cast<unsigned>(ci)));
-        for (auto& fm :
-             clause_matches(c.match, base, /*keep_dst_prefixes=*/false)) {
-          out.push_back(Rule{fm, {act}});
-        }
-      } else {
-        // Attribute-bitmap overflow tail: exact-VMAC per group, exactly as
-        // the pairwise pipeline would emit.
-        for (auto g : clause_groups[ci]) {
-          FlowMatch base = FlowMatch::on(Field::kPort, port);
-          base.with(Field::kDstMac, part.bindings[g].vmac.bits());
-          for (auto& fm :
-               clause_matches(c.match, base, /*keep_dst_prefixes=*/false)) {
-            out.push_back(Rule{fm, {act}});
-          }
-        }
+    dsts.clear();
+    if (ci < layout.attr_bits) {
+      // One masked rule per (clause, inport): matches every group tag of
+      // this partition carrying the clause's attribute bit — the
+      // group-count factor of the pairwise cross product disappears.
+      dsts.push_back(layout.attr_bit_match(static_cast<unsigned>(ci)));
+    } else {
+      // Attribute-bitmap overflow tail: exact-VMAC per group, exactly as
+      // the pairwise pipeline would emit.
+      for (auto g : clause_groups[ci]) {
+        dsts.push_back(net::FieldMatch::exact(part.bindings[g].vmac.bits()));
       }
     }
+    synthesize_clause(owner, owner.outbound[ci], Field::kDstMac, dsts, out);
   }
   return out;
 }
@@ -775,208 +844,109 @@ std::vector<Rule> SdxCompiler::shared_stage1(const VmacLayout& layout) const {
   return out;
 }
 
-std::vector<Rule> SdxCompiler::compose_serial(
-    std::vector<Rule> stage1,
-    const std::vector<std::unique_ptr<Classifier>>& stage2_by_slot,
-    std::size_t& compositions) const {
-  std::vector<Rule> out;
-  out.reserve(stage1.size());
-  for (Rule& r : stage1) {
-    if (r.drops()) {
-      out.push_back(std::move(r));
-      continue;
-    }
-    const ActionSeq& act = r.actions.front();
-    const auto port_written = act.written(Field::kPort);
-    if (!port_written ||
-        !PortMap::is_virtual(static_cast<net::PortId>(*port_written))) {
-      out.push_back(std::move(r));
-      continue;
-    }
-    const ParticipantId target =
-        ports_.vport_owner(static_cast<net::PortId>(*port_written));
-    const Classifier* stage2 = stage2_by_slot[slot_of_.at(target)].get();
-    compositions += stage2->size();
-    auto run = policy::pull_back(r.match, act, *stage2);
-    out.insert(out.end(), std::make_move_iterator(run.begin()),
-               std::make_move_iterator(run.end()));
-  }
-  return out;
-}
-
-CompiledSdx SdxCompiler::compile_partitioned(VnhAllocator& vnh) const {
-  telemetry::SpanTracer* tracer =
-      telemetry_ != nullptr ? &telemetry_->tracer : nullptr;
-  telemetry::Span compile_span(tracer, "compile");
-  const auto t_start = std::chrono::steady_clock::now();
-  net::ThreadPool pool(options_.threads);
-  CompiledSdx result;
-  result.partitioned = true;
-  result.layout = vnh.layout();
+void SdxCompiler::compile_partitioned(const BestRouteSnapshot& snapshot,
+                                      std::vector<ClauseReach> reaches,
+                                      VnhAllocator& vnh, net::ThreadPool& pool,
+                                      CompiledSdx& result) const {
   CompileStats& stats = result.stats;
-  stats.participants = participants_.size();
-  stats.prefixes_total = server_.prefix_count();
-  stats.threads_used = pool.size();
-  if (participants_.size() > result.layout.nexthop_capacity()) {
-    throw std::length_error(
-        "partitioned compile: " + std::to_string(participants_.size()) +
-        " participant slots do not fit the VMAC next-hop field (" +
-        result.layout.descriptor() + ")");
-  }
 
-  // 0. Per-participant best-route snapshot (same as the pairwise pipeline).
-  auto t0 = std::chrono::steady_clock::now();
-  telemetry::Span stage_span(tracer, "snapshot");
-  BestRouteSnapshot snapshot(participants_.size());
-  pool.parallel_for(
-      participants_.size(), 1, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          snapshot[i] = server_.best_nexthops(participants_[i].id);
-        }
-      });
-  stats.snapshot_seconds = seconds_since(t0);
-  stage_span.finish();
-
-  // 1. Clause reach sets: one global parallel pass, then distributed to
-  // partitions. The list is slot-major, so each partition receives its
-  // owner's clauses in clause order with clause_index already local. The
+  // Each partition receives its owner's clause reaches (the list is
+  // slot-major, so in clause order with clause_index already local). The
   // global reaches/fecs/bindings of the result stay empty — a partitioned
   // artifact has no sender-independent binding map.
-  t0 = std::chrono::steady_clock::now();
-  stage_span = telemetry::Span(tracer, "reach");
   result.partitions.resize(participants_.size());
-  struct ClauseRef {
-    const Participant* owner;
-    std::size_t slot;
-    std::size_t index;
-  };
-  std::vector<ClauseRef> clause_list;
+  std::vector<CompiledPartition*> parts;
   for (std::size_t slot = 0; slot < participants_.size(); ++slot) {
-    const Participant& p = participants_[slot];
-    result.partitions[slot].owner = p.id;
-    if (p.is_remote()) continue;  // no ingress ports: nothing to compile
-    for (std::size_t ci = 0; ci < p.outbound.size(); ++ci) {
-      clause_list.push_back(ClauseRef{&p, slot, ci});
-    }
+    result.partitions[slot].owner = participants_[slot].id;
+    if (participants_[slot].is_remote()) continue;  // no ingress ports
+    parts.push_back(&result.partitions[slot]);
   }
-  std::vector<ClauseReach> reaches(clause_list.size());
-  pool.parallel_for(
-      clause_list.size(), 1, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto& [owner, slot, ci] = clause_list[i];
-          ClauseReach cr;
-          cr.owner = owner->id;
-          cr.clause_index = ci;
-          cr.prefixes = clause_reach(*owner, owner->outbound[ci]);
-          reaches[i] = std::move(cr);
-        }
-      });
-  for (std::size_t i = 0; i < clause_list.size(); ++i) {
-    result.partitions[clause_list[i].slot].reaches.push_back(
-        std::move(reaches[i]));
+  for (auto& cr : reaches) {
+    result.partitions[slot_of_.at(cr.owner)].reaches.push_back(std::move(cr));
   }
-  stats.clause_count = clause_list.size();
-  stats.reach_seconds = seconds_since(t0);
-  stage_span.finish();
 
-  // 2+3. Per-partition FECs (parallel — partitions are independent), then
-  // one serial binding sweep in slot order: group ids and VNHs come from a
-  // single counter, so the assignment is identical at any thread count.
-  t0 = std::chrono::steady_clock::now();
-  stage_span = telemetry::Span(tracer, "fec_vnh");
   vnh.reset();
-  pool.parallel_for(
-      participants_.size(), 1, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t slot = begin; slot < end; ++slot) {
-          CompiledPartition& part = result.partitions[slot];
-          if (part.reaches.empty()) continue;
-          const auto p0 = std::chrono::steady_clock::now();
-          part.fecs = partition_fecs(part.reaches, snapshot[slot]);
-          part.seconds += seconds_since(p0);
-        }
-      });
+  Stage2Memo memo;
+  compile_partitions(parts, snapshot, vnh, memo, pool, stats);
+
+  // The partition-independent band, composed through the same memo.
+  std::vector<Rule> shared;
+  {
+    StageTimer stage(span_tracer(), "synth", stats.synth_seconds);
+    shared = shared_stage1(result.layout);
+  }
+  stats.stage1_rules += shared.size();
+  Composition shared_work;
+  {
+    StageTimer stage(span_tracer(), "compose", stats.compose_seconds);
+    result.shared_rules = compose_serial(std::move(shared), memo, shared_work);
+  }
+  stats.pair_compositions += shared_work.visits;
+
   std::unordered_set<Ipv4Prefix> grouped;
-  for (auto& part : result.partitions) {
-    bind_partition(part, vnh);
+  for (const auto& part : result.partitions) {
     stats.prefix_groups += part.fecs.groups.size();
+    stats.stage1_rules += part.stage1_rules;
+    stats.pair_compositions += part.pair_compositions;
     for (const auto& kv : part.fecs.group_of) grouped.insert(kv.first);
   }
   stats.prefixes_grouped = grouped.size();
-  stats.vnh_seconds = seconds_since(t0);
-  stage_span.finish();
-
-  // 4. Stage-1 synthesis: per partition in parallel, plus the shared band.
-  t0 = std::chrono::steady_clock::now();
-  stage_span = telemetry::Span(tracer, "synth");
-  std::vector<std::vector<Rule>> stage1_by_slot(participants_.size());
-  pool.parallel_for(
-      participants_.size(), 1, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t slot = begin; slot < end; ++slot) {
-          CompiledPartition& part = result.partitions[slot];
-          if (part.fecs.groups.empty()) continue;
-          const auto p0 = std::chrono::steady_clock::now();
-          stage1_by_slot[slot] =
-              partition_stage1(participants_[slot], part, result.layout);
-          part.stage1_rules = stage1_by_slot[slot].size();
-          part.seconds += seconds_since(p0);
-        }
-      });
-  std::vector<Rule> shared = shared_stage1(result.layout);
-  for (const auto& s : stage1_by_slot) stats.stage1_rules += s.size();
-  stats.stage1_rules += shared.size();
-  stats.synth_seconds = seconds_since(t0);
-  stage_span.finish();
-
-  // 5+6. Composition: stage-2 classifiers built once up front (parallel,
-  // read-only afterward), each partition and the shared band composed
-  // through them. Partition compositions run concurrently; each partition's
-  // rule order is internally serial, and the fabric concatenation is fixed
-  // by slot order — byte-identical at any width.
-  t0 = std::chrono::steady_clock::now();
-  stage_span = telemetry::Span(tracer, "compose");
-  std::vector<std::unique_ptr<Classifier>> stage2_by_slot(
-      participants_.size());
-  pool.parallel_for(
-      participants_.size(), 1, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          if (participants_[i].is_remote()) continue;
-          stage2_by_slot[i] =
-              std::make_unique<Classifier>(stage2_for(participants_[i]));
-        }
-      });
-  pool.parallel_for(
-      participants_.size(), 1, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t slot = begin; slot < end; ++slot) {
-          CompiledPartition& part = result.partitions[slot];
-          if (stage1_by_slot[slot].empty()) continue;
-          const auto p0 = std::chrono::steady_clock::now();
-          part.rules = Classifier(compose_serial(
-              std::move(stage1_by_slot[slot]), stage2_by_slot,
-              part.pair_compositions));
-          part.rules.optimize(false);
-          part.seconds += seconds_since(p0);
-        }
-      });
-  std::size_t shared_compositions = 0;
-  result.shared_rules = Classifier(
-      compose_serial(std::move(shared), stage2_by_slot, shared_compositions));
-  result.shared_rules.optimize(false);
-  for (const auto& part : result.partitions) {
-    stats.pair_compositions += part.pair_compositions;
-  }
-  stats.pair_compositions += shared_compositions;
-  stats.compose_seconds = seconds_since(t0);
-  stage_span.finish();
-
   result.rebuild_fabric();
-  stats.final_rules = result.fabric.size();
-  stats.total_seconds = seconds_since(t_start);
-  compile_span.finish();
-  if (telemetry_ != nullptr) {
-    record_compile_metrics(telemetry_->metrics, stats);
-    record_partition_metrics(telemetry_->metrics, participants_, result);
+}
+
+void SdxCompiler::compile_partitions(
+    const std::vector<CompiledPartition*>& parts,
+    const BestRouteSnapshot& snapshot, VnhAllocator& vnh, Stage2Memo& memo,
+    net::ThreadPool& pool, CompileStats& stats) const {
+  // Runs step(i) for every partition concurrently (partitions are
+  // independent), charging its wall time to that partition.
+  const auto each = [&](const auto& step) {
+    pool.parallel_for(
+        parts.size(), 1, [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            const auto t0 = std::chrono::steady_clock::now();
+            step(i);
+            parts[i]->seconds += seconds_since(t0);
+          }
+        });
+  };
+  const auto owner_slot = [&](std::size_t i) {
+    return slot_of_.at(parts[i]->owner);
+  };
+
+  // FECs per partition, then one serial binding sweep in slot order: group
+  // ids and VNHs come from a single counter, so the assignment is
+  // identical at any thread count.
+  {
+    StageTimer stage(span_tracer(), "fec_vnh", stats.vnh_seconds);
+    each([&](std::size_t i) {
+      parts[i]->fecs =
+          partition_fecs(parts[i]->reaches, snapshot[owner_slot(i)]);
+    });
+    for (CompiledPartition* part : parts) bind_partition(*part, vnh);
   }
-  return result;
+
+  std::vector<std::vector<Rule>> stage1(parts.size());
+  {
+    StageTimer stage(span_tracer(), "synth", stats.synth_seconds);
+    each([&](std::size_t i) {
+      stage1[i] = partition_stage1(participants_[owner_slot(i)], *parts[i],
+                                   vnh.layout());
+      parts[i]->stage1_rules = stage1[i].size();
+    });
+  }
+
+  // Each partition's rule order is internally serial, and partitions are
+  // concatenated in slot order — byte-identical at any width.
+  {
+    StageTimer stage(span_tracer(), "compose", stats.compose_seconds);
+    memo.fill(*this, pool);
+    each([&](std::size_t i) {
+      Composition work;
+      parts[i]->rules = compose_serial(std::move(stage1[i]), memo, work);
+      parts[i]->pair_compositions = work.visits;
+    });
+  }
 }
 
 }  // namespace sdx::core

@@ -6,6 +6,7 @@
 /// switch.
 ///
 /// Pipeline (optimized mode, the paper's production path):
+///   0. best-route snapshot — one RIB pass per participant;
 ///   1. clause reach sets   — restrict every outbound clause to the prefixes
 ///                            its target actually exported to the sender;
 ///   2. FEC computation     — Minimum Disjoint Subsets over reach sets and
@@ -18,18 +19,23 @@
 ///                            MAC-learning rules for ungrouped prefixes;
 ///   5. stage-2 synthesis   — per-participant inbound classifiers (inbound
 ///                            TE clauses, port-specific MAC rules, egress
-///                            MAC rewrite default);
+///                            MAC rewrite default), memoized in a
+///                            Stage2Memo;
 ///   6. targeted composition — each stage-1 rule is sequentially composed
 ///                            only with the stage-2 classifier of the one
-///                            participant it forwards into (§4.3.1), with
-///                            the stage-2 classifiers memoized.
+///                            participant it forwards into (§4.3.1).
+///
+/// Stages 0 and 1 are shared by the pairwise and the partitioned pipeline.
+/// Stage 6 is one routine, compose_rule(): the pairwise fan-out, the
+/// per-partition and shared-band composition, the incremental fast path
+/// and the in-place partition recompile all compose through it.
 ///
 /// CompileOptions exposes each §4.2/§4.3 optimization as a switch so the
 /// ablation benchmark can price them individually.
 
 #include <cstdint>
-#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -47,6 +53,7 @@ class ThreadPool;
 
 namespace sdx::telemetry {
 struct Telemetry;
+class SpanTracer;
 }
 
 namespace sdx::core {
@@ -120,8 +127,10 @@ struct CompiledPartition {
   double seconds = 0;                 ///< wall time across pipeline stages
 };
 
-/// The advertisement plan entry for one grouped prefix: what next-hop the
-/// route server should announce (the VNH), and the ARP binding behind it.
+/// The compiled artifact: the fabric rule list to install, plus what the
+/// runtime advertises and ARP-binds alongside it — the FEC groups, one VNH
+/// binding per group and the clause reach sets they were built from (and,
+/// when partitioned, the per-participant partitions and the shared band).
 struct CompiledSdx {
   policy::Classifier fabric;             ///< install into the switch
   FecResult fecs;
@@ -175,6 +184,32 @@ struct CompiledSdx {
   std::string fingerprint() const;
 };
 
+class SdxCompiler;
+
+/// Slot-indexed memo of per-participant stage-2 classifiers (§4.3.1),
+/// used by every composition: the full compile fills one per run, the
+/// incremental engine keeps one for its lifetime. An entry remembers the
+/// inbound clauses it was built from and is rebuilt when they differ from
+/// the participant's current ones, so no composition ever runs through a
+/// classifier that predates an inbound-policy change.
+class Stage2Memo {
+ public:
+  /// The stage-2 classifier of the local participant in \p slot.
+  const policy::Classifier& get(const SdxCompiler& compiler, std::size_t slot);
+
+  /// Brings every local participant's entry up to date across \p pool.
+  /// Until the participants change, get() then only reads, so any number
+  /// of threads may call it concurrently.
+  void fill(const SdxCompiler& compiler, net::ThreadPool& pool);
+
+ private:
+  struct Entry {
+    std::vector<InboundClause> inbound;  ///< what `classifier` was built from
+    std::optional<policy::Classifier> classifier;
+  };
+  std::vector<Entry> by_slot_;
+};
+
 class SdxCompiler {
  public:
   SdxCompiler(const std::vector<Participant>& participants,
@@ -185,8 +220,8 @@ class SdxCompiler {
   /// (background) recompilation always produces a minimal binding set.
   CompiledSdx compile(VnhAllocator& vnh) const;
 
-  /// The stage-2 (inbound-side) classifier of one participant; exposed for
-  /// the incremental engine, which composes fast-path rules through it.
+  /// The stage-2 (inbound-side) classifier of one local participant (what
+  /// a Stage2Memo entry holds). Throws std::logic_error for a remote one.
   policy::Classifier stage2_for(const Participant& p) const;
 
   /// The reach set of one outbound clause: prefixes exported by the target
@@ -229,10 +264,27 @@ class SdxCompiler {
   using BestRouteSnapshot =
       std::vector<std::unordered_map<Ipv4Prefix, ParticipantId>>;
 
+  /// Work done by a composition: stage-1 rules pulled back through a
+  /// stage-2 classifier, and the stage-2 rules those pull-backs visited
+  /// (CompileStats::pair_compositions).
+  struct Composition {
+    std::size_t rules = 0;
+    std::size_t visits = 0;
+  };
+
+  /// The attached tracer, or nullptr (stage spans are then inert).
+  telemetry::SpanTracer* span_tracer() const;
+
   /// defaults_for() against the snapshot instead of per-(participant,
   /// prefix) route-server probes — the compile-time hot path.
   DefaultVector defaults_from(const BestRouteSnapshot& snapshot,
                               Ipv4Prefix prefix) const;
+
+  /// Stage 1 of both pipelines: the reach sets of every outbound clause of
+  /// the participants in slots [\p first, \p last), slot-major in clause
+  /// order (clause_index is local to its owner), computed across \p pool.
+  std::vector<ClauseReach> clause_reaches(std::size_t first, std::size_t last,
+                                          net::ThreadPool& pool) const;
 
   /// Expands a clause match into flow matches (cross product of the source
   /// prefix list; dst prefixes are consumed by grouping unless
@@ -241,25 +293,66 @@ class SdxCompiler {
                                              net::FlowMatch base,
                                              bool keep_dst_prefixes) const;
 
+  /// Appends the stage-1 rules of one outbound clause of \p owner: for
+  /// every ingress port and every destination constraint in \p dsts on
+  /// field \p f (a group VMAC, an attribute-bit mask or, without VMAC
+  /// grouping, a destination prefix), the clause's match expansions
+  /// forwarding to the target's virtual port. Port-major order.
+  void synthesize_clause(const Participant& owner, const OutboundClause& c,
+                         net::Field f, std::span<const net::FieldMatch> dsts,
+                         std::vector<policy::Rule>& out) const;
+
   /// Appends the default-forwarding rules for one group/VMAC (majority
   /// next-hop rule plus per-sender overrides).
   void synthesize_group_defaults(const DefaultVector& defaults,
                                  net::MacAddress vmac,
                                  std::vector<policy::Rule>& out) const;
 
-  /// Targeted sequential composition of the stage-1 rule list through the
-  /// stage-2 classifiers, fanned out across \p pool (stage-2 classifiers
-  /// are built up front and read-only on the hot path; composed rule runs
-  /// land in per-rule slots and concatenate in stage-1 order).
+  /// The one composition step (§4.3.1). A rule that forwards into a
+  /// participant's virtual port is pulled back through
+  /// \p stage2_of(target slot) and its run appended to \p out; any other
+  /// rule (a drop, a physical egress) is appended unchanged. Defined in
+  /// compiler.cpp, the only place that instantiates it.
+  template <typename Stage2Of>
+  void compose_rule(policy::Rule& rule, const Stage2Of& stage2_of,
+                    std::vector<policy::Rule>& out, Composition& work) const;
+
+  /// Serial targeted composition of \p stage1 through \p memo, deduplicated
+  /// (exact-duplicate matches dropped, first wins). Composes each
+  /// partition, the shared band and every fast-path batch.
+  policy::Classifier compose_serial(std::vector<policy::Rule> stage1,
+                                    Stage2Memo& memo, Composition& work) const;
+
+  /// Targeted composition of the pairwise stage-1 list, fanned out across
+  /// \p pool (composed runs land in per-rule slots and concatenate in
+  /// stage-1 order). The ablation switches pick the stage-2 source.
   policy::Classifier compose(std::vector<policy::Rule> stage1,
                              CompileStats& stats,
                              net::ThreadPool& pool) const;
 
+  /// Stages 2–6 of the pairwise pipeline over result.reaches.
+  void compile_pairwise(const BestRouteSnapshot& snapshot, VnhAllocator& vnh,
+                        net::ThreadPool& pool, CompiledSdx& result) const;
+
   // -- partitioned pipeline --------------------------------------------
 
-  /// The partitioned counterpart of compile(): same five stages, but FEC,
-  /// synthesis and composition run per partition.
-  CompiledSdx compile_partitioned(VnhAllocator& vnh) const;
+  /// Stages 2–6 of the partitioned pipeline: distributes \p reaches to
+  /// their owners' partitions, compiles every partition, then the shared
+  /// band.
+  void compile_partitioned(const BestRouteSnapshot& snapshot,
+                           std::vector<ClauseReach> reaches,
+                           VnhAllocator& vnh, net::ThreadPool& pool,
+                           CompiledSdx& result) const;
+
+  /// The per-partition routine, for partitions whose reaches are set
+  /// (listed in slot order): FECs, bindings continuing \p vnh's watermark,
+  /// stage-1 synthesis, then composition through \p memo and dedup.
+  /// compile_partitioned runs it over every partition;
+  /// IncrementalEngine::recompile_partition over one.
+  void compile_partitions(const std::vector<CompiledPartition*>& parts,
+                          const BestRouteSnapshot& snapshot,
+                          VnhAllocator& vnh, Stage2Memo& memo,
+                          net::ThreadPool& pool, CompileStats& stats) const;
 
   /// Per-partition FECs: Minimum Disjoint Subsets over the owner's reach
   /// sets with a length-1 default vector — the owner's own best route —
@@ -289,14 +382,6 @@ class SdxCompiler {
 
   /// Appends the remote-participant VMAC→router-MAC rewrite rules.
   void synthesize_remote_rewrites(std::vector<policy::Rule>& out) const;
-
-  /// Serial targeted composition through prebuilt per-slot stage-2
-  /// classifiers (nullptr for remote slots). Used by the per-partition
-  /// compose loop and by IncrementalEngine::recompile_partition.
-  std::vector<policy::Rule> compose_serial(
-      std::vector<policy::Rule> stage1,
-      const std::vector<std::unique_ptr<policy::Classifier>>& stage2_by_slot,
-      std::size_t& compositions) const;
 
   const std::vector<Participant>& participants_;
   const PortMap& ports_;

@@ -6,15 +6,13 @@
 #include <unordered_set>
 #include <utility>
 
-#include "policy/compile.hpp"
+#include "netbase/parallel.hpp"
 
 namespace sdx::core {
 
-using policy::ActionSeq;
 using policy::Classifier;
 using policy::Rule;
 using net::Field;
-using net::FlowMatch;
 
 namespace {
 
@@ -27,27 +25,12 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 const CompiledSdx& IncrementalEngine::full_recompile(VnhAllocator& vnh) {
   current_ = compiler_.compile(vnh);
-  stage2_cache_.clear();
   return *current_;
 }
 
 const CompiledSdx& IncrementalEngine::adopt(CompiledSdx compiled) {
   current_ = std::move(compiled);
-  stage2_cache_.clear();
   return *current_;
-}
-
-const policy::Classifier& IncrementalEngine::stage2_cached(ParticipantId id) {
-  auto it = stage2_cache_.find(id);
-  if (it == stage2_cache_.end()) {
-    for (const auto& p : compiler_.participants()) {
-      if (p.id == id) {
-        it = stage2_cache_.emplace(id, compiler_.stage2_for(p)).first;
-        break;
-      }
-    }
-  }
-  return it->second;
 }
 
 std::vector<IncrementalEngine::Hit> IncrementalEngine::hits_for(
@@ -72,55 +55,6 @@ std::vector<IncrementalEngine::Hit> IncrementalEngine::hits_for(
   return hits;
 }
 
-std::size_t IncrementalEngine::synth_and_compose(
-    const std::vector<Hit>& hits, const DefaultVector& defaults,
-    const VnhBinding& binding, std::vector<Rule>& out,
-    std::size_t& compositions) {
-  const PortMap& ports = compiler_.ports_;
-  std::vector<Rule> stage1;
-  for (const auto& hit : hits) {
-    const ActionSeq act = ActionSeq::set(Field::kPort,
-                                         ports.vport(hit.clause->to));
-    for (net::PortId port : hit.owner->port_ids()) {
-      FlowMatch base = FlowMatch::on(Field::kPort, port);
-      base.with(Field::kDstMac, binding.vmac.bits());
-      for (auto& fm : compiler_.clause_matches(hit.clause->match, base,
-                                               /*keep_dst_prefixes=*/false)) {
-        stage1.push_back(Rule{fm, {act}});
-      }
-    }
-  }
-  compiler_.synthesize_group_defaults(defaults, binding.vmac, stage1);
-
-  // Targeted composition through the memoized stage-2 classifiers.
-  std::vector<Rule> composed;
-  for (auto& r : stage1) {
-    const ActionSeq& act = r.actions.front();
-    const auto port_written = act.written(Field::kPort);
-    if (!port_written ||
-        !PortMap::is_virtual(static_cast<net::PortId>(*port_written))) {
-      composed.push_back(std::move(r));
-      continue;
-    }
-    const ParticipantId target =
-        ports.vport_owner(static_cast<net::PortId>(*port_written));
-    auto run = policy::pull_back(r.match, act, stage2_cached(target));
-    ++compositions;
-    composed.insert(composed.end(), std::make_move_iterator(run.begin()),
-                    std::make_move_iterator(run.end()));
-  }
-
-  // De-duplicated installation: drop exact-duplicate matches (first wins —
-  // priority-correct) so a burst never installs the same rule twice.
-  Classifier dedup(std::move(composed));
-  dedup.optimize(false);
-  std::vector<Rule> rules = std::move(dedup.rules());
-  const std::size_t appended = rules.size();
-  out.insert(out.end(), std::make_move_iterator(rules.begin()),
-             std::make_move_iterator(rules.end()));
-  return appended;
-}
-
 IncrementalEngine::PartitionUpdate IncrementalEngine::recompile_partition(
     ParticipantId owner, VnhAllocator& vnh) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -129,47 +63,15 @@ IncrementalEngine::PartitionUpdate IncrementalEngine::recompile_partition(
         "recompile_partition requires a partitioned compiled state");
   }
   const std::size_t slot = compiler_.slot_of_.at(owner);
-  const Participant& p = compiler_.participants()[slot];
-
+  net::ThreadPool serial(1);
   CompiledPartition part;
   part.owner = owner;
-  for (std::size_t ci = 0; ci < p.outbound.size(); ++ci) {
-    ClauseReach cr;
-    cr.owner = owner;
-    cr.clause_index = ci;
-    cr.prefixes = compiler_.clause_reach(p, p.outbound[ci]);
-    part.reaches.push_back(std::move(cr));
-  }
-  const auto own_best = compiler_.server_.best_nexthops(owner);
-  part.fecs = compiler_.partition_fecs(part.reaches, own_best);
-  // Fresh bindings continue from the allocator's watermark — the replaced
-  // partition's VNHs leak until the next full recompile resets the counter,
-  // exactly like fast-path bindings (§4.3.2 applied to policy changes).
-  compiler_.bind_partition(part, vnh);
-  auto stage1 = compiler_.partition_stage1(p, part, current_->layout);
-  part.stage1_rules = stage1.size();
-
-  // Targeted composition through the engine's stage-2 memo.
-  std::vector<Rule> composed;
-  composed.reserve(stage1.size());
-  for (auto& r : stage1) {
-    const ActionSeq& act = r.actions.front();
-    const auto port_written = act.written(Field::kPort);
-    if (!port_written ||
-        !PortMap::is_virtual(static_cast<net::PortId>(*port_written))) {
-      composed.push_back(std::move(r));
-      continue;
-    }
-    const ParticipantId target = compiler_.ports_.vport_owner(
-        static_cast<net::PortId>(*port_written));
-    const Classifier& stage2 = stage2_cached(target);
-    part.pair_compositions += stage2.size();
-    auto run = policy::pull_back(r.match, act, stage2);
-    composed.insert(composed.end(), std::make_move_iterator(run.begin()),
-                    std::make_move_iterator(run.end()));
-  }
-  part.rules = Classifier(std::move(composed));
-  part.rules.optimize(false);
+  part.reaches = compiler_.clause_reaches(slot, slot + 1, serial);
+  SdxCompiler::BestRouteSnapshot snapshot(compiler_.participants().size());
+  snapshot[slot] = compiler_.server_.best_nexthops(owner);
+  CompileStats stats;  // stage timings of a one-slot run: not reported
+  compiler_.compile_partitions({&part}, snapshot, vnh, stage2_, serial,
+                               stats);
 
   PartitionUpdate update;
   update.slot = slot;
@@ -179,15 +81,7 @@ IncrementalEngine::PartitionUpdate IncrementalEngine::recompile_partition(
   }
   for (const auto& kv : part.fecs.group_of) affected.insert(kv.first);
   update.affected.assign(affected.begin(), affected.end());
-  std::sort(update.affected.begin(), update.affected.end(),
-            [](Ipv4Prefix a, Ipv4Prefix b) {
-              if (a.network().value() != b.network().value()) {
-                return a.network().value() < b.network().value();
-              }
-              return a.length() < b.length();
-            });
-  update.rules = part.rules.size();
-  update.compositions = part.pair_compositions;
+  std::sort(update.affected.begin(), update.affected.end());
   update.bindings = part.bindings;
   part.seconds = seconds_since(t0);
   update.seconds = part.seconds;
@@ -248,12 +142,26 @@ IncrementalEngine::BatchResult IncrementalEngine::fast_update_batch(
   }
 
   // Single VNH-allocation sweep, then one synthesis + composition walk per
-  // group (not per update) through the shared stage-2 memo.
-  result.groups = groups.size();
+  // group (not per update) through the shared stage-2 memo. Composition
+  // de-duplicates (first wins — priority-correct), so a burst never
+  // installs the same rule twice.
   for (const auto& g : groups) {
     const VnhBinding binding = vnh.allocate();
-    const std::size_t appended = synth_and_compose(
-        g.hits, g.defaults, binding, result.rules, result.compositions);
+    const net::FieldMatch tag = net::FieldMatch::exact(binding.vmac.bits());
+    std::vector<Rule> stage1;
+    for (const auto& hit : g.hits) {
+      compiler_.synthesize_clause(*hit.owner, *hit.clause, Field::kDstMac,
+                                  {&tag, 1}, stage1);
+    }
+    compiler_.synthesize_group_defaults(g.defaults, binding.vmac, stage1);
+    SdxCompiler::Composition work;
+    Classifier composed =
+        compiler_.compose_serial(std::move(stage1), stage2_, work);
+    result.compositions += work.rules;
+    const std::size_t appended = composed.size();
+    result.rules.insert(result.rules.end(),
+                        std::make_move_iterator(composed.rules().begin()),
+                        std::make_move_iterator(composed.rules().end()));
     for (std::size_t k = 0; k < g.members.size(); ++k) {
       result.items[g.members[k]].binding = binding;
       if (k == 0) result.items[g.members[k]].additional_rules = appended;

@@ -16,9 +16,11 @@
 /// fast_update_batch() is the one fast stage, and a single update is a
 /// batch of one. A burst shares the clause scan, groups prefixes with
 /// identical restricted signatures (a mini-FEC over the dirty set) under
-/// one fresh binding, allocates VNHs in a single sweep, and composes the
-/// combined rule list through the shared stage-2 memo in one walk — so an
-/// N-update burst costs one composition walk, not N.
+/// one fresh binding and allocates VNHs in a single sweep. Each group's
+/// rules go through the compiler's one serial composer
+/// (SdxCompiler::compose_serial) and the engine's Stage2Memo, which lives
+/// as long as the engine and rebuilds an entry whenever its participant's
+/// inbound clauses change.
 
 #include <optional>
 #include <vector>
@@ -39,8 +41,7 @@ class IncrementalEngine {
 
   /// Installs an externally-compiled result as the engine's current state,
   /// exactly as if full_recompile() had produced it — the swap half of the
-  /// asynchronous background recompilation's double buffer. Clears the
-  /// stage-2 memo (the policy view may have changed since it was built).
+  /// asynchronous background recompilation's double buffer.
   const CompiledSdx& adopt(CompiledSdx compiled);
 
   /// Re-sizes the parallel pipeline used by full_recompile() (0 = one
@@ -71,7 +72,6 @@ class IncrementalEngine {
     std::vector<BatchItem> items;     ///< input order, deduplicated
     std::vector<policy::Rule> rules;  ///< combined, duplicate-free
     std::size_t additional_rules = 0;
-    std::size_t groups = 0;           ///< distinct signatures given a binding
     std::size_t compositions = 0;     ///< stage-1 rules composed (whole batch)
     double seconds = 0;
   };
@@ -88,21 +88,21 @@ class IncrementalEngine {
   /// union of the old and new partition coverage.
   struct PartitionUpdate {
     std::size_t slot = 0;
-    std::size_t rules = 0;         ///< new partition classifier size
-    std::size_t compositions = 0;  ///< stage-1 × stage-2 rule visits
     double seconds = 0;
     std::vector<VnhBinding> bindings;
     std::vector<Ipv4Prefix> affected;  ///< sorted (deterministic order)
   };
 
   /// Recompiles exactly one participant's partition (partitioned mode only;
-  /// throws std::logic_error otherwise): reach → partition FEC → fresh
-  /// bindings (continuing the allocator watermark, like fast-path bindings
-  /// — the next full recompile reclaims the leaked ids) → synthesis →
-  /// targeted composition through the stage-2 memo. Swaps the partition
-  /// into the current state and re-derives the fabric; every other
-  /// partition and the shared band are untouched — the ≥10× work saving of
-  /// a single-participant policy change.
+  /// throws std::logic_error otherwise): the owner's clause reaches, then
+  /// the full compile's per-partition routine (SdxCompiler::
+  /// compile_partitions) over that one slot — FECs, fresh bindings
+  /// continuing the allocator watermark (like fast-path bindings; the next
+  /// full recompile reclaims the leaked ids), synthesis, composition
+  /// through the engine's stage-2 memo and dedup. Swaps the partition into
+  /// the current state and re-derives the fabric; every other partition and
+  /// the shared band are untouched — the ≥10× work saving of a
+  /// single-participant policy change.
   PartitionUpdate recompile_partition(ParticipantId owner, VnhAllocator& vnh);
 
   const SdxCompiler& compiler() const { return compiler_; }
@@ -114,23 +114,11 @@ class IncrementalEngine {
     std::uint32_t id;  ///< global clause id (slot-major) — the signature key
   };
 
-  const policy::Classifier& stage2_cached(ParticipantId id);
   std::vector<Hit> hits_for(Ipv4Prefix prefix) const;
-
-  /// Synthesizes the restricted stage-1 rules for one (hits, defaults)
-  /// signature under \p binding, composes them through the shared stage-2
-  /// memo and appends the (deduplicated) result to \p out. Returns the
-  /// number of rules appended; \p compositions accumulates the stage-1
-  /// rules that went through a pull_back walk.
-  std::size_t synth_and_compose(const std::vector<Hit>& hits,
-                                const DefaultVector& defaults,
-                                const VnhBinding& binding,
-                                std::vector<policy::Rule>& out,
-                                std::size_t& compositions);
 
   SdxCompiler compiler_;
   std::optional<CompiledSdx> current_;
-  std::unordered_map<ParticipantId, policy::Classifier> stage2_cache_;
+  Stage2Memo stage2_;
 };
 
 }  // namespace sdx::core

@@ -127,6 +127,40 @@ TEST_F(IncrementalFixture, UpdateLogRecordsCosts) {
   }
 }
 
+TEST(IncrementalInbound, FastPathComposesThroughTheCurrentInboundPolicy) {
+  SdxRuntime rt;
+  auto a = rt.add_participant("A", 65001);
+  auto b = rt.add_participant("B", 65002, /*port_count=*/2);
+  auto c = rt.add_participant("C", 65003, /*port_count=*/2);
+  rt.set_outbound(a, {OutboundClause{ClauseMatch{}.dst_port(80), b},
+                      OutboundClause{ClauseMatch{}.dst_port(443), c}});
+  rt.announce(b, Ipv4Prefix::parse("100.1.0.0/16"));
+  rt.announce(b, Ipv4Prefix::parse("100.2.0.0/16"));
+  rt.announce(c, Ipv4Prefix::parse("100.9.0.0/16"));
+  rt.install();
+
+  // A fast-path batch through B's stage-2 classifier, before any inbound
+  // change.
+  rt.announce(b, Ipv4Prefix::parse("100.1.0.0/16"));
+  // Both receivers steer their matching traffic to their second port.
+  rt.set_inbound(b, {InboundClause{ClauseMatch{}.dst_port(80), {}, 1}});
+  rt.set_inbound(c, {InboundClause{ClauseMatch{}.dst_port(443), {}, 1}});
+  rt.announce(b, Ipv4Prefix::parse("100.2.0.0/16"));
+  rt.announce(c, Ipv4Prefix::parse("100.9.0.0/16"));
+
+  auto egress = [&rt, a](const char* dst, std::uint16_t port) {
+    auto out = rt.send(a, PacketBuilder().dst_ip(dst).dst_port(port).build());
+    return out.size() == 1 ? out[0].port : net::PortId{0};
+  };
+  const auto via_b = egress("100.2.0.1", 80);
+  const auto via_c = egress("100.9.0.1", 443);
+  rt.background_recompile();
+  EXPECT_EQ(via_b, egress("100.2.0.1", 80));
+  EXPECT_EQ(via_c, egress("100.9.0.1", 443));
+  EXPECT_EQ(via_b, rt.participant(b).ports[1].id);
+  EXPECT_EQ(via_c, rt.participant(c).ports[1].id);
+}
+
 TEST(IncrementalNoVmac, FastPathIsIdleWithoutGrouping) {
   CompileOptions options;
   options.vmac_grouping = false;

@@ -1,21 +1,26 @@
 /// Parallel-compilation determinism: for every thread count the compiled
 /// output — fabric rule list (contents and order), stats, FEC groups and
-/// ids, VNH bindings — must be byte-identical to the serial result. Also
-/// unit-tests the netbase thread pool and the sharded FEC merge.
+/// ids, VNH bindings — must be byte-identical to the serial result. Pins
+/// the output of every compile mode and of one fast-path burst to golden
+/// constants. Also unit-tests the netbase thread pool and the sharded FEC
+/// merge.
 ///
 /// Run this binary under `cmake -DSDX_SANITIZE=thread` to have TSan check
 /// the slot-ownership discipline of every parallel stage.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include "ixp/ixp_generator.hpp"
 #include "netbase/parallel.hpp"
+#include "persist/crc32c.hpp"
 #include "sdx/compiler.hpp"
 #include "sdx/fec.hpp"
+#include "sdx/incremental.hpp"
 #include "sdx/runtime.hpp"
 #include "sdx/vnh_allocator.hpp"
 
@@ -257,6 +262,75 @@ TEST(ParallelCompileDeterminism, AblationModesStayDeterministicToo) {
       EXPECT_EQ(got.stats.pair_compositions, want.stats.pair_compositions);
     }
   }
+}
+
+// Golden output of every compile mode and of one fast-path burst on the
+// generated exchange. The constants pin the artifact bytes (fingerprint
+// CRC) and the composition work counters, so any change to how stage-1
+// rules are composed through stage-2 shows up here first.
+TEST(CompilerGolden, CompileModesAndFastPathBurstArePinned) {
+  const auto ixp = make_ixp();
+  struct Case {
+    const char* name;
+    CompileOptions options;
+    std::uint32_t fingerprint_crc;
+    std::size_t pair_compositions;
+  };
+  auto with = [](auto edit) {
+    CompileOptions o;
+    edit(o);
+    return o;
+  };
+  const Case cases[] = {
+      {"threads=1", with([](CompileOptions& o) { o.threads = 1; }),
+       2896637247u, 430},
+      {"threads=8", with([](CompileOptions& o) { o.threads = 8; }),
+       2896637247u, 430},
+      {"memoize_stage2=false",
+       with([](CompileOptions& o) { o.memoize_stage2 = false; }),
+       2896637247u, 430},
+      {"prune_pairs=false",
+       with([](CompileOptions& o) { o.prune_pairs = false; }), 2896637247u,
+       7800},
+      {"vmac_grouping=false",
+       with([](CompileOptions& o) { o.vmac_grouping = false; }), 2554059754u,
+       3469},
+      {"partitioned", with([](CompileOptions& o) { o.partitioned = true; }),
+       310347451u, 325},
+  };
+  for (const Case& c : cases) {
+    SdxCompiler compiler(ixp.participants, ixp.ports, ixp.server, c.options);
+    VnhAllocator vnh;
+    const CompiledSdx compiled = compiler.compile(vnh);
+    EXPECT_EQ(persist::crc32c(compiled.fingerprint()), c.fingerprint_crc)
+        << c.name;
+    EXPECT_EQ(compiled.stats.pair_compositions, c.pair_compositions)
+        << c.name;
+  }
+
+  IncrementalEngine engine(
+      SdxCompiler(ixp.participants, ixp.ports, ixp.server));
+  VnhAllocator vnh;
+  engine.full_recompile(vnh);
+  // Sixteen policy-covered prefixes, spread over the sorted grouped set.
+  std::vector<Ipv4Prefix> covered;
+  for (const auto& [prefix, _] : engine.current().fecs.group_of) {
+    covered.push_back(prefix);
+  }
+  std::sort(covered.begin(), covered.end());
+  ASSERT_GE(covered.size(), 16u);
+  std::vector<Ipv4Prefix> burst;
+  for (std::size_t i = 0; i < 16; ++i) {
+    burst.push_back(covered[i * covered.size() / 16]);
+  }
+  auto batch = engine.fast_update_batch(burst, vnh);
+  const std::size_t rules = batch.rules.size();
+  EXPECT_EQ(persist::crc32c(
+                policy::Classifier(std::move(batch.rules)).to_string()),
+            3380430012u);
+  EXPECT_EQ(batch.compositions, 28u);
+  EXPECT_EQ(batch.additional_rules, 47u);
+  EXPECT_EQ(batch.additional_rules, rules);
 }
 
 TEST(ParallelCompileDeterminism, RuntimeThreadKnobKeepsDeployIdentical) {

@@ -427,6 +427,53 @@ TEST(PartitionedRuntime, PolicyChangeRecompilesOnlyTheDirtyPartition) {
   EXPECT_NE(egress(80), egress(443));
 }
 
+TEST(PartitionedRuntime, InPlaceRecompileEqualsAFreshCompileOfTheSlot) {
+  SdxRuntime rt({}, partitioned_options());
+  build_exchange(rt);
+  // More clauses than the layout's attribute bits, so the partition has
+  // both masked rules and the exact-VMAC overflow tail.
+  std::vector<OutboundClause> clauses;
+  for (std::uint16_t i = 0; i < 10; ++i) {
+    clauses.push_back(OutboundClause{ClauseMatch{}.dst_port(1000 + i),
+                                     ParticipantId{i % 2 == 0 ? 3u : 2u}});
+  }
+  ASSERT_GT(clauses.size(), VmacLayout{}.attr_bits);
+  rt.set_outbound(1, clauses);
+  SdxCompiler compiler(rt.participants(), rt.ports(), rt.route_server(),
+                       partitioned_options());
+  VnhAllocator vnh;
+  const CompiledSdx fresh = compiler.compile(vnh);
+  const CompiledPartition& got = rt.compiled().partitions[0];
+  const CompiledPartition& want = fresh.partitions[0];
+
+  ASSERT_EQ(got.fecs.groups.size(), want.fecs.groups.size());
+  for (std::size_t g = 0; g < want.fecs.groups.size(); ++g) {
+    EXPECT_EQ(got.fecs.groups[g].prefixes, want.fecs.groups[g].prefixes);
+    EXPECT_EQ(got.fecs.groups[g].clauses, want.fecs.groups[g].clauses);
+  }
+  EXPECT_GT(want.stage1_rules, 0u);
+  EXPECT_EQ(got.stage1_rules, want.stage1_rules);
+  EXPECT_EQ(got.pair_compositions, want.pair_compositions);
+  EXPECT_EQ(got.rules.size(), want.rules.size());
+
+  // The in-place bindings continue the allocator's watermark, so only the
+  // VMAC values differ: name every binding by its group index instead.
+  auto by_group = [](const CompiledPartition& part) {
+    std::string s = part.rules.to_string();
+    for (std::size_t g = 0; g < part.bindings.size(); ++g) {
+      const std::string vmac = part.bindings[g].vmac.to_string();
+      const std::string name = "group" + std::to_string(g);
+      for (auto at = s.find(vmac); at != std::string::npos;
+           at = s.find(vmac, at + name.size())) {
+        s.replace(at, vmac.size(), name);
+      }
+    }
+    return s;
+  };
+  EXPECT_NE(by_group(want).find("group"), std::string::npos);
+  EXPECT_EQ(by_group(got), by_group(want));
+}
+
 TEST(PartitionedRuntime, WarmRestartRoundTripsPartitionedArtifact) {
   TempDir dir;
   SdxRuntime rt({}, partitioned_options());
