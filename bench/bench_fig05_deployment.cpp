@@ -116,7 +116,6 @@ bool fig5b() {
   const auto T = sdx.add_remote_participant("aws-tenant", 65010);
   (void)B;
   const auto anycast = net::Ipv4Address::parse("74.125.1.1");
-  const auto i1 = net::Ipv4Address::parse("74.125.224.161");
   const auto i2 = net::Ipv4Address::parse("74.125.137.139");
   sdx.announce(B, net::Ipv4Prefix::parse("74.125.0.0/16"),
                net::AsPath{65002, 16509});
@@ -128,6 +127,9 @@ bool fig5b() {
   std::printf("time_s,instance1_mbps,instance2_mbps\n");
   bool policy = false;
   double pre_1 = -1, post_1 = -1, post_2 = -1;
+  // Frames addressed anywhere but the two instances: instance 1 answers
+  // the unrewritten anycast address, instance 2 the rewritten one.
+  int stray = 0;
   for (double t = 0; t < 600; t += 30) {
     if (!policy && t >= 246) {
       sdx.set_inbound(
@@ -149,7 +151,14 @@ bool fig5b() {
                                .dst_port(80)
                                .build());
       if (d.empty()) continue;
-      (d[0].frame.dst_ip() == i2 ? to_2 : to_1) += 1.5;
+      const auto dst = d[0].frame.dst_ip();
+      if (dst == anycast) {
+        to_1 += 1.5;
+      } else if (dst == i2) {
+        to_2 += 1.5;
+      } else {
+        ++stray;
+      }
     }
     std::printf("%.0f,%.1f,%.1f\n", t, to_1, to_2);
     if (t < 246) pre_1 = to_1;
@@ -158,11 +167,13 @@ bool fig5b() {
       post_2 = to_2;
     }
   }
-  const bool ok = pre_1 == 3.0 && post_1 == 1.5 && post_2 == 1.5;
+  const bool ok =
+      pre_1 == 3.0 && post_1 == 1.5 && post_2 == 1.5 && stray == 0;
   std::printf("# shape: pre-policy all to instance 1 (%s), post-policy "
-              "split 1.5/1.5 (%s)\n",
+              "split 1.5/1.5 (%s), %d frames to neither instance (%s)\n",
               pre_1 == 3.0 ? "ok" : "FAIL",
-              post_1 == 1.5 && post_2 == 1.5 ? "ok" : "FAIL");
+              post_1 == 1.5 && post_2 == 1.5 ? "ok" : "FAIL", stray,
+              stray == 0 ? "ok" : "FAIL");
   return ok;
 }
 

@@ -2,25 +2,54 @@
 
 namespace sdx::bgp {
 
-bool Rib::add(Route route) {
-  const Ipv4Prefix prefix = route.prefix;
-  return trie_.insert(prefix, std::move(route));
+AttrHandle AttrTable::make(RouteAttributes attrs) {
+  AttrHandle h = 0;
+  if (!free_.empty()) {
+    h = free_.back();
+    free_.pop_back();
+    slots_[h].attrs = std::move(attrs);
+  } else {
+    h = static_cast<AttrHandle>(slots_.size());
+    slots_.push_back({std::move(attrs), 0});
+  }
+  slots_[h].refs = 1;
+  return h;
 }
 
-bool Rib::withdraw(Ipv4Prefix prefix) { return trie_.erase(prefix); }
+Rib::~Rib() {
+  // A moved-from Rib has no table and holds nothing.
+  if (!table_) return;
+  trie_.for_each([this](Ipv4Prefix, AttrHandle h) { table_->release(h); });
+}
 
-const Route* Rib::find(Ipv4Prefix prefix) const { return trie_.find(prefix); }
+bool Rib::add(Ipv4Prefix prefix, AttrHandle attrs) {
+  table_->retain(attrs);
+  if (AttrHandle* held = trie_.find(prefix)) {
+    table_->release(*held);
+    *held = attrs;
+    return false;
+  }
+  trie_.insert(prefix, attrs);
+  return true;
+}
 
-const Route* Rib::lookup(Ipv4Address addr) const {
+bool Rib::withdraw(Ipv4Prefix prefix) {
+  const AttrHandle* held = trie_.find(prefix);
+  if (held == nullptr) return false;
+  table_->release(*held);
+  trie_.erase(prefix);
+  return true;
+}
+
+const RouteAttributes* Rib::find(Ipv4Prefix prefix) const {
+  const AttrHandle* held = trie_.find(prefix);
+  return held == nullptr ? nullptr : &(*table_)[*held];
+}
+
+std::optional<Rib::Match> Rib::lookup(Ipv4Address addr) const {
   auto hit = trie_.lookup(addr);
-  return hit ? hit->second : nullptr;
-}
-
-std::vector<Route> Rib::routes() const {
-  std::vector<Route> out;
-  out.reserve(trie_.size());
-  trie_.for_each([&out](Ipv4Prefix, const Route& r) { out.push_back(r); });
-  return out;
+  if (!hit) return std::nullopt;
+  return Match{hit->first, (*table_)[*hit->second]};
 }
 
 }  // namespace sdx::bgp

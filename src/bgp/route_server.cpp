@@ -38,21 +38,22 @@ const RouteServer::Peer* RouteServer::peer(ParticipantId id) const {
 }
 
 std::vector<RouteServer::BestChange> RouteServer::apply_and_diff(
-    Ipv4Prefix prefix, const std::function<void()>& mutate) {
-  // Snapshot each participant's best before the mutation...
-  std::vector<const Route*> old_best(peers_.size(), nullptr);
-  std::vector<Route> old_copies;
-  old_copies.reserve(peers_.size());
+    Ipv4Prefix prefix, ParticipantId mutator,
+    const std::function<void()>& mutate) {
+  // A prefix holds at most one candidate per advertiser, so each
+  // participant's best before the mutation is named by its advertiser. The
+  // mutation only removes or replaces the mutator's candidate: any other
+  // old best is still in the list afterwards, unchanged, and the one route
+  // to copy out first is the mutator's.
+  std::vector<std::optional<ParticipantId>> old_from(peers_.size());
+  std::optional<Route> replaced;
   if (auto it = rib_.find(prefix); it != rib_.end()) {
     for (std::size_t i = 0; i < peers_.size(); ++i) {
-      old_best[i] = best_for(it->second, peers_[i]);
+      if (const Route* r = best_for(it->second, peers_[i])) {
+        old_from[i] = r->learned_from;
+        if (r->learned_from == mutator && !replaced) replaced = *r;
+      }
     }
-  }
-  // best_for returns pointers into the candidate vector, which `mutate`
-  // invalidates — copy the routes out first.
-  std::vector<std::optional<Route>> old_routes(peers_.size());
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    if (old_best[i] != nullptr) old_routes[i] = *old_best[i];
   }
 
   mutate();
@@ -60,17 +61,25 @@ std::vector<RouteServer::BestChange> RouteServer::apply_and_diff(
   std::vector<BestChange> changes;
   const std::vector<Route>* ranked = nullptr;
   if (auto it = rib_.find(prefix); it != rib_.end()) ranked = &it->second;
+  const auto candidate_of = [ranked](ParticipantId from) -> const Route& {
+    return *std::find_if(ranked->begin(), ranked->end(),
+                         [from](const Route& r) {
+                           return r.learned_from == from;
+                         });
+  };
   for (std::size_t i = 0; i < peers_.size(); ++i) {
     const Route* now =
         ranked != nullptr ? best_for(*ranked, peers_[i]) : nullptr;
-    const bool was = old_routes[i].has_value();
-    const bool is = now != nullptr;
-    if (!was && !is) continue;
-    if (was && is && *old_routes[i] == *now) continue;
+    const auto was = old_from[i];
+    if (!was && now == nullptr) continue;
+    if (was && now != nullptr && now->learned_from == *was &&
+        (*was != mutator || *now == *replaced)) {
+      continue;
+    }
     BestChange c;
     c.participant = peers_[i].id;
     c.prefix = prefix;
-    c.old_best = old_routes[i];
+    if (was) c.old_best = *was == mutator ? *replaced : candidate_of(*was);
     if (now != nullptr) c.new_best = *now;
     changes.push_back(std::move(c));
   }
@@ -83,19 +92,20 @@ std::vector<RouteServer::BestChange> RouteServer::announce(Route route) {
                                 std::to_string(route.learned_from));
   }
   const Ipv4Prefix prefix = route.prefix;
-  auto changes = apply_and_diff(prefix, [this, &route, prefix]() {
-    auto& ranked = rib_[prefix];
-    std::erase_if(ranked, [&route](const Route& r) {
-      return r.learned_from == route.learned_from;
-    });
-    // Insert keeping the vector ranked best-first.
-    auto pos = std::find_if(ranked.begin(), ranked.end(),
-                            [this, &route](const Route& r) {
-                              return better(route, r, cfg_);
-                            });
-    adv_[route.learned_from].insert(prefix);
-    ranked.insert(pos, std::move(route));
-  });
+  auto changes =
+      apply_and_diff(prefix, route.learned_from, [this, &route, prefix]() {
+        auto& ranked = rib_[prefix];
+        std::erase_if(ranked, [&route](const Route& r) {
+          return r.learned_from == route.learned_from;
+        });
+        // Insert keeping the vector ranked best-first.
+        auto pos = std::find_if(ranked.begin(), ranked.end(),
+                                [this, &route](const Route& r) {
+                                  return better(route, r, cfg_);
+                                });
+        adv_[route.learned_from].insert(prefix);
+        ranked.insert(pos, std::move(route));
+      });
   ++version_;
   if (announcements_ != nullptr) {
     announcements_->inc();
@@ -111,7 +121,7 @@ std::vector<RouteServer::BestChange> RouteServer::withdraw(
     throw std::invalid_argument("withdraw from unknown participant " +
                                 std::to_string(from));
   }
-  auto changes = apply_and_diff(prefix, [this, from, prefix]() {
+  auto changes = apply_and_diff(prefix, from, [this, from, prefix]() {
     auto it = rib_.find(prefix);
     if (it == rib_.end()) return;
     std::erase_if(it->second, [from](const Route& r) {

@@ -133,6 +133,18 @@ class RouteServer {
   /// Candidate routes for a prefix, best first (nullptr when unknown).
   const std::vector<Route>* candidates(Ipv4Prefix prefix) const;
 
+  /// The best of \p ranked (a prefix's candidates()) that the server may
+  /// export to \p to, by pointer into \p ranked (nullptr when none is
+  /// eligible): best_route() without the copy, for callers that pick the
+  /// best of one prefix for many receivers.
+  const Route* best_for(const std::vector<Route>& ranked,
+                        const Peer& to) const {
+    for (const Route& r : ranked) {
+      if (eligible(r, to)) return &r;
+    }
+    return nullptr;
+  }
+
   std::size_t prefix_count() const { return rib_.size(); }
 
   /// §3.2 "grouping traffic based on BGP attributes": the prefixes whose
@@ -160,15 +172,11 @@ class RouteServer {
     return true;
   }
 
-  const Route* best_for(const std::vector<Route>& ranked,
-                        const Peer& to) const {
-    for (const Route& r : ranked) {
-      if (eligible(r, to)) return &r;
-    }
-    return nullptr;
-  }
-
+  /// Runs \p mutate, which adds, replaces or removes \p mutator's
+  /// candidate for \p prefix, and reports every participant whose best
+  /// route for it changed.
   std::vector<BestChange> apply_and_diff(Ipv4Prefix prefix,
+                                         ParticipantId mutator,
                                          const std::function<void()>& mutate);
 
   DecisionConfig cfg_;

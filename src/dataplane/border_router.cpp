@@ -3,28 +3,18 @@
 namespace sdx::dp {
 
 void BorderRouter::process_update(const bgp::UpdateMessage& update) {
-  for (auto prefix : update.withdrawn) rib_.withdraw(prefix);
-  if (update.attrs.has_value()) {
-    for (auto prefix : update.nlri) {
-      // A re-advertisement (every fast-path update gives the prefix a new
-      // VNH) overwrites the stored attributes in place; only a fresh prefix
-      // builds a Route.
-      if (bgp::Route* stored = rib_.find(prefix)) {
-        stored->attrs = *update.attrs;
-        continue;
-      }
-      bgp::Route r;
-      r.prefix = prefix;
-      r.attrs = *update.attrs;
-      rib_.add(std::move(r));
-    }
-  }
+  for (auto prefix : update.withdrawn) withdraw(prefix);
+  if (!update.attrs.has_value() || update.nlri.empty()) return;
+  auto& table = rib_.table();
+  const bgp::AttrHandle attrs = table.make(*update.attrs);
+  for (auto prefix : update.nlri) announce(prefix, attrs);
+  table.release(attrs);
 }
 
 std::optional<net::PacketHeader> BorderRouter::forward(
     net::PacketHeader payload, const ArpResponder& arp) const {
-  const bgp::Route* route = rib_.lookup(payload.dst_ip());
-  if (route == nullptr) {
+  const auto route = rib_.lookup(payload.dst_ip());
+  if (!route) {
     ++blackholed_;
     return std::nullopt;
   }

@@ -11,6 +11,7 @@
 /// space" and with no router modification.
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -25,17 +26,35 @@ namespace sdx::dp {
 
 class BorderRouter {
  public:
+  /// \p attrs is the attribute table the router's FIB entries point into;
+  /// a runtime shares one among all its routers, so an update group's
+  /// routers hold one attribute set. Without one the router owns its own.
   BorderRouter(net::Asn asn, net::PortId ixp_port, net::MacAddress mac,
-               net::Ipv4Address ip)
-      : asn_(asn), port_(ixp_port), mac_(mac), ip_(ip) {}
+               net::Ipv4Address ip,
+               std::shared_ptr<bgp::AttrTable> attrs =
+                   std::make_shared<bgp::AttrTable>())
+      : asn_(asn),
+        port_(ixp_port),
+        mac_(mac),
+        ip_(ip),
+        rib_(std::move(attrs)) {}
 
   net::Asn asn() const { return asn_; }
   net::PortId port() const { return port_; }
   net::MacAddress mac() const { return mac_; }
   net::Ipv4Address ip() const { return ip_; }
 
-  /// Applies a BGP UPDATE received over the route-server session.
+  /// Applies a BGP UPDATE received over the route-server session: its
+  /// attributes become one set that every announced prefix points at.
   void process_update(const bgp::UpdateMessage& update);
+
+  /// Installs \p prefix with the attribute set \p attrs (from this router's
+  /// table) — the FIB write shared by decoded UPDATEs and the runtime's
+  /// in-process update-group fan-out.
+  void announce(net::Ipv4Prefix prefix, bgp::AttrHandle attrs) {
+    rib_.add(prefix, attrs);
+  }
+  void withdraw(net::Ipv4Prefix prefix) { rib_.withdraw(prefix); }
 
   const bgp::Rib& rib() const { return rib_; }
 

@@ -53,9 +53,10 @@ Explanation explain(const SdxRuntime& runtime, ParticipantId sender,
   // including a partitioned deployment's per-receiver bindings.
   const dp::BorderRouter* router =
       runtime.fabric().router_at(s.ports[port_index].id);
-  const bgp::Route* route =
-      router == nullptr ? nullptr : router->rib().lookup(payload.dst_ip());
-  if (route == nullptr) {
+  const auto route = router == nullptr
+                         ? std::nullopt
+                         : router->rib().lookup(payload.dst_ip());
+  if (!route) {
     out.kind = RuleKind::kNoRoute;
     return out;
   }

@@ -135,7 +135,8 @@ ParticipantId SdxRuntime::add_participant(const std::string& name,
   port_map_.register_participant(stored.id, stored.port_ids());
   server_.add_peer({stored.id, asn, stored.primary_port().router_ip});
   for (const auto& port : stored.ports) {
-    routers_.emplace_back(asn, port.id, port.router_mac, port.router_ip);
+    routers_.emplace_back(asn, port.id, port.router_mac, port.router_ip,
+                          fib_attrs_);
     router_index_[stored.id].push_back(routers_.size() - 1);
     fabric_.attach(routers_.back());
   }
@@ -688,46 +689,81 @@ std::string SdxRuntime::dump_trace() const {
 void SdxRuntime::readvertise(Ipv4Prefix prefix) {
   const auto global = current_binding(prefix);
   const bool partitioned = installed() && compiled().partitioned;
+  const std::vector<bgp::Route>* ranked = server_.candidates(prefix);
+  struct Group {
+    const bgp::Route* best;  ///< nullptr: the group withdraws the prefix
+    Ipv4Address next_hop;
+    std::optional<bgp::AttrHandle> attrs;    ///< made on the first FIB write
+    std::optional<bgp::UpdateMessage> msg;  ///< built on the first wire send
+  };
+  std::vector<Group> groups;
   for (std::size_t slot = 0; slot < participants_.size(); ++slot) {
     const auto& p = participants_[slot];
     if (p.is_remote()) continue;
+    const bgp::Route* best =
+        ranked == nullptr ? nullptr
+                          : server_.best_for(*ranked, *server_.peer(p.id));
     // Per-receiver next hop: the fast-path (or pairwise group) binding is
     // receiver-independent; a partitioned artifact advertises each receiver
     // the binding of *its own* partition group — the tag encodes the
     // receiver's clause bitmap and default next hop, so it must never reach
     // another router. Prefixes outside the receiver's partition keep their
     // real (or remote-participant) next hop and ride MAC learning.
-    auto binding = global;
-    if (!binding && partitioned) {
-      binding = compiled().partition_binding_for(slot, prefix);
-    }
-    bgp::UpdateMessage msg;
-    auto best = server_.best_route(p.id, prefix);
-    if (!best) {
-      msg.withdrawn.push_back(prefix);
-    } else {
-      // best_route returns a copy: move its attributes into the message.
-      msg.attrs = std::move(best->attrs);
+    Ipv4Address next_hop;
+    if (best != nullptr) {
+      auto binding = global;
+      if (!binding && partitioned) {
+        binding = compiled().partition_binding_for(slot, prefix);
+      }
       if (binding) {
-        msg.attrs->next_hop = binding->vnh;
+        next_hop = binding->vnh;
       } else if (auto rb = remote_bindings_.find(best->learned_from);
                  rb != remote_bindings_.end()) {
-        msg.attrs->next_hop = rb->second.vnh;
+        next_hop = rb->second.vnh;
+      } else {
+        next_hop = best->attrs.next_hop;
       }
-      msg.nlri.push_back(prefix);
     }
+    auto g = std::find_if(groups.begin(), groups.end(), [&](const Group& x) {
+      return x.best == best && x.next_hop == next_hop;
+    });
+    if (g == groups.end()) {
+      g = groups.insert(groups.end(), Group{best, next_hop, {}, {}});
+    }
+    const auto attributes = [&g] {
+      bgp::RouteAttributes attrs = g->best->attrs;
+      attrs.next_hop = g->next_hop;
+      return attrs;
+    };
+    const auto& routers = router_index_[p.id];
+    std::size_t first = 0;
     if (frontend_ && frontend_->established(p.id)) {
-      frontend_bytes_->inc(frontend_->distribute(p.id, msg));
+      if (!g->msg) {
+        g->msg.emplace();
+        if (best == nullptr) {
+          g->msg->withdrawn.push_back(prefix);
+        } else {
+          g->msg->attrs = attributes();
+          g->msg->nlri.push_back(prefix);
+        }
+      }
+      frontend_bytes_->inc(frontend_->distribute(p.id, *g->msg));
       frontend_updates_->inc();
       // Secondary routers of multi-port participants share the view.
-      for (std::size_t k = 1; k < router_index_[p.id].size(); ++k) {
-        routers_[router_index_[p.id][k]].process_update(msg);
-      }
-    } else {
-      for (std::size_t ri : router_index_[p.id]) {
-        routers_[ri].process_update(msg);
-      }
+      first = 1;
     }
+    for (std::size_t k = first; k < routers.size(); ++k) {
+      auto& router = routers_[routers[k]];
+      if (best == nullptr) {
+        router.withdraw(prefix);
+        continue;
+      }
+      if (!g->attrs) g->attrs = fib_attrs_->make(attributes());
+      router.announce(prefix, *g->attrs);
+    }
+  }
+  for (const auto& g : groups) {
+    if (g.attrs) fib_attrs_->release(*g.attrs);
   }
 }
 
@@ -1090,8 +1126,10 @@ verify::DeploymentView SdxRuntime::deployment_view() const {
     std::set<Ipv4Prefix> known;
     for (auto prefix : self->server_.all_prefixes()) known.insert(prefix);
     for (const auto& router : self->routers_) {
-      router.rib().for_each(
-          [&known](const bgp::Route& route) { known.insert(route.prefix); });
+      router.rib().for_each([&known](Ipv4Prefix prefix,
+                                     const bgp::RouteAttributes&) {
+        known.insert(prefix);
+      });
     }
     return std::vector<Ipv4Prefix>(known.begin(), known.end());
   };
@@ -1115,8 +1153,8 @@ verify::DeploymentView SdxRuntime::deployment_view() const {
       }
     }
     for (const auto& router : self->routers_) {
-      const bgp::Route* route = router.rib().lookup(addr);
-      if (route == nullptr) continue;
+      const auto route = router.rib().lookup(addr);
+      if (!route) continue;
       if (!best || route->prefix.length() > best->length()) {
         best = route->prefix;
       }

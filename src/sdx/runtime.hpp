@@ -417,6 +417,10 @@ class SdxRuntime {
   /// only \p id's partition, swap its flow-table band under its cookie,
   /// ARP-bind the fresh bindings and re-advertise the affected prefixes.
   void recompile_participant_partition(ParticipantId id);
+  /// Re-advertises \p prefix to every physical participant. Receivers
+  /// with the same best candidate and the same next hop form one update
+  /// group: one attribute set in fib_attrs_ for all its in-process routers,
+  /// one UPDATE for all its wire sessions.
   void readvertise(Ipv4Prefix prefix);
   void bind_arp(const CompiledSdx& compiled);
   /// Post-install update routing: raced-delta tracking, then either an
@@ -479,6 +483,10 @@ class SdxRuntime {
   PortMap port_map_;
   VnhAllocator vnh_;
   dp::Fabric fabric_;
+  /// The attribute sets every router's FIB entries point into: one per
+  /// update group of each re-advertisement (see readvertise()).
+  std::shared_ptr<bgp::AttrTable> fib_attrs_ =
+      std::make_shared<bgp::AttrTable>();
   /// Routers keyed in participant slot order, one per physical port; deque
   /// keeps addresses stable for fabric attachment.
   std::deque<dp::BorderRouter> routers_;

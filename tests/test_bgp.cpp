@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "bgp/aspath_regex.hpp"
@@ -344,22 +345,63 @@ TEST(Decision, StrictWeakOrderOnRandomRoutes) {
 
 TEST(RibTest, AddWithdrawLpm) {
   Rib rib;
-  EXPECT_TRUE(rib.add(make_route("10.0.0.0/8", {1}, 1)));
-  EXPECT_FALSE(rib.add(make_route("10.0.0.0/8", {2}, 2)));  // replace
-  EXPECT_TRUE(rib.add(make_route("10.20.0.0/16", {3}, 3)));
+  // Each add takes its own reference; the writer drops the one make() gave.
+  auto add = [&rib](const Route& r) {
+    const AttrHandle h = rib.table().make(r.attrs);
+    const bool fresh = rib.add(r.prefix, h);
+    rib.table().release(h);
+    return fresh;
+  };
+  EXPECT_TRUE(add(make_route("10.0.0.0/8", {1}, 1)));
+  EXPECT_FALSE(add(make_route("10.0.0.0/8", {2}, 2)));  // replace
+  EXPECT_TRUE(add(make_route("10.20.0.0/16", {3}, 3)));
   EXPECT_EQ(rib.size(), 2u);
+  EXPECT_EQ(rib.table().live(), 2u);  // the replaced set was released
 
-  const Route* r = rib.lookup(Ipv4Address::parse("10.20.1.1"));
-  ASSERT_NE(r, nullptr);
-  EXPECT_EQ(r->prefix, Ipv4Prefix::parse("10.20.0.0/16"));
+  const auto specific = rib.lookup(Ipv4Address::parse("10.20.1.1"));
+  ASSERT_TRUE(specific.has_value());
+  EXPECT_EQ(specific->prefix, Ipv4Prefix::parse("10.20.0.0/16"));
 
-  r = rib.lookup(Ipv4Address::parse("10.99.1.1"));
-  ASSERT_NE(r, nullptr);
-  EXPECT_EQ(r->attrs.as_path, AsPath{2});
+  const auto covering = rib.lookup(Ipv4Address::parse("10.99.1.1"));
+  ASSERT_TRUE(covering.has_value());
+  EXPECT_EQ(covering->attrs.as_path, AsPath{2});
 
   EXPECT_TRUE(rib.withdraw(Ipv4Prefix::parse("10.20.0.0/16")));
   EXPECT_EQ(rib.lookup(Ipv4Address::parse("10.20.1.1"))->prefix,
             Ipv4Prefix::parse("10.0.0.0/8"));
+  EXPECT_EQ(rib.table().live(), 1u);
+  EXPECT_TRUE(rib.withdraw(Ipv4Prefix::parse("10.0.0.0/8")));
+  EXPECT_FALSE(rib.withdraw(Ipv4Prefix::parse("10.0.0.0/8")));
+  EXPECT_EQ(rib.table().live(), 0u);
+}
+
+TEST(RibTest, RoutersSharingATableShareOneSetPerWrite) {
+  auto table = std::make_shared<AttrTable>();
+  Rib a(table);
+  Rib b(table);
+  const auto p = Ipv4Prefix::parse("10.0.0.0/8");
+  const AttrHandle first = table->make(make_route("10.0.0.0/8", {1}, 1).attrs);
+  a.add(p, first);
+  b.add(p, first);
+  table->release(first);
+  EXPECT_EQ(table->live(), 1u);
+  EXPECT_EQ(a.find(p), b.find(p));  // one set, two entries
+
+  // Re-advertising to one router moves only that router's entry.
+  const AttrHandle second =
+      table->make(make_route("10.0.0.0/8", {2}, 2).attrs);
+  a.add(p, second);
+  table->release(second);
+  EXPECT_EQ(table->live(), 2u);
+  EXPECT_EQ(a.find(p)->as_path, AsPath{2});
+  EXPECT_EQ(b.find(p)->as_path, AsPath{1});
+  {
+    Rib moved(std::move(b));  // the entry moves with it, no extra reference
+    EXPECT_EQ(table->live(), 2u);
+  }
+  EXPECT_EQ(table->live(), 1u);  // destroying a Rib releases its entries
+  a.withdraw(p);
+  EXPECT_EQ(table->live(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -31,8 +31,7 @@ TEST(BgpFrontendTest, HandshakeAndUpdateDelivery) {
   const std::size_t bytes = frontend.distribute(1, u);
   EXPECT_GT(bytes, 19u);
   ASSERT_EQ(router.rib().size(), 1u);
-  EXPECT_EQ(router.rib().find(Ipv4Prefix::parse("100.1.0.0/16"))
-                ->attrs.next_hop,
+  EXPECT_EQ(router.rib().find(Ipv4Prefix::parse("100.1.0.0/16"))->next_hop,
             Ipv4Address::parse("172.16.0.1"));
 
   // Withdrawal removes the entry again.
@@ -256,10 +255,11 @@ TEST(BgpFrontendTest, WireDistributionMatchesDirectPath) {
     const auto& direct = rt.router(id).rib();
     const auto& shadow = shadows[i++].rib();
     ASSERT_EQ(direct.size(), shadow.size()) << "participant " << id;
-    direct.for_each([&shadow, id](const bgp::Route& r) {
-      const bgp::Route* s = shadow.find(r.prefix);
-      ASSERT_NE(s, nullptr) << r.prefix.to_string();
-      EXPECT_EQ(s->attrs, r.attrs) << "participant " << id;
+    direct.for_each([&shadow, id](Ipv4Prefix prefix,
+                                  const bgp::RouteAttributes& attrs) {
+      const bgp::RouteAttributes* s = shadow.find(prefix);
+      ASSERT_NE(s, nullptr) << prefix.to_string();
+      EXPECT_EQ(*s, attrs) << "participant " << id;
     });
   }
   EXPECT_EQ(frontend.updates_distributed(), 6u);  // 2 prefixes × 3 peers

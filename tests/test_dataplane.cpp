@@ -217,13 +217,15 @@ TEST_F(BorderRouterFixture, WithdrawalRemovesFibEntry) {
       router.forward(PacketBuilder().dst_ip("100.1.2.3").build(), arp));
 }
 
-/// The route a border router must hold for \p prefix after \p msg: what a
-/// fresh Route built from the message holds, whatever the FIB held before.
-bgp::Route route_from(const bgp::UpdateMessage& msg, Ipv4Prefix prefix) {
-  bgp::Route r;
-  r.prefix = prefix;
-  r.attrs = *msg.attrs;
-  return r;
+/// Every FIB entry of \p router, in prefix order.
+std::vector<std::pair<Ipv4Prefix, bgp::RouteAttributes>> fib_of(
+    const BorderRouter& router) {
+  std::vector<std::pair<Ipv4Prefix, bgp::RouteAttributes>> out;
+  router.rib().for_each(
+      [&out](Ipv4Prefix prefix, const bgp::RouteAttributes& attrs) {
+        out.emplace_back(prefix, attrs);
+      });
+  return out;
 }
 
 TEST_F(BorderRouterFixture, ReannouncementReplacesRouteInPlace) {
@@ -238,7 +240,7 @@ TEST_F(BorderRouterFixture, ReannouncementReplacesRouteInPlace) {
   first.nlri = {p};
   router.process_update(first);
   ASSERT_NE(router.rib().find(p), nullptr);
-  EXPECT_EQ(*router.rib().find(p), route_from(first, p));
+  EXPECT_EQ(*router.rib().find(p), *first.attrs);
 
   // Shorter path, no communities, no MED, new next hop: nothing of the
   // first announcement may survive the in-place replacement.
@@ -249,7 +251,7 @@ TEST_F(BorderRouterFixture, ReannouncementReplacesRouteInPlace) {
   second.nlri = {p};
   router.process_update(second);
   ASSERT_NE(router.rib().find(p), nullptr);
-  EXPECT_EQ(*router.rib().find(p), route_from(second, p));
+  EXPECT_EQ(*router.rib().find(p), *second.attrs);
   EXPECT_EQ(router.rib().size(), 2u);
 }
 
@@ -269,7 +271,7 @@ TEST_F(BorderRouterFixture, WithdrawThenReannounce) {
   announce.nlri = {p};
   router.process_update(announce);
   ASSERT_NE(router.rib().find(p), nullptr);
-  EXPECT_EQ(*router.rib().find(p), route_from(announce, p));
+  EXPECT_EQ(*router.rib().find(p), *announce.attrs);
   EXPECT_TRUE(
       router.forward(PacketBuilder().dst_ip("100.1.2.3").build(), arp));
 }
@@ -299,12 +301,14 @@ TEST_F(BorderRouterFixture, MixedUpdateWithdrawsAndAnnounces) {
 
   EXPECT_EQ(router.rib().find(held), nullptr);
   ASSERT_NE(router.rib().find(other), nullptr);
-  EXPECT_EQ(*router.rib().find(other), route_from(mixed, other));
+  EXPECT_EQ(*router.rib().find(other), *mixed.attrs);
   ASSERT_NE(router.rib().find(fresh), nullptr);
-  EXPECT_EQ(*router.rib().find(fresh), route_from(mixed, fresh));
-  const std::vector<bgp::Route> expected = {route_from(mixed, other),
-                                            route_from(mixed, fresh)};
-  EXPECT_EQ(router.rib().routes(), expected);
+  EXPECT_EQ(*router.rib().find(fresh), *mixed.attrs);
+  // Both prefixes of the UPDATE point at one attribute set.
+  EXPECT_EQ(router.rib().find(other), router.rib().find(fresh));
+  const std::vector<std::pair<Ipv4Prefix, bgp::RouteAttributes>> expected = {
+      {other, *mixed.attrs}, {fresh, *mixed.attrs}};
+  EXPECT_EQ(fib_of(router), expected);
 }
 
 TEST_F(BorderRouterFixture, AcceptsOwnMacAndBroadcastOnly) {

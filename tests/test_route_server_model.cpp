@@ -2,12 +2,16 @@
 /// reference model (flat maps, best recomputed from scratch with the same
 /// decision function) is driven with the same random announce/withdraw
 /// sequence, and every observable — per-participant best routes, export
-/// eligibility, reach sets, change events — must agree at every step.
+/// eligibility, reach sets, change events (which participants, and their
+/// old and new best routes) — must agree at every step.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "bgp/route_server.hpp"
 #include "netbase/rng.hpp"
@@ -109,6 +113,12 @@ TEST_P(RouteServerModel, AgreesWithNaiveReferenceUnderFuzz) {
   for (int step = 0; step < 400; ++step) {
     const auto prefix = universe[rng.below(universe.size())];
     const auto who = static_cast<ParticipantId>(1 + rng.below(kPeers));
+    std::map<ParticipantId, std::optional<Route>> before;
+    for (const auto& p : model.peers()) {
+      before[p.id] = model.best_route(p.id, prefix);
+    }
+    std::vector<RouteServer::BestChange> changes;
+    std::string what;
     if (rng.chance(0.7)) {
       Route r;
       r.prefix = prefix;
@@ -130,28 +140,34 @@ TEST_P(RouteServerModel, AgreesWithNaiveReferenceUnderFuzz) {
       r.attrs.next_hop = Ipv4Address(static_cast<std::uint32_t>(who));
       r.learned_from = who;
       r.peer_router_id = Ipv4Address(static_cast<std::uint32_t>(who));
-
-      // Change events must fire exactly when a best route changes.
-      std::map<ParticipantId, std::optional<Route>> before;
-      for (const auto& p : model.peers()) {
-        before[p.id] = model.best_route(p.id, prefix);
-      }
-      auto changes = real.announce(r);
+      what = "announce " + r.to_string();
+      changes = real.announce(r);
       model.announce(r);
-      for (const auto& p : model.peers()) {
-        auto after = model.best_route(p.id, prefix);
-        const bool changed = before[p.id] != after;
-        const bool reported =
-            std::any_of(changes.begin(), changes.end(),
-                        [&p](const RouteServer::BestChange& c) {
-                          return c.participant == p.id;
-                        });
-        ASSERT_EQ(changed, reported)
-            << "step " << step << " peer " << p.id << " " << r.to_string();
-      }
     } else {
-      real.withdraw(who, prefix);
+      what = "withdraw " + prefix.to_string() + " by " + std::to_string(who);
+      changes = real.withdraw(who, prefix);
       model.withdraw(who, prefix);
+    }
+
+    // Change events must fire exactly when a best route changes, once per
+    // participant, and carry the model's best before and after.
+    for (const auto& p : model.peers()) {
+      const auto after = model.best_route(p.id, prefix);
+      const auto n = std::count_if(
+          changes.begin(), changes.end(),
+          [&p](const RouteServer::BestChange& c) {
+            return c.participant == p.id;
+          });
+      ASSERT_EQ(before[p.id] != after, n == 1)
+          << "step " << step << " peer " << p.id << " " << what;
+      ASSERT_LE(n, 1) << "step " << step << " peer " << p.id << " " << what;
+    }
+    for (const auto& c : changes) {
+      EXPECT_EQ(c.prefix, prefix) << "step " << step << " " << what;
+      EXPECT_EQ(c.old_best, before[c.participant])
+          << "step " << step << " peer " << c.participant << " " << what;
+      EXPECT_EQ(c.new_best, model.best_route(c.participant, prefix))
+          << "step " << step << " peer " << c.participant << " " << what;
     }
 
     // Spot-check all observables over the touched prefix.

@@ -93,10 +93,10 @@ TEST(RuntimeLifecycle, ArpCarriesVnhBindingsAfterInstall) {
   ASSERT_TRUE(resolved.has_value());
   EXPECT_EQ(*resolved, binding.vmac);
   // And the router's FIB entry points at the VNH.
-  const auto* route =
+  const auto* attrs =
       rt.router(a).rib().find(Ipv4Prefix::parse("100.1.0.0/16"));
-  ASSERT_NE(route, nullptr);
-  EXPECT_EQ(route->attrs.next_hop, binding.vnh);
+  ASSERT_NE(attrs, nullptr);
+  EXPECT_EQ(attrs->next_hop, binding.vnh);
 }
 
 TEST(RuntimeLifecycle, SessionDownWithdrawsRoutesAndPolicies) {
