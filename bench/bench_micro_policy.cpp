@@ -143,12 +143,21 @@ void fill_vmac_rules(dp::FlowTable& table, std::size_t n) {
   }
 }
 
-void lookup_loop(benchmark::State& state, dp::FlowTable& table,
-                 dp::FlowTable::LookupMode mode,
+void lookup_loop(benchmark::State& state, const dp::FlowTable& table,
                  const net::PacketHeader& packet) {
-  table.set_lookup_mode(mode);
   for (auto _ : state) {
     benchmark::DoNotOptimize(table.lookup(packet));
+  }
+  state.SetComplexityN(state.range(0));
+}
+
+/// The reference scan (dp::reference_lookup over rules(), taken once per
+/// table) as the linear baseline.
+void reference_loop(benchmark::State& state, const dp::FlowTable& table,
+                    const net::PacketHeader& packet) {
+  const auto ordered = table.rules();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dp::reference_lookup(ordered, packet));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -165,7 +174,7 @@ void BM_FlowTableLookup(benchmark::State& state) {
                         0x0A000000u + (static_cast<std::uint32_t>(
                                            rng.below(n)) << 8)))
                     .build();
-  lookup_loop(state, table, dp::FlowTable::LookupMode::kLinear, packet);
+  reference_loop(state, table, packet);
 }
 BENCHMARK(BM_FlowTableLookup)->Range(64, 4096)->Complexity();
 
@@ -179,7 +188,7 @@ void BM_FlowTableLookupClassified(benchmark::State& state) {
                         0x0A000000u + (static_cast<std::uint32_t>(
                                            rng.below(n)) << 8)))
                     .build();
-  lookup_loop(state, table, dp::FlowTable::LookupMode::kClassified, packet);
+  lookup_loop(state, table, packet);
 }
 BENCHMARK(BM_FlowTableLookupClassified)->Range(64, 4096)->Complexity();
 
@@ -195,7 +204,7 @@ void BM_FlowTableLookupVmacLinear(benchmark::State& state) {
       net::PacketBuilder()
           .dst_mac(net::MacAddress(vmac_spec().top_value | group))
           .build();
-  lookup_loop(state, table, dp::FlowTable::LookupMode::kLinear, packet);
+  reference_loop(state, table, packet);
 }
 BENCHMARK(BM_FlowTableLookupVmacLinear)->Range(64, 4096)->Complexity();
 
@@ -211,7 +220,7 @@ void BM_FlowTableLookupVmacClassified(benchmark::State& state) {
       net::PacketBuilder()
           .dst_mac(net::MacAddress(vmac_spec().top_value | group))
           .build();
-  lookup_loop(state, table, dp::FlowTable::LookupMode::kClassified, packet);
+  lookup_loop(state, table, packet);
 }
 BENCHMARK(BM_FlowTableLookupVmacClassified)->Range(64, 4096)->Complexity();
 

@@ -23,7 +23,8 @@
 /// administered) or future lane spec can alias it and the miss-rate
 /// columns stay exact by construction.
 ///
-/// Modes: `classified` and `linear` time single-threaded lookup();
+/// Modes: `classified` times single-threaded lookup() and `linear` the
+/// reference scan (dp::reference_lookup over the table's rules());
 /// `batch<B>` (B in {8, 64, 1024}) times lookup_batch() over consecutive
 /// B-packet windows of the same stream; `mt` runs the classified table
 /// through process() from N concurrent threads and `mtbatch` through
@@ -191,15 +192,17 @@ struct PhaseResult {
   double seconds = 0.0;
 };
 
-/// Single-threaded lookup() loop, fixed iteration count.
-PhaseResult run_lookup(const dp::FlowTable& table,
+/// Single-threaded loop of one lookup function (FlowTable::lookup or the
+/// reference scan), fixed iteration count.
+template <typename Lookup>
+PhaseResult run_lookup(const Lookup& lookup,
                        const std::vector<net::PacketHeader>& pkts,
                        std::size_t lookups) {
   PhaseResult res;
   res.lookups = lookups;
   bench::Stopwatch sw;
   for (std::size_t i = 0; i < lookups; ++i) {
-    res.matched += table.lookup(pkts[i & 255]) != nullptr;
+    res.matched += lookup(pkts[i & 255]) != nullptr;
   }
   res.seconds = sw.seconds();
   return res;
@@ -361,6 +364,7 @@ int main() {
     dp::FlowTable table;
     table.set_vmac_lanes(vmac_spec());
     fill_rules(table, n);
+    const auto ordered = table.rules();
     metrics
         .counter("sdx_packet_bench_rules_total",
                  "flow rules installed across bench tables")
@@ -382,8 +386,10 @@ int main() {
             .inc(r.matched);
       };
 
-      table.set_lookup_mode(dp::FlowTable::LookupMode::kClassified);
-      record("classified", 1, run_lookup(table, pkts, classified_lookups));
+      const auto classified = [&table](const net::PacketHeader& h) {
+        return table.lookup(h);
+      };
+      record("classified", 1, run_lookup(classified, pkts, classified_lookups));
       for (const std::size_t b : bursts) {
         const std::string mode = "batch" + std::to_string(b);
         record(mode.c_str(), 1,
@@ -393,9 +399,10 @@ int main() {
       record("mtbatch", threads,
              run_process_batch_mt(table, pkts, mt_lookups, threads));
       if (n < kLinearCutoff) {
-        table.set_lookup_mode(dp::FlowTable::LookupMode::kLinear);
-        record("linear", 1, run_lookup(table, pkts, linear_lookups));
-        table.set_lookup_mode(dp::FlowTable::LookupMode::kClassified);
+        const auto linear = [&ordered](const net::PacketHeader& h) {
+          return dp::reference_lookup(ordered, h);
+        };
+        record("linear", 1, run_lookup(linear, pkts, linear_lookups));
       }
     }
   }

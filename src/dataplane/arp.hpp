@@ -31,17 +31,29 @@ class ArpResponder {
     miss_counter_ = misses;
   }
 
-  /// Answers an ARP query. std::nullopt when the address is unknown.
+  /// Answers an ARP query and counts it. std::nullopt when the address is
+  /// unknown.
   std::optional<net::MacAddress> resolve(net::Ipv4Address ip) const {
+    const net::MacAddress* mac = lookup(ip);
+    count_query(mac != nullptr);
+    if (mac == nullptr) return std::nullopt;
+    return *mac;
+  }
+
+  /// resolve() without the accounting: the binding for \p ip (nullptr when
+  /// unknown; valid until the next bind/unbind), no counter moves.
+  const net::MacAddress* lookup(net::Ipv4Address ip) const {
+    const auto it = table_.find(ip);
+    return it == table_.end() ? nullptr : &it->second;
+  }
+
+  /// Books one query that lookup() answered (or, when !answered, missed).
+  void count_query(bool answered) const {
     ++queries_;
     if (query_counter_ != nullptr) query_counter_->inc();
-    auto it = table_.find(ip);
-    if (it == table_.end()) {
-      ++misses_;
-      if (miss_counter_ != nullptr) miss_counter_->inc();
-      return std::nullopt;
-    }
-    return it->second;
+    if (answered) return;
+    ++misses_;
+    if (miss_counter_ != nullptr) miss_counter_->inc();
   }
 
   std::size_t size() const { return table_.size(); }

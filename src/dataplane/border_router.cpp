@@ -13,22 +13,31 @@ void BorderRouter::process_update(const bgp::UpdateMessage& update) {
 
 std::optional<net::PacketHeader> BorderRouter::forward(
     net::PacketHeader payload, const ArpResponder& arp) const {
-  const auto route = rib_.lookup(payload.dst_ip());
-  if (!route) {
+  const Framing f = frame(payload, arp);
+  if (f.routed) arp.count_query(f.framed);
+  if (!f.framed) {
     ++blackholed_;
     return std::nullopt;
   }
-  auto next_hop_mac = arp.resolve(route->attrs.next_hop);
-  if (!next_hop_mac) {
-    ++blackholed_;
-    return std::nullopt;
-  }
-  payload.set_src_mac(mac_);
-  payload.set_dst_mac(*next_hop_mac);
-  payload.set(net::Field::kEthType, net::kEthTypeIpv4);
-  payload.set_port(port_);
   ++forwarded_;
   return payload;
+}
+
+BorderRouter::Framing BorderRouter::frame(net::PacketHeader& packet,
+                                          const ArpResponder& arp) const {
+  Framing out;
+  const auto route = rib_.lookup(packet.dst_ip());
+  if (!route) return out;
+  out.routed = true;
+  out.route = route->prefix;
+  const net::MacAddress* next_hop_mac = arp.lookup(route->attrs.next_hop);
+  if (next_hop_mac == nullptr) return out;
+  packet.set_src_mac(mac_);
+  packet.set_dst_mac(*next_hop_mac);
+  packet.set(net::Field::kEthType, net::kEthTypeIpv4);
+  packet.set_port(port_);
+  out.framed = true;
+  return out;
 }
 
 }  // namespace sdx::dp

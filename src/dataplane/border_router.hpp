@@ -61,8 +61,22 @@ class BorderRouter {
   /// Forwards an IP packet toward \p payload's destination: LPM → next-hop
   /// IP → ARP → frame on the IXP port. Returns std::nullopt when the router
   /// has no route or the ARP query goes unanswered (packet blackholed).
+  /// This is frame() plus the router's and the ARP responder's accounting.
   std::optional<net::PacketHeader> forward(net::PacketHeader payload,
                                            const ArpResponder& arp) const;
+
+  /// What frame() found.
+  struct Framing {
+    bool routed = false;    ///< a FIB entry covers the destination
+    bool framed = false;    ///< and its next hop's ARP query was answered
+    net::Ipv4Prefix route;  ///< the longest-prefix match, when routed
+  };
+
+  /// forward() without the accounting: frames \p packet in place for the
+  /// IXP port when it is routed and its next hop resolves, and leaves it
+  /// untouched otherwise. No router or ARP counter moves. Safety probes and
+  /// explanations frame through this.
+  Framing frame(net::PacketHeader& packet, const ArpResponder& arp) const;
 
   /// True when a frame arriving at this router is addressed to it (the
   /// fabric must have rewritten the VMAC back to the router's real MAC —

@@ -21,6 +21,14 @@ std::string FlowRule::to_string() const {
   return os.str();
 }
 
+const FlowRule* reference_lookup(std::span<const FlowRule* const> ordered,
+                                 const PacketHeader& h) {
+  for (const FlowRule* r : ordered) {
+    if (r->match.matches(h)) return r;
+  }
+  return nullptr;
+}
+
 void FlowTable::install(FlowRule rule) {
   const std::uint64_t seq = next_sequence_++;
   std::size_t idx;
@@ -81,23 +89,7 @@ void FlowTable::clear() {
 }
 
 const FlowRule* FlowTable::lookup(const PacketHeader& h) const {
-  if (mode_ == LookupMode::kLinear) return lookup_linear(h);
   return classifier_.lookup(h);
-}
-
-const FlowRule* FlowTable::lookup_linear(const PacketHeader& h) const {
-  // Reference scan: best = highest priority, ties to lowest sequence.
-  // Equivalent to first-match over the old (priority desc, seq asc)
-  // sorted vector, without maintaining one.
-  const Slot* best = nullptr;
-  for (const Slot& s : slots_) {
-    if (!s.alive || !s.rule.match.matches(h)) continue;
-    if (best == nullptr || s.rule.priority > best->rule.priority ||
-        (s.rule.priority == best->rule.priority && s.seq < best->seq)) {
-      best = &s;
-    }
-  }
-  return best != nullptr ? &best->rule : nullptr;
 }
 
 std::vector<PacketHeader> FlowTable::process(const PacketHeader& h) const {
@@ -112,19 +104,19 @@ std::vector<PacketHeader> FlowTable::process(const PacketHeader& h) const {
   r->packet_count.inc();
   std::vector<PacketHeader> out;
   out.reserve(r->actions.size());
-  for (const auto& a : r->actions) out.push_back(a.apply(h));
+  r->apply(h, out);
+  return out;
+}
+
+std::vector<PacketHeader> FlowTable::probe(const PacketHeader& h) const {
+  std::vector<PacketHeader> out;
+  if (const FlowRule* r = lookup(h)) r->apply(h, out);
   return out;
 }
 
 void FlowTable::lookup_batch(std::span<const PacketHeader> pkts,
                              std::span<const FlowRule*> out) const {
-  if (mode_ == LookupMode::kLinear) {
-    for (std::size_t i = 0; i < pkts.size(); ++i) {
-      out[i] = lookup_linear(pkts[i]);
-    }
-  } else {
-    classifier_.lookup_batch(pkts, out);
-  }
+  classifier_.lookup_batch(pkts, out);
   if (batch_desync_) {
     // Oracle test seam: the batch path "reads" a stale empty snapshot.
     for (std::size_t i = 0; i < pkts.size(); ++i) out[i] = nullptr;
@@ -149,7 +141,7 @@ FlowTable::BatchResult FlowTable::process_batch(
     } else {
       ++matched;
       r->packet_count.inc();
-      for (const auto& a : r->actions) res.frames.push_back(a.apply(pkts[i]));
+      r->apply(pkts[i], res.frames);
     }
     res.offsets.push_back(static_cast<std::uint32_t>(res.frames.size()));
   }

@@ -14,12 +14,11 @@
 /// remove_by_cookie never reshuffle a giant sorted vector and rule
 /// pointers stay valid across unrelated mutations.
 ///
-/// Concurrency: lookup() and process() in the default kClassified mode are
-/// read-only on the table structure and use relaxed atomics for all
-/// counters — any number of threads may classify packets concurrently, as
-/// long as no install/remove/clear runs at the same time (single-writer,
-/// externally synchronized, exactly like a hardware table update). The
-/// kLinear reference mode shares the same contract.
+/// Concurrency: lookup() and process() are read-only on the table
+/// structure and use relaxed atomics for all counters — any number of
+/// threads may classify packets concurrently, as long as no
+/// install/remove/clear runs at the same time (single-writer, externally
+/// synchronized, exactly like a hardware table update).
 
 #include <atomic>
 #include <cstdint>
@@ -76,16 +75,24 @@ struct FlowRule {
   RelaxedCounter packet_count;
 
   bool drops() const { return actions.empty(); }
+  /// Appends the frames this rule's actions make of \p h (none for a drop).
+  /// The one action-application step of process(), process_batch() and
+  /// probe(); it bumps no counter.
+  void apply(const PacketHeader& h, std::vector<PacketHeader>& out) const {
+    for (const auto& a : actions) out.push_back(a.apply(h));
+  }
   std::string to_string() const;
 };
 
+/// The reference scan: the first rule of \p ordered (a rules() list, in
+/// match order) that matches \p h; nullptr when none does. FlowTable::lookup
+/// must return the identical rule on the same table — tests, the
+/// differential oracle and the benches compare the two.
+const FlowRule* reference_lookup(std::span<const FlowRule* const> ordered,
+                                 const PacketHeader& h);
+
 class FlowTable {
  public:
-  /// Lookup strategy. kClassified (default) runs the lane/tuple pipeline;
-  /// kLinear is the O(n) reference scan kept for differential testing and
-  /// as the baseline in benches. Both produce the identical rule.
-  enum class LookupMode { kClassified, kLinear };
-
   /// Installs one rule.
   void install(FlowRule rule);
 
@@ -107,10 +114,14 @@ class FlowTable {
   /// its counter. No match or a drop rule yields an empty set.
   std::vector<PacketHeader> process(const PacketHeader& h) const;
 
+  /// process() without the accounting: the same frames, but no table or
+  /// rule counter moves. The safety checker's step — verifying the
+  /// deployment is not traffic.
+  std::vector<PacketHeader> probe(const PacketHeader& h) const;
+
   /// Burst lookup: out[i] = lookup(pkts[i]) for every i, amortized across
-  /// the burst (see PacketClassifier::lookup_batch). In kLinear mode this
-  /// degrades to the per-packet reference scan, so both modes stay
-  /// differentially comparable. Requires out.size() >= pkts.size().
+  /// the burst (see PacketClassifier::lookup_batch). Requires
+  /// out.size() >= pkts.size().
   void lookup_batch(std::span<const PacketHeader> pkts,
                     std::span<const FlowRule*> out) const;
 
@@ -148,9 +159,6 @@ class FlowTable {
   /// pointer is not a live rule of this table.
   std::optional<std::size_t> index_of(const FlowRule* rule) const;
 
-  LookupMode lookup_mode() const { return mode_; }
-  void set_lookup_mode(LookupMode m) { mode_ = m; }
-
   /// Adopts the control plane's VMAC bit layout: masked dst-MAC rules that
   /// match the layout's shapes are re-indexed into exact-match lanes. All
   /// live rules are re-indexed; semantics never change, only probe cost.
@@ -159,8 +167,8 @@ class FlowTable {
   const PacketClassifier& classifier() const { return classifier_; }
 
   /// Test seam for the differential oracle's fault self-check: wipes the
-  /// classifier index without touching rule storage, so classified lookups
-  /// visibly diverge from the linear reference.
+  /// classifier index without touching rule storage, so lookup() visibly
+  /// diverges from reference_lookup().
   void corrupt_classifier_for_test() { classifier_.clear(); }
 
   /// Test seam for the oracle's batch-desync fault (equivalence g): makes
@@ -192,8 +200,6 @@ class FlowTable {
     bool alive = false;
   };
 
-  const FlowRule* lookup_linear(const PacketHeader& h) const;
-
   // Deque keeps slot addresses stable across growth; tombstoned slots are
   // recycled through free_ so long-lived tables don't leak arena space.
   std::deque<Slot> slots_;
@@ -203,7 +209,6 @@ class FlowTable {
   std::uint64_t next_sequence_ = 0;
 
   PacketClassifier classifier_;
-  LookupMode mode_ = LookupMode::kClassified;
   bool batch_desync_ = false;  ///< oracle test seam, see above
 
   mutable std::atomic<std::uint64_t> matched_{0};

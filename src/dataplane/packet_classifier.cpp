@@ -468,7 +468,7 @@ void PacketClassifier::lookup_batch(std::span<const net::PacketHeader> pkts,
     }
     sc.dst_have.assign(uniq, 0);
     sc.src_have.assign(uniq, 0);
-    const auto dst_viable = [this, &sc](std::uint32_t u) {
+    const auto dst_viable = [this](std::uint32_t u) {
       if (!sc.dst_have[u]) {
         auto [val, fresh] = sc.dst_memo.slot(sc.fields[kDstIpIdx][u]);
         if (fresh) {
@@ -483,7 +483,7 @@ void PacketClassifier::lookup_batch(std::span<const net::PacketHeader> pkts,
       }
       return sc.dst_bm[u];
     };
-    const auto src_viable = [this, &sc](std::uint32_t u) {
+    const auto src_viable = [this](std::uint32_t u) {
       if (!sc.src_have[u]) {
         auto [val, fresh] = sc.src_memo.slot(sc.fields[kSrcIpIdx][u]);
         if (fresh) {

@@ -113,25 +113,31 @@ void apply_op(SdxRuntime& rt, const Trace& t, const TraceOp& op) {
   }
 }
 
+/// The well-known ports of the probe set: policy clauses (80/443) and
+/// default forwarding (53).
+constexpr std::uint16_t kProbePorts[] = {80, 443, 53};
+
+/// The probe payload toward prefix \p j on destination port \p port.
+net::PacketHeader probe_payload(std::size_t j, std::uint16_t port) {
+  return net::PacketBuilder()
+      .src_ip("192.0.2.1")
+      .dst_ip(net::Ipv4Address(prefix_of(j).network().value() | 7))
+      .proto(6)
+      .dst_port(port)
+      .build();
+}
+
 /// One forwarding probe per (sender, prefix, well-known port): the
-/// signature covers every policy clause (80/443) and default forwarding
-/// (53) for every destination the trace can touch.
+/// signature covers every policy clause and default forwarding for every
+/// destination the trace can touch.
 std::vector<std::string> probe_signature(SdxRuntime& rt, const Trace& t) {
   std::vector<std::string> out;
   out.reserve(std::size_t{t.participants} * t.prefixes * 3);
   for (std::size_t s = 1; s <= t.participants; ++s) {
     for (std::size_t j = 0; j < t.prefixes; ++j) {
-      for (const std::uint16_t port : {80, 443, 53}) {
-        const auto dst =
-            net::Ipv4Address(prefix_of(j).network().value() | 7);
+      for (const std::uint16_t port : kProbePorts) {
         auto deliveries =
-            rt.send(static_cast<bgp::ParticipantId>(s),
-                    net::PacketBuilder()
-                        .src_ip("192.0.2.1")
-                        .dst_ip(dst)
-                        .proto(6)
-                        .dst_port(port)
-                        .build());
+            rt.send(static_cast<bgp::ParticipantId>(s), probe_payload(j, port));
         std::ostringstream line;
         line << "P" << s << "->x" << j << ":" << port << " =";
         if (deliveries.empty()) {
@@ -162,15 +168,8 @@ std::vector<std::string> probe_signature_batch(SdxRuntime& rt,
     std::vector<std::pair<std::size_t, std::uint16_t>> meta;
     payloads.reserve(std::size_t{t.prefixes} * 3);
     for (std::size_t j = 0; j < t.prefixes; ++j) {
-      for (const std::uint16_t port : {80, 443, 53}) {
-        const auto dst =
-            net::Ipv4Address(prefix_of(j).network().value() | 7);
-        payloads.push_back(net::PacketBuilder()
-                               .src_ip("192.0.2.1")
-                               .dst_ip(dst)
-                               .proto(6)
-                               .dst_port(port)
-                               .build());
+      for (const std::uint16_t port : kProbePorts) {
+        payloads.push_back(probe_payload(j, port));
         meta.emplace_back(j, port);
       }
     }
@@ -436,10 +435,10 @@ OracleVerdict DifferentialOracle::check(const Trace& trace) const {
     if (!verdict.ok) return verdict;
   }
 
-  // (e) classified lookup ≡ linear reference scan, over the identical
-  // installed table. Partitioned mode exercises every lane: masked VMAC
-  // rules (next-hop field + attribute bits), exact VMACs, and the port /
-  // clause / catch-all tuples.
+  // (e) classified lookup ≡ reference scan, rule for rule, on every frame
+  // the probe set puts on the fabric. Partitioned mode exercises every
+  // lane: masked VMAC rules (next-hop field + attribute bits), exact VMACs,
+  // and the port / clause / catch-all tuples.
   if (options_.check_classifier) {
     SdxRuntime rt(bgp::DecisionConfig{},
                   core::CompileOptions{.partitioned = true});
@@ -451,14 +450,28 @@ OracleVerdict DifferentialOracle::check(const Trace& trace) const {
     if (options_.fault == Fault::kDesyncClassifiedLookup) {
       table.corrupt_classifier_for_test();
     }
-    table.set_lookup_mode(dp::FlowTable::LookupMode::kClassified);
-    auto classified = probe_signature(rt, trace);
-    table.set_lookup_mode(dp::FlowTable::LookupMode::kLinear);
-    auto linear = probe_signature(rt, trace);
-    table.set_lookup_mode(dp::FlowTable::LookupMode::kClassified);
-    auto verdict = diff_signatures(linear, classified, "classifier",
-                                   "linear vs classified");
-    if (!verdict.ok) return verdict;
+    const auto ordered = table.rules();
+    const auto name = [](const dp::FlowRule* r) {
+      return r != nullptr ? r->to_string() : std::string("miss");
+    };
+    for (std::size_t s = 1; s <= trace.participants; ++s) {
+      const auto& router = rt.router(static_cast<bgp::ParticipantId>(s));
+      for (std::size_t j = 0; j < trace.prefixes; ++j) {
+        for (const std::uint16_t port : kProbePorts) {
+          auto frame = probe_payload(j, port);
+          if (!router.frame(frame, rt.fabric().arp()).framed) continue;
+          const dp::FlowRule* want = dp::reference_lookup(ordered, frame);
+          const dp::FlowRule* got = table.lookup(frame);
+          if (got != want) {
+            return {false, "classifier",
+                    "reference vs classified diverge at P" +
+                        std::to_string(s) + "->x" + std::to_string(j) + ":" +
+                        std::to_string(port) + ": \"" + name(want) +
+                        "\" vs \"" + name(got) + "\""};
+          }
+        }
+      }
+    }
   }
 
   // (g) batched lookup ≡ per-packet lookup, over the identical installed

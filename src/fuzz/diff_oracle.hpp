@@ -21,10 +21,10 @@
 ///                     per-participant pipeline (attribute-encoded VMACs,
 ///                     masked stage-1 rules) must forward packets exactly
 ///                     like the pairwise cross-product pipeline;
-///   (e) classification — probing the installed flow table through the
-///                     lane/tuple classification pipeline must return the
-///                     same deliveries as the linear reference scan over
-///                     the identical table.
+///   (e) classification — for every probe frame a sender's border router
+///                     emits, the installed flow table's lane/tuple lookup
+///                     must return the very rule the reference scan
+///                     (dp::reference_lookup over rules()) picks.
 ///   (g) batching    — replaying the probe set through the burst path
 ///                     (send_batch → FlowTable::process_batch) must yield
 ///                     the same deliveries and the same match/miss

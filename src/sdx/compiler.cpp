@@ -738,7 +738,6 @@ void SdxCompiler::compile_pairwise(const BestRouteSnapshot& snapshot,
     StageTimer stage(span_tracer(), "compose", stats.compose_seconds);
     result.fabric = compose(std::move(stage1), stats, pool);
   }
-  if (options_.full_optimize) result.fabric.optimize(/*full=*/true);
 }
 
 FecResult SdxCompiler::partition_fecs(

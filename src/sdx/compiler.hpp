@@ -69,10 +69,6 @@ struct CompileOptions {
   /// §4.3.1 memoize per-participant stage-2 classifiers. Off → rebuild the
   /// stage-2 classifier for every composed rule.
   bool memoize_stage2 = true;
-  /// Run full (quadratic) shadow elimination on the final classifier
-  /// (pairwise pipeline only; the partitioned pipeline keeps its band
-  /// structure intact).
-  bool full_optimize = false;
   /// iSDX-style partitioned compilation: each participant's outbound
   /// policies compile into an independent partition whose stage-1 rules
   /// match attribute bits of the VMAC under a mask, replacing the pairwise

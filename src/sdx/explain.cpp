@@ -47,40 +47,36 @@ Explanation explain(const SdxRuntime& runtime, ParticipantId sender,
     return out;
   }
 
-  // 1. Border-router step, framed exactly as BorderRouter::forward does it
-  // (LPM over the router's own RIB → next hop → ARP) but without touching
-  // the router's counters: the router holds whatever was advertised to it,
-  // including a partitioned deployment's per-receiver bindings.
+  // 1. Border-router step: BorderRouter::frame, the counter-free half of
+  // forward(). The router holds whatever was advertised to it, including a
+  // partitioned deployment's per-receiver bindings.
   const dp::BorderRouter* router =
       runtime.fabric().router_at(s.ports[port_index].id);
-  const auto route = router == nullptr
-                         ? std::nullopt
-                         : router->rib().lookup(payload.dst_ip());
-  if (!route) {
+  if (router == nullptr) {
     out.kind = RuleKind::kNoRoute;
     return out;
   }
-  out.route_prefix = route->prefix;
-  if (auto best = runtime.route_server().best_route(sender, route->prefix)) {
+  net::PacketHeader frame = payload;
+  const auto framing = router->frame(frame, runtime.fabric().arp());
+  if (!framing.routed) {
+    out.kind = RuleKind::kNoRoute;
+    return out;
+  }
+  out.route_prefix = framing.route;
+  if (auto best = runtime.route_server().best_route(sender, framing.route)) {
     out.route_via = best->learned_from;
   }
   if (runtime.installed()) {
     const auto& group_of = runtime.compiled().fecs.group_of;
-    if (auto it = group_of.find(route->prefix); it != group_of.end()) {
+    if (auto it = group_of.find(framing.route); it != group_of.end()) {
       out.group = it->second;
     }
   }
-  const auto dst_mac = runtime.fabric().arp().resolve(route->attrs.next_hop);
-  if (!dst_mac) {
+  if (!framing.framed) {
     out.kind = RuleKind::kArpFailure;
     return out;
   }
-
-  out.frame = payload;
-  out.frame.set_port(s.ports[port_index].id);
-  out.frame.set_src_mac(s.ports[port_index].router_mac);
-  out.frame.set_dst_mac(*dst_mac);
-  out.frame.set(net::Field::kEthType, net::kEthTypeIpv4);
+  out.frame = frame;
 
   // 2. Fabric step: the matching installed rule.
   const dp::FlowRule* rule =

@@ -17,21 +17,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Converts the local-rule auditor's findings into the safety subsystem's
-/// report format (satellite of the verify/ subsystem: one entry point, one
-/// report holding both graph counterexamples and per-rule violations).
-std::vector<verify::SafetyViolation> fold_audit(const AuditReport& report) {
-  std::vector<verify::SafetyViolation> out;
-  out.reserve(report.violations.size());
-  for (const auto& v : report.violations) {
-    verify::SafetyViolation sv;
-    sv.kind = verify::ViolationKind::kLocalRule;
-    sv.what = "rule " + std::to_string(v.rule_index) + ": " + v.what;
-    out.push_back(std::move(sv));
-  }
-  return out;
-}
-
 /// Scoped flag override; restores the previous value on any exit path.
 class FlagOverride {
  public:
@@ -1093,8 +1078,10 @@ verify::DeploymentView SdxRuntime::deployment_view() const {
   view.participants = &participants_;
   view.server = &server_;
   const SdxRuntime* self = this;
+  // Probes frame and classify through the counter-free steps: verifying
+  // the deployment is not traffic.
   view.process = [self](const net::PacketHeader& h) {
-    return self->fabric_.sdx_switch().table().process(h);
+    return self->fabric_.sdx_switch().table().probe(h);
   };
   view.forward = [self](ParticipantId sender, net::PacketHeader payload)
       -> std::optional<net::PacketHeader> {
@@ -1103,7 +1090,10 @@ verify::DeploymentView SdxRuntime::deployment_view() const {
     const dp::BorderRouter* router =
         self->fabric_.router_at(p.primary_port().id);
     if (router == nullptr) return std::nullopt;
-    return router->forward(std::move(payload), self->fabric_.arp());
+    if (!router->frame(payload, self->fabric_.arp()).framed) {
+      return std::nullopt;
+    }
+    return payload;
   };
   view.owner_of = [self](net::PortId port) -> std::optional<ParticipantId> {
     if (PortMap::is_virtual(port)) return std::nullopt;
@@ -1164,8 +1154,8 @@ verify::DeploymentView SdxRuntime::deployment_view() const {
   return view;
 }
 
-void SdxRuntime::enable_verification(verify::SafetyChecker::Options options) {
-  checker_ = std::make_unique<verify::SafetyChecker>(options);
+void SdxRuntime::enable_verification() {
+  checker_ = std::make_unique<verify::SafetyChecker>();
   if (verify_seconds_ == nullptr) {
     auto& reg = telemetry_.metrics;
     verify_full_runs_ =
@@ -1196,23 +1186,24 @@ void SdxRuntime::enable_verification(verify::SafetyChecker::Options options) {
 
 void SdxRuntime::disable_verification() { checker_.reset(); }
 
+verify::SafetyReport SdxRuntime::artifact_audit() const {
+  // The static audit compares the compiled artifact against the current
+  // RIB, so it is only meaningful while the artifact IS the deployment.
+  // Outstanding fast-path bindings mean newer rules shadow stale artifact
+  // rules; auditing the artifact then reports phantom export mismatches
+  // the live table cannot exhibit. The graph walk always checks the live
+  // table, so safety coverage is unaffected — only the rule-level audit
+  // waits for the next full recompile.
+  if (!fast_bindings_.empty()) return {};
+  return audit(compiled(), participants_, port_map_, server_);
+}
+
 verify::SafetyReport SdxRuntime::verify_now() const {
   if (!installed()) {
     throw std::logic_error("install() before verify_now()");
   }
   verify::SafetyChecker checker;
-  // The static audit compares the compiled artifact against the current
-  // RIB, so it is only meaningful while the artifact IS the deployment.
-  // Outstanding fast-path bindings mean newer rules shadow stale artifact
-  // rules; auditing the artifact then reports phantom export mismatches
-  // the live table cannot exhibit. The walk below always checks the live
-  // table, so safety coverage is unaffected — only the rule-level audit
-  // waits for the next full recompile.
-  if (fast_bindings_.empty()) {
-    const AuditReport local =
-        audit(compiled(), participants_, port_map_, server_);
-    checker.set_local_findings(fold_audit(local), local.rules_checked);
-  }
+  checker.set_local_findings(artifact_audit());
   return checker.full(deployment_view());
 }
 
@@ -1221,17 +1212,7 @@ void SdxRuntime::run_safety_stage(const std::vector<Ipv4Prefix>* dirty) {
   telemetry::Span span = telemetry_.tracer.span("safety_verify");
   const auto view = deployment_view();
   if (dirty == nullptr) {
-    // Full runs normally start right after a deploy/swap, when
-    // fast_bindings_ is empty and the artifact matches the deployment.
-    // enable_verification() can trigger one mid-fast-path, though — skip
-    // the artifact audit then (see verify_now for the staleness rationale).
-    if (fast_bindings_.empty()) {
-      const AuditReport local =
-          audit(compiled(), participants_, port_map_, server_);
-      checker_->set_local_findings(fold_audit(local), local.rules_checked);
-    } else {
-      checker_->set_local_findings({}, 0);
-    }
+    checker_->set_local_findings(artifact_audit());
     last_safety_report_ = checker_->full(view);
     verify_full_runs_->inc();
   } else {

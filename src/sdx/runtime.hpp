@@ -354,14 +354,15 @@ class SdxRuntime {
   /// last_safety_report() and telemetry (`sdx_verify_seconds`,
   /// `sdx_verify_violations_total{kind=...}`, ...). Runs immediately when
   /// already installed.
-  void enable_verification(verify::SafetyChecker::Options options = {});
+  void enable_verification();
   void disable_verification();
   bool verification_enabled() const { return checker_ != nullptr; }
 
   /// One-shot full safety check — the single entry point returning both
   /// graph-level counterexamples and the local-rule audit
-  /// (core::audit, folded in as kLocalRule violations). Independent of
-  /// enable_verification(): no checker state or telemetry is touched.
+  /// (core::audit's kLocalRule violations). Independent of
+  /// enable_verification(): no checker state or telemetry is touched, and
+  /// the probes bump no table, rule, router or ARP counter.
   /// Throws std::logic_error before install().
   verify::SafetyReport verify_now() const;
 
@@ -438,6 +439,10 @@ class SdxRuntime {
   /// incremental re-check of exactly those prefixes. No-op unless
   /// verification is enabled and the runtime is installed.
   void run_safety_stage(const std::vector<Ipv4Prefix>* dirty);
+  /// The rule-level audit of the compiled artifact, or an empty report
+  /// while fast-path bindings shadow it (the artifact is then not the
+  /// deployment). Both full checks fold this in.
+  verify::SafetyReport artifact_audit() const;
   /// Registers the journal's telemetry series on the runtime registry.
   void wire_journal_hooks();
   /// Re-applies a checkpoint into this (fresh) runtime; sets report.warm

@@ -618,7 +618,7 @@ std::string ScenarioInterpreter::Impl::handle(
     auto report = audit(runtime.compiled(), runtime.participants(),
                         runtime.ports(), runtime.route_server());
     if (!report.ok()) fail(report.to_string());
-    return "audit clean (" + std::to_string(report.rules_checked) +
+    return "audit clean (" + std::to_string(report.local_rules_checked) +
            " rules)";
   }
 

@@ -1,6 +1,6 @@
 #include "sdx/verifier.hpp"
 
-#include <sstream>
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -19,6 +19,15 @@ const Participant* find_participant(const std::vector<Participant>& all,
   return nullptr;
 }
 
+/// Records a kLocalRule finding against rule \p i.
+void flag_rule(verify::SafetyReport& report, std::size_t i,
+               const std::string& what) {
+  verify::SafetyViolation v;
+  v.kind = verify::ViolationKind::kLocalRule;
+  v.what = "rule " + std::to_string(i) + ": " + what;
+  report.violations.push_back(std::move(v));
+}
+
 bool is_router_mac(const Participant& p, std::uint64_t mac,
                    net::PortId out_port) {
   for (const auto& port : p.ports) {
@@ -29,24 +38,15 @@ bool is_router_mac(const Participant& p, std::uint64_t mac,
 
 }  // namespace
 
-std::string AuditReport::to_string() const {
-  std::ostringstream os;
-  os << "audit: " << rules_checked << " rules, " << violations.size()
-     << " violation(s)";
-  for (const auto& v : violations) {
-    os << "\n  rule " << v.rule_index << ": " << v.what;
-  }
-  return os.str();
-}
-
-AuditReport audit(const CompiledSdx& compiled,
-                  const std::vector<Participant>& participants,
-                  const PortMap& ports, const bgp::RouteServer& server) {
-  AuditReport report;
+verify::SafetyReport audit(const CompiledSdx& compiled,
+                           const std::vector<Participant>& participants,
+                           const PortMap& ports,
+                           const bgp::RouteServer& server) {
+  verify::SafetyReport report;
   const auto& rules = compiled.fabric.rules();
-  report.rules_checked = rules.size();
-  auto flag = [&report](std::size_t i, std::string what) {
-    report.violations.push_back(Violation{i, std::move(what)});
+  report.local_rules_checked = rules.size();
+  auto flag = [&report](std::size_t i, const std::string& what) {
+    flag_rule(report, i, what);
   };
 
   // Invariant 1: totality.
@@ -202,12 +202,13 @@ AuditReport audit(const CompiledSdx& compiled,
   return report;
 }
 
-AuditReport audit_multi_switch(const std::vector<SwitchProgram>& programs,
-                               const FabricTopology& topology,
-                               const std::vector<Participant>& participants) {
-  AuditReport report;
-  auto flag = [&report](std::size_t i, std::string what) {
-    report.violations.push_back(Violation{i, std::move(what)});
+verify::SafetyReport audit_multi_switch(
+    const std::vector<SwitchProgram>& programs,
+    const FabricTopology& topology,
+    const std::vector<Participant>& participants) {
+  verify::SafetyReport report;
+  auto flag = [&report](std::size_t i, const std::string& what) {
+    flag_rule(report, i, what);
   };
 
   std::vector<std::uint64_t> router_macs;
@@ -230,7 +231,7 @@ AuditReport audit_multi_switch(const std::vector<SwitchProgram>& programs,
 
     for (std::size_t i = 0; i < program.rules.size(); ++i) {
       const policy::Rule& r = program.rules.rules()[i];
-      report.rules_checked += 1;
+      report.local_rules_checked += 1;
       const auto& port_match = r.match.field(net::Field::kPort);
       if (port_match.is_exact() &&
           !local(static_cast<net::PortId>(port_match.value()))) {

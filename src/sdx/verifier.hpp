@@ -26,32 +26,22 @@
 ///      fire on packets at X's virtual position, which after composition
 ///      means rules rewriting to X's port MACs must output on X's ports.)
 
-#include <string>
 #include <vector>
 
 #include "sdx/compiler.hpp"
+#include "verify/safety.hpp"
 
 namespace sdx::core {
 
-struct Violation {
-  std::size_t rule_index = 0;
-  std::string what;
-};
-
-struct AuditReport {
-  std::vector<Violation> violations;
-  std::size_t rules_checked = 0;
-
-  bool ok() const { return violations.empty(); }
-  std::string to_string() const;
-};
-
 /// Audits a compiled SDX against the route-server state it was compiled
 /// from. \p participants / \p ports must be the same objects the compiler
-/// saw.
-AuditReport audit(const CompiledSdx& compiled,
-                  const std::vector<Participant>& participants,
-                  const PortMap& ports, const bgp::RouteServer& server);
+/// saw. Findings are kLocalRule violations ("rule N: ..."); the rule count
+/// is local_rules_checked. The report type is the graph checker's, so
+/// SafetyChecker::set_local_findings folds it in unchanged.
+verify::SafetyReport audit(const CompiledSdx& compiled,
+                           const std::vector<Participant>& participants,
+                           const PortMap& ports,
+                           const bgp::RouteServer& server);
 
 }  // namespace sdx::core
 
@@ -64,8 +54,9 @@ namespace sdx::core {
 /// (local edge ports or its own trunks), exact-ingress rules reference
 /// local ports, and each switch's transit band covers every router MAC on
 /// every trunk (no tagged frame can arrive unroutable mid-fabric).
-AuditReport audit_multi_switch(const std::vector<SwitchProgram>& programs,
-                               const FabricTopology& topology,
-                               const std::vector<Participant>& participants);
+verify::SafetyReport audit_multi_switch(
+    const std::vector<SwitchProgram>& programs,
+    const FabricTopology& topology,
+    const std::vector<Participant>& participants);
 
 }  // namespace sdx::core

@@ -25,6 +25,9 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// Cap on enumerated header variants (excess clauses share classes).
+constexpr std::size_t kMaxVariants = 64;
+
 /// Source address of a class whose variant names no source prefix.
 constexpr net::Ipv4Address kDefaultSource =
     net::Ipv4Address::from_octets(192, 0, 2, 1);
@@ -54,8 +57,7 @@ void append_variant_fields(const core::ClauseMatch& match,
 }
 
 std::vector<Variant> build_variants(
-    const std::vector<core::Participant>& participants,
-    std::size_t max_variants) {
+    const std::vector<core::Participant>& participants) {
   std::vector<Variant> out;
   out.push_back(Variant{});  // the default (unpolicied) class
   for (const auto& p : participants) {
@@ -68,7 +70,7 @@ std::vector<Variant> build_variants(
   }
   std::sort(out.begin(), out.end(), variant_less);
   out.erase(std::unique(out.begin(), out.end()), out.end());
-  if (out.size() > max_variants) out.resize(max_variants);
+  if (out.size() > kMaxVariants) out.resize(kMaxVariants);
   return out;
 }
 
@@ -146,11 +148,13 @@ std::vector<ParticipantId> extend(std::vector<ParticipantId> hops,
 /// deployed tables until delivery, loop, or blackhole. `first_frame` must
 /// already be framed (it IS the counterexample packet); every violation
 /// found along the walk is appended to `out`. `describe()` names the class
-/// in violation text; it runs only when a violation is recorded.
+/// in violation text; it runs only when a violation is recorded. The walk
+/// only moves on to a participant not yet on its path, so it ends within
+/// one hop per participant.
 template <typename Describe>
-void walk_from(const DeploymentView& view, std::size_t max_hops,
-               ParticipantId sender, Ipv4Prefix prefix,
-               const Describe& describe, const PacketHeader& first_frame,
+void walk_from(const DeploymentView& view, ParticipantId sender,
+               Ipv4Prefix prefix, const Describe& describe,
+               const PacketHeader& first_frame,
                std::vector<SafetyViolation>& out, std::size_t& edges) {
   std::vector<ParticipantId> path{sender};
   ParticipantId current = sender;
@@ -168,14 +172,6 @@ void walk_from(const DeploymentView& view, std::size_t max_hops,
   };
 
   for (;;) {
-    if (path.size() > max_hops) {
-      out.push_back({ViolationKind::kLoop,
-                     describe() + ": hop budget (" + std::to_string(max_hops) +
-                         ") exhausted without reaching an egress (" +
-                         hops_string(view, path) + ")",
-                     witness(path)});
-      return;
-    }
     auto copies = view.process(frame);
     ++edges;
     // The switch never hairpins a frame back out its ingress port.
@@ -331,8 +327,8 @@ SafetyChecker::PrefixFinding SafetyChecker::check_prefix(
         return "class dst=" + prefix.to_string() + " variant#" +
                std::to_string(vi) + " from " + p.name;
       };
-      walk_from(view, options_.max_hops, p.id, prefix, describe, *framed,
-                f.violations, f.edges);
+      walk_from(view, p.id, prefix, describe, *framed, f.violations,
+                f.edges);
     }
   }
   return f;
@@ -361,8 +357,7 @@ SafetyReport SafetyChecker::full(const DeploymentView& view) {
   classes_total_ = 0;
   edges_total_ = 0;
   violating_.clear();
-  const auto variants = build_variants(*view.participants,
-                                       options_.max_variants);
+  const auto variants = build_variants(*view.participants);
   for (auto prefix : view.known_prefixes()) {
     store(prefix, check_prefix(view, prefix, variants));
   }
@@ -373,8 +368,7 @@ SafetyReport SafetyChecker::full(const DeploymentView& view) {
 SafetyReport SafetyChecker::incremental(const DeploymentView& view,
                                         const std::vector<Ipv4Prefix>& dirty) {
   const auto t0 = std::chrono::steady_clock::now();
-  const auto variants = build_variants(*view.participants,
-                                       options_.max_variants);
+  const auto variants = build_variants(*view.participants);
   std::unordered_set<Ipv4Prefix> seen;
   for (auto prefix : dirty) {
     if (!seen.insert(prefix).second) continue;
@@ -388,10 +382,9 @@ SafetyReport SafetyChecker::incremental(const DeploymentView& view,
   return assemble(true, seconds_since(t0));
 }
 
-void SafetyChecker::set_local_findings(std::vector<SafetyViolation> findings,
-                                       std::size_t rules_checked) {
-  local_ = std::move(findings);
-  local_rules_checked_ = rules_checked;
+void SafetyChecker::set_local_findings(SafetyReport audit) {
+  local_ = std::move(audit.violations);
+  local_rules_checked_ = audit.local_rules_checked;
 }
 
 SafetyReport SafetyChecker::assemble(bool incremental, double seconds) const {
@@ -412,13 +405,12 @@ SafetyReport SafetyChecker::assemble(bool incremental, double seconds) const {
   return report;
 }
 
-ReplayResult replay(const DeploymentView& view, const Counterexample& cx,
-                    std::size_t max_hops) {
+ReplayResult replay(const DeploymentView& view, const Counterexample& cx) {
   std::vector<SafetyViolation> violations;
   std::size_t edges = 0;
   const auto describe = [] { return std::string("replay"); };
-  walk_from(view, max_hops, cx.sender, cx.prefix, describe, cx.packet,
-            violations, edges);
+  walk_from(view, cx.sender, cx.prefix, describe, cx.packet, violations,
+            edges);
   ReplayResult result;
   result.hops = edges;
   for (const auto& v : violations) {

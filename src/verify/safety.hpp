@@ -74,7 +74,7 @@ enum class ViolationKind : std::uint8_t {
   kLoop = 0,       ///< a participant repeats on the forwarding walk
   kIsolation,      ///< traffic attracted without a matching export
   kBlackhole,      ///< the class never reaches a physical egress
-  kLocalRule,      ///< a per-rule invariant (folded from core::audit)
+  kLocalRule,      ///< a per-rule invariant (core::audit's findings)
 };
 
 /// Stable lower-case name ("loop", "isolation", ...) — used as the `kind`
@@ -95,11 +95,14 @@ struct Counterexample {
 
 struct SafetyViolation {
   ViolationKind kind = ViolationKind::kLoop;
-  std::string what;
+  std::string what;  ///< kLocalRule: "rule N: ..." (N = classifier index)
   /// Absent only for kLocalRule findings (those are per-rule, not per-walk).
   std::optional<Counterexample> counterexample;
 };
 
+/// The report of both checkers: the forwarding-graph walk below and the
+/// rule-level audit (core::audit, core::audit_multi_switch), whose
+/// findings are kLocalRule violations counted in local_rules_checked.
 struct SafetyReport {
   std::vector<SafetyViolation> violations;
   std::size_t classes_checked = 0;   ///< (sender, prefix, variant) walks
@@ -123,11 +126,12 @@ struct DeploymentView {
   const std::vector<core::Participant>* participants = nullptr;
   const bgp::RouteServer* server = nullptr;
 
-  /// One switch traversal: FlowTable::process on the deployed table.
+  /// One switch traversal: FlowTable::probe on the deployed table (process
+  /// without the traffic counters).
   std::function<std::vector<PacketHeader>(const PacketHeader&)> process;
 
   /// The sender's border-router framing step (LPM → next hop → ARP → L2
-  /// rewrite, BorderRouter::forward). nullopt = the router holds no route
+  /// rewrite, BorderRouter::frame). nullopt = the router holds no route
   /// for the destination (the class emits no traffic at this hop).
   std::function<std::optional<PacketHeader>(ParticipantId sender,
                                             PacketHeader payload)>
@@ -172,17 +176,6 @@ struct ReplayResult {
 
 class SafetyChecker {
  public:
-  struct Options {
-    /// Walk budget per class; exhausting it without an egress is itself
-    /// reported as a loop (the fabric cannot deliver in bounded hops).
-    std::size_t max_hops = 32;
-    /// Cap on enumerated header variants (excess clauses share classes).
-    std::size_t max_variants = 64;
-  };
-
-  SafetyChecker() : SafetyChecker(Options{}) {}
-  explicit SafetyChecker(Options options) : options_(options) {}
-
   /// Full pass: every known prefix × every sender × every header variant.
   /// Replaces the incremental cache. Local-rule findings installed via
   /// set_local_findings() are folded into the returned report.
@@ -195,14 +188,10 @@ class SafetyChecker {
   SafetyReport incremental(const DeploymentView& view,
                            const std::vector<Ipv4Prefix>& dirty);
 
-  /// Folds per-rule audit findings (core::audit, converted to kLocalRule
-  /// violations by the caller) into every subsequent report — the "one
-  /// entry point" contract: graph counterexamples and local-rule
-  /// violations come back in the same SafetyReport.
-  void set_local_findings(std::vector<SafetyViolation> findings,
-                          std::size_t rules_checked);
-
-  const Options& options() const { return options_; }
+  /// Folds a rule-level audit report (core::audit) into every subsequent
+  /// report — the "one entry point" contract: graph counterexamples and
+  /// local-rule violations come back in the same SafetyReport.
+  void set_local_findings(SafetyReport audit);
 
  private:
   struct PrefixFinding {
@@ -218,7 +207,6 @@ class SafetyChecker {
   void drop(Ipv4Prefix prefix);
   SafetyReport assemble(bool incremental, double seconds) const;
 
-  Options options_;
   std::unordered_map<Ipv4Prefix, PrefixFinding> cache_;
   std::size_t classes_total_ = 0;    ///< sum over cache_
   std::size_t edges_total_ = 0;      ///< sum over cache_
@@ -232,7 +220,6 @@ class SafetyChecker {
 /// literally view.process(cx.packet) — and returns every violation kind the
 /// walk exhibits. A test asserting `replay(view, cx).reproduces(kind)`
 /// proves the counterexample is a real packet, not a modeling artifact.
-ReplayResult replay(const DeploymentView& view, const Counterexample& cx,
-                    std::size_t max_hops = 32);
+ReplayResult replay(const DeploymentView& view, const Counterexample& cx);
 
 }  // namespace sdx::verify

@@ -101,29 +101,6 @@ TEST(CompilerEdge, VnhAssignmentIsDeterministic) {
   ASSERT_EQ(rt1->compiled().fabric.size(), rt2->compiled().fabric.size());
 }
 
-TEST(CompilerEdge, FullOptimizeOptionPreservesBehaviour) {
-  CompileOptions plain;
-  CompileOptions optimized;
-  optimized.full_optimize = true;
-
-  SdxRuntime rt(bgp::DecisionConfig{}, optimized);
-  auto a = rt.add_participant("A", 65001);
-  auto b = rt.add_participant("B", 65002, 2);
-  rt.announce(b, Ipv4Prefix::parse("100.1.0.0/16"));
-  rt.set_outbound(a, {OutboundClause{ClauseMatch{}.dst_port(80), b}});
-  rt.set_inbound(
-      b, {InboundClause{ClauseMatch{}.src(Ipv4Prefix::parse("0.0.0.0/1")),
-                        {},
-                        1}});
-  rt.install();
-  auto out = rt.send(
-      a, PacketBuilder().src_ip("1.1.1.1").dst_ip("100.1.1.1").dst_port(80)
-             .build());
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].port, rt.participant(b).ports[1].id);
-  (void)plain;
-}
-
 TEST(CompilerEdge, StageTwoThrowsForRemoteParticipants) {
   std::vector<Participant> participants(1);
   participants[0].id = 1;

@@ -28,27 +28,39 @@ FlowRule rule(std::uint32_t priority, FlowMatch match, net::PortId out,
   return r;
 }
 
-/// The whole FlowTable contract is exercised under both lookup strategies:
-/// the classified pipeline (default) and the linear reference scan.
-class FlowTableTest : public ::testing::TestWithParam<FlowTable::LookupMode> {
+/// The whole FlowTable contract runs in two legs. `classified` drives the
+/// table alone; `linear` additionally asserts, before every lookup and
+/// process, that the reference scan over rules() picks the very rule the
+/// classification pipeline does.
+enum class Leg { kClassified, kLinear };
+
+class FlowTableTest : public ::testing::TestWithParam<Leg> {
  protected:
-  void SetUp() override { t.set_lookup_mode(GetParam()); }
+  const FlowRule* lookup(const PacketHeader& h) {
+    const FlowRule* hit = t.lookup(h);
+    if (GetParam() == Leg::kLinear) {
+      EXPECT_EQ(reference_lookup(t.rules(), h), hit) << h.to_string();
+    }
+    return hit;
+  }
+  std::vector<PacketHeader> process(const PacketHeader& h) {
+    lookup(h);
+    return t.process(h);
+  }
+
   FlowTable t;
 };
 
 INSTANTIATE_TEST_SUITE_P(
-    Modes, FlowTableTest,
-    ::testing::Values(FlowTable::LookupMode::kClassified,
-                      FlowTable::LookupMode::kLinear),
+    Modes, FlowTableTest, ::testing::Values(Leg::kClassified, Leg::kLinear),
     [](const auto& info) {
-      return info.param == FlowTable::LookupMode::kClassified ? "classified"
-                                                              : "linear";
+      return info.param == Leg::kClassified ? "classified" : "linear";
     });
 
 TEST_P(FlowTableTest, HigherPriorityWins) {
   t.install(rule(10, FlowMatch::on(Field::kDstPort, 80), 1));
   t.install(rule(20, FlowMatch::on(Field::kDstPort, 80), 2));
-  auto out = t.process(PacketBuilder().dst_port(80).build());
+  auto out = process(PacketBuilder().dst_port(80).build());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].port(), 2u);
 }
@@ -56,7 +68,7 @@ TEST_P(FlowTableTest, HigherPriorityWins) {
 TEST_P(FlowTableTest, InsertionOrderBreaksPriorityTies) {
   t.install(rule(10, FlowMatch::on(Field::kDstPort, 80), 1));
   t.install(rule(10, FlowMatch::any(), 2));
-  auto out = t.process(PacketBuilder().dst_port(80).build());
+  auto out = process(PacketBuilder().dst_port(80).build());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].port(), 1u);  // earlier install wins the tie
 }
@@ -67,8 +79,8 @@ TEST_P(FlowTableTest, MissAndDropAccounting) {
   drop_rule.match = FlowMatch::on(Field::kDstPort, 22);
   t.install(drop_rule);
 
-  EXPECT_TRUE(t.process(PacketBuilder().dst_port(22).build()).empty());
-  EXPECT_TRUE(t.process(PacketBuilder().dst_port(80).build()).empty());
+  EXPECT_TRUE(process(PacketBuilder().dst_port(22).build()).empty());
+  EXPECT_TRUE(process(PacketBuilder().dst_port(80).build()).empty());
   EXPECT_EQ(t.total_matched(), 1u);
   EXPECT_EQ(t.total_missed(), 1u);
   EXPECT_EQ(t.rules()[0]->packet_count, 1u);
@@ -97,7 +109,7 @@ TEST_P(FlowTableTest, InstallClassifierPreservesOrder) {
                  .src_port(i % 3 ? 9 : 10)
                  .build();
     auto via_classifier = c.evaluate(h);
-    auto via_table = t.process(h);
+    auto via_table = process(h);
     EXPECT_EQ(via_classifier, via_table);
   }
 }
@@ -105,9 +117,9 @@ TEST_P(FlowTableTest, InstallClassifierPreservesOrder) {
 TEST_P(FlowTableTest, FastBandOverridesBaseBand) {
   t.install(rule(1000, FlowMatch::on(Field::kDstPort, 80), 1, 1));
   t.install(rule(1u << 24, FlowMatch::on(Field::kDstPort, 80), 9, 2));
-  EXPECT_EQ(t.process(PacketBuilder().dst_port(80).build())[0].port(), 9u);
+  EXPECT_EQ(process(PacketBuilder().dst_port(80).build())[0].port(), 9u);
   t.remove_by_cookie(2);
-  EXPECT_EQ(t.process(PacketBuilder().dst_port(80).build())[0].port(), 1u);
+  EXPECT_EQ(process(PacketBuilder().dst_port(80).build())[0].port(), 1u);
 }
 
 TEST_P(FlowTableTest, RulesViewIsMatchOrderedAndIndexable) {
@@ -119,7 +131,7 @@ TEST_P(FlowTableTest, RulesViewIsMatchOrderedAndIndexable) {
   EXPECT_EQ(view[0]->priority, 30u);
   EXPECT_EQ(view[1]->priority, 20u);
   EXPECT_EQ(view[2]->priority, 10u);
-  const FlowRule* hit = t.lookup(PacketBuilder().dst_port(82).build());
+  const FlowRule* hit = lookup(PacketBuilder().dst_port(82).build());
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(t.index_of(hit), std::optional<std::size_t>(1));
   FlowRule foreign;

@@ -145,7 +145,7 @@ TEST(DiffOracle, DetectsDesyncedClassifierIndex) {
   DifferentialOracle oracle(options);
 
   // Zero ops suffice: wiping the classifier index makes every classified
-  // probe miss while the linear reference still matches the base rules.
+  // probe miss while the reference scan still matches the base rules.
   Trace t;
   t.participants = 3;
   t.prefixes = 4;

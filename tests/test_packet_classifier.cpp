@@ -149,19 +149,19 @@ PacketHeader random_packet(SplitMix64& rng, const VmacLaneSpec& spec) {
   return h;
 }
 
-/// Compares the classified and linear answers for the identical table; the
-/// strictest possible check — same rule object, not just same action.
-void expect_equivalent(FlowTable& t, const PacketHeader& h) {
-  t.set_lookup_mode(FlowTable::LookupMode::kClassified);
+/// Compares the classified answer with the reference scan over the same
+/// table's rules() (taken once per table state); the strictest possible
+/// check — same rule object, not just same action.
+void expect_equivalent(const FlowTable& t,
+                       std::span<const FlowRule* const> ordered,
+                       const PacketHeader& h) {
   const FlowRule* classified = t.lookup(h);
-  t.set_lookup_mode(FlowTable::LookupMode::kLinear);
-  const FlowRule* linear = t.lookup(h);
-  t.set_lookup_mode(FlowTable::LookupMode::kClassified);
-  ASSERT_EQ(classified, linear)
+  const FlowRule* reference = reference_lookup(ordered, h);
+  ASSERT_EQ(classified, reference)
       << "packet " << h.to_string() << "\nclassified: "
       << (classified != nullptr ? classified->to_string() : "miss")
-      << "\nlinear:     "
-      << (linear != nullptr ? linear->to_string() : "miss");
+      << "\nreference:  "
+      << (reference != nullptr ? reference->to_string() : "miss");
 }
 
 TEST(PacketClassifierDiff, RandomizedRulesAndPacketsMatchLinearReference) {
@@ -177,12 +177,13 @@ TEST(PacketClassifierDiff, RandomizedRulesAndPacketsMatchLinearReference) {
       matches.push_back(r.match);
       t.install(std::move(r));
     }
+    const auto ordered = t.rules();
     for (int i = 0; i < 400; ++i) {
       const PacketHeader h =
           i % 2 == 0 ? packet_matching(
                            rng, matches[rng.below(matches.size())])
                      : random_packet(rng, spec);
-      expect_equivalent(t, h);
+      expect_equivalent(t, ordered, h);
     }
   }
 }
@@ -199,12 +200,13 @@ TEST(PacketClassifierDiff, EquivalenceHoldsAcrossRemovalAndClear) {
     t.install(std::move(r));
   }
   auto verify = [&] {
+    const auto ordered = t.rules();
     for (int i = 0; i < 200; ++i) {
       const PacketHeader h =
           i % 2 == 0 ? packet_matching(
                            rng, matches[rng.below(matches.size())])
                      : random_packet(rng, spec);
-      expect_equivalent(t, h);
+      expect_equivalent(t, ordered, h);
     }
   };
   verify();
@@ -330,9 +332,10 @@ TEST(PacketClassifierLanes, SettingLanesAfterInstallReindexesRules) {
     before.push_back(t.lookup(probes.back()));
   }
   t.set_vmac_lanes(spec);  // re-index everything against the layout
+  const auto ordered = t.rules();
   for (std::size_t i = 0; i < probes.size(); ++i) {
     EXPECT_EQ(t.lookup(probes[i]), before[i]);
-    expect_equivalent(t, probes[i]);
+    expect_equivalent(t, ordered, probes[i]);
   }
   // The masked layout shapes must actually have moved into the lanes.
   const auto stats = t.classifier().stats();
@@ -382,8 +385,7 @@ TEST(PacketClassifierCorruption, TestSeamMakesClassifiedDivergeFromLinear) {
   ASSERT_NE(t.lookup(h), nullptr);
   t.corrupt_classifier_for_test();
   EXPECT_EQ(t.lookup(h), nullptr);  // classified view lost the rule
-  t.set_lookup_mode(FlowTable::LookupMode::kLinear);
-  EXPECT_NE(t.lookup(h), nullptr);  // reference still sees it
+  EXPECT_NE(reference_lookup(t.rules(), h), nullptr);  // reference sees it
 }
 
 }  // namespace

@@ -13,6 +13,9 @@
 #include <algorithm>
 #include <random>
 
+#include <map>
+
+#include "sdx/explain.hpp"
 #include "sdx/runtime.hpp"
 #include "verify/safety.hpp"
 
@@ -94,6 +97,67 @@ TEST(SafetyVerify, VerifyNowRunsWithoutEnabling) {
   EXPECT_GT(report.local_rules_checked, 0u);
   EXPECT_EQ(counter(rt, "sdx_verify_runs_total", {{"mode", "full"}}), 0u)
       << "verify_now must not touch the stage telemetry";
+}
+
+/// Every traffic counter a safety probe could bump: the table's match and
+/// miss totals, ARP queries and misses, each border router's forwarded and
+/// blackholed counts, and each live rule's packet count (by rule).
+struct TrafficCounters {
+  std::vector<std::uint64_t> totals;
+  std::map<const dp::FlowRule*, std::uint64_t> per_rule;
+};
+
+TrafficCounters traffic_counters(SdxRuntime& rt) {
+  TrafficCounters c;
+  const auto& table = rt.fabric().sdx_switch().table();
+  c.totals = {table.total_matched(), table.total_missed(),
+              rt.fabric().arp().queries(), rt.fabric().arp().misses()};
+  for (const auto& p : rt.participants()) {
+    for (std::size_t i = 0; i < p.ports.size(); ++i) {
+      const auto& router = rt.router(p.id, i);
+      c.totals.push_back(router.forwarded());
+      c.totals.push_back(router.blackholed());
+    }
+  }
+  for (const dp::FlowRule* r : table.rules()) {
+    c.per_rule[r] = r->packet_count.value();
+  }
+  return c;
+}
+
+TEST(SafetyVerify, ProbesLeaveTrafficCountersAlone) {
+  SdxRuntime rt;
+  build_clean(rt);
+  for (const std::uint16_t port : {80, 443, 53}) {
+    for (const char* dst : {"100.1.0.7", "100.9.0.7", "198.51.100.7"}) {
+      rt.send(1, PacketBuilder().dst_ip(dst).proto(6).dst_port(port).build());
+    }
+  }
+  const auto before = traffic_counters(rt);
+  ASSERT_GT(before.totals[0], 0u) << "the traffic must have hit the table";
+
+  // A one-shot full check, an incremental stage over a fresh prefix (it
+  // only adds rules, so every pre-existing rule stays live), and an
+  // explanation.
+  ASSERT_GT(rt.verify_now().classes_checked, 0u);
+  rt.enable_verification();
+  rt.enable_batching({0, 0});
+  rt.announce(3, Ipv4Prefix::parse("100.7.0.0/16"), net::AsPath{65003});
+  rt.flush();
+  ASSERT_TRUE(rt.last_safety_report().incremental);
+  ASSERT_GT(rt.last_safety_report().classes_checked, 0u);
+  explain(rt, 1, PacketBuilder().dst_ip("100.1.0.7").dst_port(80).build());
+
+  const auto after = traffic_counters(rt);
+  EXPECT_EQ(after.totals, before.totals);
+  for (const auto& [rule, count] : after.per_rule) {
+    const auto it = before.per_rule.find(rule);
+    EXPECT_EQ(count, it == before.per_rule.end() ? 0u : it->second)
+        << rule->to_string();
+  }
+  for (const auto& [rule, count] : before.per_rule) {
+    EXPECT_TRUE(after.per_rule.contains(rule)) << "a rule was removed";
+  }
 }
 
 TEST(SafetyVerify, VerifyNowThrowsBeforeInstall) {

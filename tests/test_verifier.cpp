@@ -39,7 +39,7 @@ TEST_F(VerifierFixture, CompiledScenarioPassesClean) {
   auto report = audit(rt.compiled(), rt.participants(), rt.ports(),
                       rt.route_server());
   EXPECT_TRUE(report.ok()) << report.to_string();
-  EXPECT_EQ(report.rules_checked, rt.compiled().fabric.size());
+  EXPECT_EQ(report.local_rules_checked, rt.compiled().fabric.size());
 }
 
 TEST_F(VerifierFixture, FlagsMissingCatchAll) {
