@@ -2,7 +2,8 @@
 /// the SDX pipeline is built from: predicate compilation (including the
 /// linear-size BGP prefix-list path), parallel/sequential classifier
 /// composition, pull-back, flow-table lookup (including a single call
-/// against a burst of one), and border-router FIB re-advertisement.
+/// against a burst of one), and border-router FIB re-advertisement and
+/// forwarding over one shared FIB index.
 
 #include <benchmark/benchmark.h>
 
@@ -285,46 +286,97 @@ BENCHMARK(BM_SingleVsBurstOfOne)
     ->ArgsProduct({{0, 1}, {0, 1, 2, 3}})
     ->ArgNames({"vmac", "call"});
 
-/// The route server's re-advertisement fan-out (paper §4.2): every
-/// fast-path update gives a prefix a fresh VNH and re-announces it to every
-/// participant's border router, each of which rewrites its FIB entry. 100
-/// routers hold 5000 /24 routes each; one iteration re-announces one
-/// prefix, drawn at random, with a new next hop to all of them.
-void BM_RouterFibReadvertise(benchmark::State& state) {
-  constexpr std::size_t kRouters = 100;
-  constexpr std::size_t kPrefixes = 5000;
-  const auto prefixes = prefix_list(kPrefixes);
+constexpr std::size_t kRouters = 100;
+constexpr std::size_t kRouterPrefixes = 5000;
+
+/// 100 border routers over one shared FIB index, as an SdxRuntime builds
+/// them, each holding kRouterPrefixes /24 routes via \p next_hop.
+std::vector<dp::BorderRouter> shared_fib_routers(
+    const std::shared_ptr<bgp::FibIndex>& fib,
+    const std::vector<net::Ipv4Prefix>& prefixes, net::Ipv4Address next_hop) {
   std::vector<dp::BorderRouter> routers;
   routers.reserve(kRouters);
   for (std::size_t i = 0; i < kRouters; ++i) {
     const auto id = static_cast<std::uint32_t>(i + 1);
     routers.emplace_back(65000 + id, id, net::MacAddress(id),
-                         net::Ipv4Address(0xAC100000u + id));
+                         net::Ipv4Address(0xAC100000u + id), fib);
   }
   bgp::UpdateMessage msg;
   msg.attrs.emplace();
   msg.attrs->as_path = net::AsPath{65001, 65100, 65200};
   msg.attrs->communities = {bgp::make_community(65001, 100)};
-  msg.attrs->next_hop = net::Ipv4Address(0xAC100001u);
+  msg.attrs->next_hop = next_hop;
   msg.nlri = prefixes;
   for (auto& r : routers) r.process_update(msg);
+  return routers;
+}
+
+/// The route server's re-advertisement fan-out (paper §4.2): every
+/// fast-path update gives a prefix a fresh VNH and re-announces it to every
+/// participant's border router. As in SdxRuntime::readvertise, the prefix's
+/// slot in the shared index is resolved once and one attribute set is
+/// written into every router's column. One iteration re-announces one
+/// prefix, drawn at random, with a new next hop to all 100 routers.
+void BM_RouterFibReadvertise(benchmark::State& state) {
+  const auto prefixes = prefix_list(kRouterPrefixes);
+  auto fib = std::make_shared<bgp::FibIndex>();
+  auto routers =
+      shared_fib_routers(fib, prefixes, net::Ipv4Address(0xAC100001u));
+  bgp::RouteAttributes attrs;
+  attrs.as_path = net::AsPath{65001, 65100, 65200};
+  attrs.communities = {bgp::make_community(65001, 100)};
 
   net::SplitMix64 rng(7);
   std::uint32_t vnh = 0xAC110000u;
-  msg.nlri.resize(1);
   for (auto _ : state) {
-    msg.nlri[0] = prefixes[rng.below(kPrefixes)];
-    msg.attrs->next_hop = net::Ipv4Address(++vnh);
+    attrs.next_hop = net::Ipv4Address(++vnh);
+    const bgp::AttrHandle h = fib->attrs().make(attrs);
+    const bgp::FibIndex::Slot slot =
+        fib->acquire(prefixes[rng.below(kRouterPrefixes)]);
     for (auto& r : routers) {
-      r.process_update(msg);
+      r.announce_at(slot, h);
       benchmark::DoNotOptimize(&r);
     }
+    fib->release(slot);
+    fib->attrs().release(h);
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kRouters));
 }
 BENCHMARK(BM_RouterFibReadvertise);
+
+/// A member router's per-packet cost on the fabric's send path: forward()
+/// takes the longest-prefix match in the router's column of the shared
+/// index, ARPs for the next hop and frames the packet. The sender rotates
+/// over the same 100 routers as BM_RouterFibReadvertise, one packet each,
+/// as perfbench bursts rotate senders.
+void BM_RouterForward(benchmark::State& state) {
+  const auto prefixes = prefix_list(kRouterPrefixes);
+  const net::Ipv4Address next_hop(0xAC100001u);
+  auto fib = std::make_shared<bgp::FibIndex>();
+  const auto routers = shared_fib_routers(fib, prefixes, next_hop);
+  dp::ArpResponder arp;
+  arp.bind(next_hop, net::MacAddress(0x02'00'00'00'00'01ull));
+
+  net::SplitMix64 rng(11);
+  std::vector<net::PacketHeader> packets;
+  for (std::size_t n = 0; n < 1024; ++n) {
+    const auto& p = prefixes[rng.below(kRouterPrefixes)];
+    packets.push_back(net::PacketBuilder()
+                          .dst_ip(net::Ipv4Address(p.network().value() |
+                                                   rng.below(256)))
+                          .build());
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const auto& router = routers[next % kRouters];
+    benchmark::DoNotOptimize(router.forward(packets[next & 1023], arp));
+    ++next;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RouterForward);
 
 }  // namespace
 

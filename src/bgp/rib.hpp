@@ -7,12 +7,27 @@
 /// keeps a multi-candidate table internally (route_server.hpp).
 ///
 /// Storage. The route server re-advertises one best route to every member
-/// router (paper §4.2), and most receivers get the same attributes: the
-/// same best candidate with the same VNH next hop. So a FIB entry is a
-/// 4-byte AttrHandle into a refcounted AttrTable that all routers of one
-/// runtime share, and a re-advertisement to a whole update group is one
-/// attribute set plus, per router, a trie walk and a handle swap. A Rib
-/// built without a table owns a private one.
+/// router (paper §4.2), so every router holds nearly the same prefix set,
+/// and most receivers get the same attributes: the same best candidate with
+/// the same VNH next hop. All routers of one runtime therefore share one
+/// FibIndex: a single prefix trie mapping each prefix some router holds to
+/// a slot, plus a refcounted AttrTable of attribute sets. A router's Rib is
+/// only a column indexed by slot, each cell a 4-byte AttrHandle or kNoRoute.
+/// A re-advertisement resolves the prefix's slot with one trie walk and
+/// then writes each receiver's cell by slot, instead of walking a private
+/// trie per router. A Rib built without an index owns a one-column one.
+///
+/// Slots. A slot is referenced by every Rib that holds its prefix and by a
+/// writer between acquire() and release(). When the last reference goes,
+/// the prefix is erased from the trie and the slot is reused, so the index
+/// holds exactly the union of what the FIBs hold now, not their history.
+/// A freed slot is empty in every column, so reuse needs no column sweep.
+///
+/// Reads. A Rib's find, lookup and for_each walk the shared trie and accept
+/// only slots its own column holds: its longest-prefix match is the deepest
+/// prefix on the path that *this* router holds, never a longer one that
+/// only another router was advertised. The attributes they return point
+/// into the AttrTable and stay valid until the next AttrTable::make().
 
 #include <cstdint>
 #include <memory>
@@ -59,16 +74,73 @@ class AttrTable {
   std::vector<AttrHandle> free_;  ///< released slots, reused first
 };
 
+/// The prefix index and attribute sets that all FIBs of one runtime share
+/// (see the file comment). Not thread-safe, like AttrTable.
+class FibIndex {
+ public:
+  /// Position of one prefix in every Rib's column.
+  using Slot = std::uint32_t;
+
+  /// \p prefix's slot, added when no FIB holds the prefix, with one
+  /// reference owned by the caller, who releases it once its writes are
+  /// done. Holding it keeps a withdrawal from freeing the slot mid-fan-out.
+  Slot acquire(Ipv4Prefix prefix);
+  void retain(Slot s) { ++refs_[s]; }
+  /// Drops a reference; the last one erases the prefix and frees the slot.
+  void release(Slot s);
+
+  /// \p prefix's slot, or nullptr when no FIB holds it.
+  const Slot* find(Ipv4Prefix prefix) const { return trie_.find(prefix); }
+  Ipv4Prefix prefix(Slot s) const { return prefixes_[s]; }
+
+  /// The longest prefix covering \p addr that some FIB holds.
+  std::optional<Ipv4Prefix> lookup(Ipv4Address addr) const {
+    const auto hit = trie_.lookup(addr);
+    if (!hit) return std::nullopt;
+    return hit->first;
+  }
+
+  /// Prefixes some FIB holds, and the slots allocated for them (live plus
+  /// free): slots() stays at its high-water mark while slots are reused.
+  std::size_t size() const { return trie_.size(); }
+  std::size_t slots() const { return refs_.size(); }
+
+  /// Visits every (prefix, slot) some FIB holds, in prefix order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    trie_.for_each(fn);
+  }
+
+  /// Visits the slot of every held prefix covering \p addr, shortest first.
+  template <typename Fn>
+  void for_each_covering(Ipv4Address addr, Fn&& fn) const {
+    trie_.for_each_covering(addr, fn);
+  }
+
+  AttrTable& attrs() { return attrs_; }
+  const AttrTable& attrs() const { return attrs_; }
+
+ private:
+  net::PrefixTrie<Slot> trie_;
+  std::vector<std::uint32_t> refs_;  ///< references per slot
+  std::vector<Ipv4Prefix> prefixes_;  ///< the prefix behind each live slot
+  std::vector<Slot> free_;            ///< freed slots, reused first
+  AttrTable attrs_;
+};
+
 class Rib {
  public:
-  /// A Rib with its own attribute table.
-  Rib() : Rib(std::make_shared<AttrTable>()) {}
-  explicit Rib(std::shared_ptr<AttrTable> table) : table_(std::move(table)) {}
+  /// A Rib with its own one-column index.
+  Rib() : Rib(std::make_shared<FibIndex>()) {}
+  explicit Rib(std::shared_ptr<FibIndex> index) : index_(std::move(index)) {}
   ~Rib();
   Rib(Rib&&) = default;
   Rib(const Rib&) = delete;
   Rib& operator=(const Rib&) = delete;
   Rib& operator=(Rib&&) = delete;
+
+  /// A column cell holding no route.
+  static constexpr AttrHandle kNoRoute = static_cast<AttrHandle>(-1);
 
   /// A longest-prefix match: the covering prefix and its attributes.
   struct Match {
@@ -77,12 +149,16 @@ class Rib {
   };
 
   /// Points \p prefix at the attribute set \p attrs (taking a reference),
-  /// releasing the set it replaces. Every FIB write goes through here.
-  /// Returns true when the prefix is new.
+  /// releasing the set it replaces. Returns true when the prefix is new.
   bool add(Ipv4Prefix prefix, AttrHandle attrs);
+  /// add() for a slot the caller holds (FibIndex::acquire): no trie walk.
+  /// Every FIB write ends here.
+  bool add_at(FibIndex::Slot slot, AttrHandle attrs);
 
   /// Removes \p prefix. Returns true when present.
   bool withdraw(Ipv4Prefix prefix);
+  /// withdraw() by slot: no trie walk.
+  bool withdraw_at(FibIndex::Slot slot);
 
   /// Exact-prefix lookup (nullptr when absent).
   const RouteAttributes* find(Ipv4Prefix prefix) const;
@@ -90,23 +166,34 @@ class Rib {
   /// Longest-prefix-match lookup for a destination address.
   std::optional<Match> lookup(Ipv4Address addr) const;
 
-  std::size_t size() const { return trie_.size(); }
-  bool empty() const { return trie_.empty(); }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
-  AttrTable& table() { return *table_; }
-  const AttrTable& table() const { return *table_; }
+  FibIndex& index() { return *index_; }
+  const FibIndex& index() const { return *index_; }
+  AttrTable& table() { return index_->attrs(); }
+  const AttrTable& table() const { return index_->attrs(); }
 
   /// Visits every (prefix, attributes) entry in prefix order.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    trie_.for_each([this, &fn](Ipv4Prefix prefix, AttrHandle h) {
-      fn(prefix, (*table_)[h]);
+    const AttrTable& attrs = index_->attrs();
+    index_->for_each([this, &attrs, &fn](Ipv4Prefix prefix,
+                                         FibIndex::Slot slot) {
+      if (const AttrHandle h = held(slot); h != kNoRoute) {
+        fn(prefix, attrs[h]);
+      }
     });
   }
 
  private:
-  std::shared_ptr<AttrTable> table_;
-  net::PrefixTrie<AttrHandle> trie_;
+  AttrHandle held(FibIndex::Slot slot) const {
+    return slot < column_.size() ? column_[slot] : kNoRoute;
+  }
+
+  std::shared_ptr<FibIndex> index_;
+  std::vector<AttrHandle> column_;  ///< by slot; kNoRoute where not held
+  std::size_t size_ = 0;
 };
 
 }  // namespace sdx::bgp

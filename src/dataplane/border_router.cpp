@@ -3,11 +3,11 @@
 namespace sdx::dp {
 
 void BorderRouter::process_update(const bgp::UpdateMessage& update) {
-  for (auto prefix : update.withdrawn) withdraw(prefix);
+  for (auto prefix : update.withdrawn) rib_.withdraw(prefix);
   if (!update.attrs.has_value() || update.nlri.empty()) return;
   auto& table = rib_.table();
   const bgp::AttrHandle attrs = table.make(*update.attrs);
-  for (auto prefix : update.nlri) announce(prefix, attrs);
+  for (auto prefix : update.nlri) rib_.add(prefix, attrs);
   table.release(attrs);
 }
 

@@ -9,6 +9,15 @@
 /// port. The SDX exploits exactly this mechanic to have routers tag packets
 /// with the VMAC of their prefix group — "without any additional table
 /// space" and with no router modification.
+///
+/// FIB storage. A router's FIB (bgp::Rib) is its column in a prefix index
+/// that all routers of one runtime share (bgp::FibIndex, see rib.hpp): the
+/// trie is walked once per prefix for every router, and the LPM in forward()
+/// and frame() keeps the deepest prefix on the path that this router holds,
+/// so it never matches a longer prefix only another member was advertised.
+/// A slot freed by its last holder is reused by the next new prefix. The
+/// attributes a lookup returns stay valid until the next AttrTable::make(),
+/// i.e. until the next FIB write that makes a set.
 
 #include <cstdint>
 #include <memory>
@@ -26,18 +35,20 @@ namespace sdx::dp {
 
 class BorderRouter {
  public:
-  /// \p attrs is the attribute table the router's FIB entries point into;
-  /// a runtime shares one among all its routers, so an update group's
-  /// routers hold one attribute set. Without one the router owns its own.
+  /// \p fib is the prefix index and attribute table the router's FIB is a
+  /// column of (bgp::FibIndex); a runtime shares one among all its routers,
+  /// so a re-advertised prefix is resolved once for all of them and an
+  /// update group's routers hold one attribute set. Without one the router
+  /// owns its own.
   BorderRouter(net::Asn asn, net::PortId ixp_port, net::MacAddress mac,
                net::Ipv4Address ip,
-               std::shared_ptr<bgp::AttrTable> attrs =
-                   std::make_shared<bgp::AttrTable>())
+               std::shared_ptr<bgp::FibIndex> fib =
+                   std::make_shared<bgp::FibIndex>())
       : asn_(asn),
         port_(ixp_port),
         mac_(mac),
         ip_(ip),
-        rib_(std::move(attrs)) {}
+        rib_(std::move(fib)) {}
 
   net::Asn asn() const { return asn_; }
   net::PortId port() const { return port_; }
@@ -48,13 +59,14 @@ class BorderRouter {
   /// attributes become one set that every announced prefix points at.
   void process_update(const bgp::UpdateMessage& update);
 
-  /// Installs \p prefix with the attribute set \p attrs (from this router's
-  /// table) — the FIB write shared by decoded UPDATEs and the runtime's
-  /// in-process update-group fan-out.
-  void announce(net::Ipv4Prefix prefix, bgp::AttrHandle attrs) {
-    rib_.add(prefix, attrs);
+  /// Installs the prefix behind \p slot, which the caller holds in this
+  /// router's index, with the attribute set \p attrs (from the index's
+  /// table): the runtime's update-group fan-out resolves a prefix once
+  /// for all routers and writes each by slot.
+  void announce_at(bgp::FibIndex::Slot slot, bgp::AttrHandle attrs) {
+    rib_.add_at(slot, attrs);
   }
-  void withdraw(net::Ipv4Prefix prefix) { rib_.withdraw(prefix); }
+  void withdraw_at(bgp::FibIndex::Slot slot) { rib_.withdraw_at(slot); }
 
   const bgp::Rib& rib() const { return rib_; }
 

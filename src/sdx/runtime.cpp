@@ -121,7 +121,7 @@ ParticipantId SdxRuntime::add_participant(const std::string& name,
   server_.add_peer({stored.id, asn, stored.primary_port().router_ip});
   for (const auto& port : stored.ports) {
     routers_.emplace_back(asn, port.id, port.router_mac, port.router_ip,
-                          fib_attrs_);
+                          fib_);
     router_index_[stored.id].push_back(routers_.size() - 1);
     fabric_.attach(routers_.back());
   }
@@ -682,6 +682,14 @@ void SdxRuntime::readvertise(Ipv4Prefix prefix) {
     std::optional<bgp::UpdateMessage> msg;  ///< built on the first wire send
   };
   std::vector<Group> groups;
+  // One trie walk resolves the prefix's FIB slot for every router; holding
+  // it keeps a withdrawal from freeing the slot under the writes after it.
+  // With no candidate left every receiver withdraws, so a prefix no FIB
+  // holds gets no slot.
+  std::optional<bgp::FibIndex::Slot> fib_slot;
+  if (ranked != nullptr || fib_->find(prefix) != nullptr) {
+    fib_slot = fib_->acquire(prefix);
+  }
   for (std::size_t slot = 0; slot < participants_.size(); ++slot) {
     const auto& p = participants_[slot];
     if (p.is_remote()) continue;
@@ -737,19 +745,21 @@ void SdxRuntime::readvertise(Ipv4Prefix prefix) {
       // Secondary routers of multi-port participants share the view.
       first = 1;
     }
+    if (!fib_slot) continue;
     for (std::size_t k = first; k < routers.size(); ++k) {
       auto& router = routers_[routers[k]];
       if (best == nullptr) {
-        router.withdraw(prefix);
+        router.withdraw_at(*fib_slot);
         continue;
       }
-      if (!g->attrs) g->attrs = fib_attrs_->make(attributes());
-      router.announce(prefix, *g->attrs);
+      if (!g->attrs) g->attrs = fib_->attrs().make(attributes());
+      router.announce_at(*fib_slot, *g->attrs);
     }
   }
   for (const auto& g : groups) {
-    if (g.attrs) fib_attrs_->release(*g.attrs);
+    if (g.attrs) fib_->attrs().release(*g.attrs);
   }
+  if (fib_slot) fib_->release(*fib_slot);
 }
 
 void SdxRuntime::note_post_install_update(Ipv4Prefix prefix) {
@@ -1109,45 +1119,31 @@ verify::DeploymentView SdxRuntime::deployment_view() const {
     if (router == nullptr) return std::nullopt;
     return router->mac();
   };
+  // The union of the route server's RIB and every border-router FIB: a
+  // prefix withdrawn behind the server's back is exactly the stale state
+  // the checker exists to catch, and it only survives in FIBs. The FIBs'
+  // share is their shared index, which holds exactly the prefixes some
+  // router holds, so each query is one walk, not one per router.
   view.known_prefixes = [self]() {
-    // The union of the route server's RIB and every border-router FIB:
-    // a prefix withdrawn behind the server's back is exactly the stale
-    // state the checker exists to catch, and it only survives in FIBs.
     std::set<Ipv4Prefix> known;
     for (auto prefix : self->server_.all_prefixes()) known.insert(prefix);
-    for (const auto& router : self->routers_) {
-      router.rib().for_each([&known](Ipv4Prefix prefix,
-                                     const bgp::RouteAttributes&) {
-        known.insert(prefix);
-      });
-    }
+    self->fib_->for_each([&known](Ipv4Prefix prefix, bgp::FibIndex::Slot) {
+      known.insert(prefix);
+    });
     return std::vector<Ipv4Prefix>(known.begin(), known.end());
   };
   // The same union, queried from live state: the incremental pass asks
   // about a handful of dirty prefixes and must not rebuild it per flush.
   view.is_known = [self](Ipv4Prefix prefix) {
-    if (self->server_.candidates(prefix) != nullptr) return true;
-    for (const auto& router : self->routers_) {
-      if (router.rib().find(prefix) != nullptr) return true;
-    }
-    return false;
+    return self->server_.candidates(prefix) != nullptr ||
+           self->fib_->find(prefix) != nullptr;
   };
   view.known_covering =
       [self](net::Ipv4Address addr) -> std::optional<Ipv4Prefix> {
-    std::optional<Ipv4Prefix> best;
-    for (int len = 32; len >= 0; --len) {
+    std::optional<Ipv4Prefix> best = self->fib_->lookup(addr);
+    for (int len = 32; len > (best ? best->length() : -1); --len) {
       const Ipv4Prefix candidate(addr, len);
-      if (self->server_.candidates(candidate) != nullptr) {
-        best = candidate;
-        break;
-      }
-    }
-    for (const auto& router : self->routers_) {
-      const auto route = router.rib().lookup(addr);
-      if (!route) continue;
-      if (!best || route->prefix.length() > best->length()) {
-        best = route->prefix;
-      }
+      if (self->server_.candidates(candidate) != nullptr) return candidate;
     }
     return best;
   };

@@ -420,8 +420,9 @@ class SdxRuntime {
   void recompile_participant_partition(ParticipantId id);
   /// Re-advertises \p prefix to every physical participant. Receivers
   /// with the same best candidate and the same next hop form one update
-  /// group: one attribute set in fib_attrs_ for all its in-process routers,
-  /// one UPDATE for all its wire sessions.
+  /// group: one attribute set in fib_ for all its in-process routers, one
+  /// UPDATE for all its wire sessions. The prefix's FIB slot is resolved
+  /// once and every in-process router is written by slot.
   void readvertise(Ipv4Prefix prefix);
   void bind_arp(const CompiledSdx& compiled);
   /// Post-install update routing: raced-delta tracking, then either an
@@ -488,10 +489,10 @@ class SdxRuntime {
   PortMap port_map_;
   VnhAllocator vnh_;
   dp::Fabric fabric_;
-  /// The attribute sets every router's FIB entries point into: one per
-  /// update group of each re-advertisement (see readvertise()).
-  std::shared_ptr<bgp::AttrTable> fib_attrs_ =
-      std::make_shared<bgp::AttrTable>();
+  /// The prefix index every router's FIB is a column of, and the attribute
+  /// sets its entries point into: one per update group of each
+  /// re-advertisement (see readvertise()).
+  std::shared_ptr<bgp::FibIndex> fib_ = std::make_shared<bgp::FibIndex>();
   /// Routers keyed in participant slot order, one per physical port; deque
   /// keeps addresses stable for fabric attachment.
   std::deque<dp::BorderRouter> routers_;

@@ -1,12 +1,16 @@
 /// Tests for the BGP substrate: wire codec round trips (property-tested),
-/// decision process ordering, route-server behavior (per-participant best
+/// decision process ordering, border-router FIBs over one shared prefix
+/// index (model-fuzzed), route-server behavior (per-participant best
 /// routes, export/loop rules, change events), AS-path filters and update
 /// stream statistics.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "bgp/aspath_regex.hpp"
@@ -376,9 +380,10 @@ TEST(RibTest, AddWithdrawLpm) {
 }
 
 TEST(RibTest, RoutersSharingATableShareOneSetPerWrite) {
-  auto table = std::make_shared<AttrTable>();
-  Rib a(table);
-  Rib b(table);
+  auto index = std::make_shared<FibIndex>();
+  AttrTable* table = &index->attrs();
+  Rib a(index);
+  Rib b(index);
   const auto p = Ipv4Prefix::parse("10.0.0.0/8");
   const AttrHandle first = table->make(make_route("10.0.0.0/8", {1}, 1).attrs);
   a.add(p, first);
@@ -386,6 +391,7 @@ TEST(RibTest, RoutersSharingATableShareOneSetPerWrite) {
   table->release(first);
   EXPECT_EQ(table->live(), 1u);
   EXPECT_EQ(a.find(p), b.find(p));  // one set, two entries
+  EXPECT_EQ(index->size(), 1u);     // one prefix, two columns
 
   // Re-advertising to one router moves only that router's entry.
   const AttrHandle second =
@@ -400,8 +406,193 @@ TEST(RibTest, RoutersSharingATableShareOneSetPerWrite) {
     EXPECT_EQ(table->live(), 2u);
   }
   EXPECT_EQ(table->live(), 1u);  // destroying a Rib releases its entries
+  EXPECT_EQ(index->size(), 1u);
   a.withdraw(p);
   EXPECT_EQ(table->live(), 0u);
+  EXPECT_EQ(index->size(), 0u);  // the last holder's withdrawal erases it
+}
+
+TEST(RibTest, LongestMatchIsPerRouterInASharedIndex) {
+  auto index = std::make_shared<FibIndex>();
+  Rib a(index);
+  Rib b(index);
+  const auto wide = Ipv4Prefix::parse("10.0.0.0/8");
+  const auto narrow = Ipv4Prefix::parse("10.1.0.0/16");
+  const AttrHandle h = index->attrs().make(attrs({1}));
+  a.add(wide, h);
+  b.add(narrow, h);
+  index->attrs().release(h);
+
+  // The trie holds both prefixes, but each router matches only its own.
+  const auto addr = Ipv4Address::parse("10.1.2.3");
+  ASSERT_TRUE(a.lookup(addr).has_value());
+  EXPECT_EQ(a.lookup(addr)->prefix, wide);
+  ASSERT_TRUE(b.lookup(addr).has_value());
+  EXPECT_EQ(b.lookup(addr)->prefix, narrow);
+  EXPECT_EQ(a.find(narrow), nullptr);
+  EXPECT_EQ(b.find(wide), nullptr);
+  EXPECT_FALSE(b.lookup(Ipv4Address::parse("10.2.0.1")).has_value());
+  EXPECT_EQ(index->size(), 2u);
+}
+
+/// Model fuzz of several Ribs over one FibIndex: seeded announcements and
+/// withdrawals, by prefix and by slot (the runtime's fan-out), over nested
+/// prefixes of every length 0–32, against one std::map per router. After
+/// every operation each router's find, lookup, for_each and size must
+/// match its model, and the index must hold exactly the models' union.
+TEST(RibTest, SharedIndexModelFuzzAtEveryPrefixLength) {
+  constexpr std::size_t kRouters = 4;
+  SplitMix64 rng(4242);
+  // Two chains of nested prefixes (every length over one address each)
+  // plus scattered prefixes of random length.
+  std::vector<Ipv4Prefix> pool;
+  for (const std::uint32_t base : {0x0A010203u, 0xC0A80A01u}) {
+    for (int len = 0; len <= 32; ++len) {
+      pool.emplace_back(Ipv4Address(base), len);
+    }
+  }
+  for (int i = 0; i < 40; ++i) {
+    pool.emplace_back(Ipv4Address(static_cast<std::uint32_t>(rng())),
+                      static_cast<int>(rng.range(0, 32)));
+  }
+
+  auto index = std::make_shared<FibIndex>();
+  AttrTable& table = index->attrs();
+  std::vector<Rib> ribs;
+  for (std::size_t r = 0; r < kRouters; ++r) ribs.emplace_back(index);
+  // Per router: prefix → the next hop its entry carries.
+  std::vector<std::map<Ipv4Prefix, std::uint32_t>> models(kRouters);
+  std::size_t high_water = 0;  // the largest union so far
+
+  auto check = [&](int step) {
+    std::set<Ipv4Prefix> united;
+    for (std::size_t r = 0; r < kRouters; ++r) {
+      const Rib& rib = ribs[r];
+      const auto& model = models[r];
+      ASSERT_EQ(rib.size(), model.size()) << "step " << step;
+      std::vector<std::pair<Ipv4Prefix, std::uint32_t>> seen;
+      rib.for_each([&seen](Ipv4Prefix p, const RouteAttributes& a) {
+        seen.emplace_back(p, a.next_hop.value());
+      });
+      ASSERT_EQ(seen, (std::vector<std::pair<Ipv4Prefix, std::uint32_t>>(
+                          model.begin(), model.end())))
+          << "step " << step << " router " << r;
+      for (const auto& p : pool) {
+        const RouteAttributes* found = rib.find(p);
+        const auto it = model.find(p);
+        ASSERT_EQ(found != nullptr, it != model.end()) << "step " << step;
+        if (found != nullptr) {
+          ASSERT_EQ(found->next_hop.value(), it->second);
+        }
+      }
+      // Random addresses, plus one inside every held prefix.
+      std::vector<Ipv4Address> probes;
+      for (int i = 0; i < 8; ++i) {
+        probes.emplace_back(static_cast<std::uint32_t>(rng()));
+      }
+      for (const auto& [p, _] : model) {
+        probes.emplace_back(p.network().value() |
+                            (static_cast<std::uint32_t>(rng()) & ~p.mask()));
+        united.insert(p);
+      }
+      for (const Ipv4Address addr : probes) {
+        std::optional<Ipv4Prefix> best;
+        for (const auto& [p, _] : model) {
+          if (p.contains(addr) && (!best || p.length() > best->length())) {
+            best = p;
+          }
+        }
+        const auto hit = rib.lookup(addr);
+        ASSERT_EQ(hit.has_value(), best.has_value())
+            << "step " << step << " addr " << addr.to_string();
+        if (best) {
+          ASSERT_EQ(hit->prefix, *best);
+          ASSERT_EQ(hit->attrs.next_hop.value(), model.at(*best));
+        }
+      }
+    }
+    // The index tracks the live union (its LPM is the union's), and slots
+    // freed by the last holder's withdrawal are reused instead of growing
+    // past it.
+    ASSERT_EQ(index->size(), united.size()) << "step " << step;
+    for (const auto& p : united) {
+      const Ipv4Address addr(p.network().value() |
+                             (static_cast<std::uint32_t>(rng()) & ~p.mask()));
+      std::optional<Ipv4Prefix> best;
+      for (const auto& q : united) {
+        if (q.contains(addr) && (!best || q.length() > best->length())) {
+          best = q;
+        }
+      }
+      ASSERT_EQ(index->lookup(addr), best) << "step " << step;
+    }
+    high_water = std::max(high_water, united.size());
+    ASSERT_LE(index->slots(), high_water) << "step " << step;
+  };
+
+  std::uint32_t next_hop = 1;
+  for (int step = 0; step < 2500; ++step) {
+    const Ipv4Prefix p = pool[rng.below(pool.size())];
+    if (rng.below(2) == 0) {
+      // One router, by prefix (a decoded UPDATE).
+      const std::size_t r = rng.below(kRouters);
+      if (rng.below(3) == 0) {
+        ASSERT_EQ(ribs[r].withdraw(p), models[r].erase(p) > 0);
+      } else {
+        RouteAttributes a;
+        a.next_hop = Ipv4Address(next_hop);
+        const AttrHandle h = table.make(a);
+        const bool fresh = models[r].insert_or_assign(p, next_hop++).second;
+        ASSERT_EQ(ribs[r].add(p, h), fresh);
+        table.release(h);
+      }
+    } else {
+      // Every router, by slot (an update-group fan-out): some withdraw,
+      // the rest take one shared set. A prefix no router will hold gets
+      // no slot, as in SdxRuntime::readvertise.
+      std::vector<bool> announce(kRouters);
+      bool any = false;
+      for (std::size_t r = 0; r < kRouters; ++r) {
+        announce[r] = rng.below(3) != 0;
+        any = any || announce[r];
+      }
+      std::optional<FibIndex::Slot> slot;
+      if (any || index->find(p) != nullptr) slot = index->acquire(p);
+      RouteAttributes a;
+      a.next_hop = Ipv4Address(next_hop);
+      const AttrHandle h = table.make(a);
+      for (std::size_t r = 0; r < kRouters; ++r) {
+        if (announce[r]) {
+          models[r].insert_or_assign(p, next_hop);
+          ribs[r].add_at(*slot, h);
+        } else {
+          models[r].erase(p);
+          if (slot) ribs[r].withdraw_at(*slot);
+        }
+      }
+      ++next_hop;
+      table.release(h);
+      if (slot) index->release(*slot);
+    }
+    check(step);
+    if (HasFatalFailure()) return;
+  }
+
+  // Withdraw everything: no prefix, set or column entry survives, and
+  // re-announcing reuses the freed slots.
+  const std::size_t slots = index->slots();
+  for (std::size_t r = 0; r < kRouters; ++r) {
+    for (const auto& [p, _] : models[r]) ASSERT_TRUE(ribs[r].withdraw(p));
+    models[r].clear();
+  }
+  check(-1);
+  EXPECT_EQ(index->size(), 0u);
+  EXPECT_EQ(table.live(), 0u);
+  const AttrHandle h = table.make(attrs({1}));
+  for (const auto& p : pool) ribs[0].add(p, h);
+  table.release(h);
+  EXPECT_EQ(index->size(), std::set<Ipv4Prefix>(pool.begin(), pool.end()).size());
+  EXPECT_LE(index->slots(), std::max(slots, index->size()));
 }
 
 // ---------------------------------------------------------------------------

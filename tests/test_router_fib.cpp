@@ -5,8 +5,9 @@
 /// next hop, AS path, origin, MED, LOCAL_PREF and communities, in prefix
 /// order — is folded into one CRC-32C per mode and held to a golden
 /// constant, so any change to how routes reach the routers shows up here.
-/// The routers' shared attribute table is held to exact accounting: every
-/// live set is referenced by some FIB entry, and none outlives the routes.
+/// The routers' shared attribute table and prefix index are held to exact
+/// accounting: every live set is referenced by some FIB entry, and neither
+/// a set nor an indexed prefix outlives the routes.
 
 #include <gtest/gtest.h>
 
@@ -182,29 +183,35 @@ struct FibSets {
   std::size_t held = 0;      ///< distinct sets FIB entries point at
   std::size_t distinct = 0;  ///< distinct (prefix, attributes) entries
   std::size_t entries = 0;   ///< FIB entries over all routers
+  std::size_t indexed = 0;   ///< prefixes the shared FIB index holds
 };
 
 FibSets fib_sets(SdxRuntime& rt) {
   std::set<const bgp::RouteAttributes*> held;
   std::set<std::pair<Ipv4Prefix, std::string>> distinct;
+  std::set<Ipv4Prefix> prefixes;
   FibSets out;
-  const bgp::AttrTable* table = nullptr;
+  const bgp::FibIndex* index = nullptr;
   for (const auto& p : rt.participants()) {
     for (std::size_t k = 0; k < p.ports.size(); ++k) {
       const auto& rib = rt.router(p.id, k).rib();
-      if (table == nullptr) table = &rib.table();
-      EXPECT_EQ(&rib.table(), table) << "routers must share one table";
+      if (index == nullptr) index = &rib.index();
+      EXPECT_EQ(&rib.index(), index) << "routers must share one index";
       rib.for_each(
           [&](Ipv4Prefix prefix, const bgp::RouteAttributes& attrs) {
             held.insert(&attrs);
             std::string bytes;
             put_entry(bytes, prefix, attrs);
             distinct.emplace(prefix, std::move(bytes));
+            prefixes.insert(prefix);
           });
       out.entries += rib.size();
     }
   }
-  out.live = table == nullptr ? 0 : table->live();
+  out.live = index == nullptr ? 0 : index->attrs().live();
+  out.indexed = index == nullptr ? 0 : index->size();
+  // The index holds exactly the union of the FIBs, nothing withdrawn.
+  EXPECT_EQ(out.indexed, prefixes.size());
   out.held = held.size();
   out.distinct = distinct.size();
   return out;
@@ -231,7 +238,7 @@ TEST(RouterFibAttrSets, BoundedUnderChurnAndReleasedOnWithdrawal) {
       }
     }
 
-    // Withdraw every route: no FIB entry and no set survives.
+    // Withdraw every route: no FIB entry, set or indexed prefix survives.
     for (auto prefix : rt->route_server().all_prefixes()) {
       std::vector<ParticipantId> holders;
       for (const auto& r : *rt->route_server().candidates(prefix)) {
@@ -243,6 +250,7 @@ TEST(RouterFibAttrSets, BoundedUnderChurnAndReleasedOnWithdrawal) {
     const FibSets sets = fib_sets(*rt);
     EXPECT_EQ(sets.entries, 0u);
     EXPECT_EQ(sets.live, 0u);
+    EXPECT_EQ(sets.indexed, 0u);
   }
 }
 
