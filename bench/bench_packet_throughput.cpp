@@ -18,6 +18,16 @@
 ///             bursts carry the duplicate structure real inter-domain
 ///             traffic has (the batch dedup/memo path's home turf).
 ///
+/// Next to that synthetic population, two tables the compiler itself
+/// emits — ixp::generate_ixp + ixp::synthesize_policies, compiled pairwise
+/// and partitioned and installed under the runtime's VMAC lane spec — are
+/// priced with the packets that reach the switch from the members' border
+/// routers (mixes `compiled_pairwise` and `compiled_partitioned`). These
+/// carry the shapes an end-to-end run pays for: in a pairwise table nearly
+/// every rule pins an exact VMAC next to an in-port, protocol or port.
+/// Each compiled table's lane populations and MAC bucket lengths are
+/// printed as a `#` comment line before its rows.
+///
 /// Miss packets use the reserved top octet 0x0C — unicast and globally
 /// administered, so no VMAC encoding (top octet 0x02, locally
 /// administered) or future lane spec can alias it and the miss-rate
@@ -35,8 +45,11 @@
 ///
 /// Lookup counts are FIXED per phase (not timed loops), so the counter
 /// series in the metrics snapshot are byte-stable run to run and the CI
-/// bench-regression job gates them with --require-equal-counters. Timing
-/// (mpps, ns_per_lookup) is reported in the CSV only.
+/// bench-regression job gates them with --require-equal-counters. Besides
+/// lookups and matches, each phase sums its winning rules' priorities: a
+/// compiled table ends in a catch-all, so every lookup matches, and the
+/// sum is what tells which rule won. Timing (mpps, ns_per_lookup) is
+/// reported in the CSV only.
 ///
 /// CSV: mix,rules,mode,threads,lookups,matched,seconds,mpps,ns_per_lookup
 
@@ -50,6 +63,7 @@
 
 #include "bench_common.hpp"
 #include "dataplane/flow_table.hpp"
+#include "sdx/compiler.hpp"
 #include "netbase/rng.hpp"
 #include "policy/compile.hpp"
 #include "telemetry/metrics.hpp"
@@ -189,6 +203,7 @@ std::vector<net::PacketHeader> make_packets(const std::string& mix,
 struct PhaseResult {
   std::size_t lookups = 0;
   std::uint64_t matched = 0;
+  std::uint64_t priorities = 0;  ///< Σ of the winning rules' priorities
   double seconds = 0.0;
 };
 
@@ -202,7 +217,11 @@ PhaseResult run_lookup(const Lookup& lookup,
   res.lookups = lookups;
   bench::Stopwatch sw;
   for (std::size_t i = 0; i < lookups; ++i) {
-    res.matched += lookup(pkts[i & 255]) != nullptr;
+    const dp::FlowRule* r = lookup(pkts[i & 255]);
+    if (r != nullptr) {
+      ++res.matched;
+      res.priorities += r->priority;
+    }
   }
   res.seconds = sw.seconds();
   return res;
@@ -236,11 +255,37 @@ PhaseResult run_lookup_batch(const dp::FlowTable& table,
   bench::Stopwatch sw;
   for (std::size_t it = 0; it < iters; ++it) {
     table.lookup_batch(windows[it % windows.size()], hits);
-    for (const auto* r : hits) res.matched += r != nullptr;
+    for (const auto* r : hits) {
+      if (r != nullptr) {
+        ++res.matched;
+        res.priorities += r->priority;
+      }
+    }
   }
   res.seconds = sw.seconds();
   return res;
 }
+
+/// The threaded phases see no rule pointers, only the table's per-rule
+/// packet counters: the winners' priority sum is read back from their
+/// deltas over the phase.
+class WinnerPriorities {
+ public:
+  explicit WinnerPriorities(const dp::FlowTable& table) {
+    for (const auto* r : table.rules()) before_.push_back(r->packet_count);
+  }
+  std::uint64_t since(const dp::FlowTable& table) const {
+    std::uint64_t sum = 0;
+    std::size_t i = 0;
+    for (const auto* r : table.rules()) {
+      sum += (r->packet_count - before_[i++]) * r->priority;
+    }
+    return sum;
+  }
+
+ private:
+  std::vector<std::uint64_t> before_;
+};
 
 /// N threads hammering process() — the atomic-counter path. The offered
 /// load is fixed in total (per_thread * threads), so the counter series
@@ -253,6 +298,7 @@ PhaseResult run_process_mt(const dp::FlowTable& table,
   res.lookups = per_thread * threads;
   const auto matched0 = table.total_matched();
   const auto missed0 = table.total_missed();
+  const WinnerPriorities priorities(table);
   std::atomic<std::size_t> sink{0};  // keeps process() output observable
   bench::Stopwatch sw;
   std::vector<std::thread> workers;
@@ -268,6 +314,7 @@ PhaseResult run_process_mt(const dp::FlowTable& table,
   for (auto& w : workers) w.join();
   res.seconds = sw.seconds();
   res.matched = table.total_matched() - matched0;
+  res.priorities = priorities.since(table);
   const auto missed = table.total_missed() - missed0;
   if (res.matched + missed != res.lookups) {
     std::fprintf(stderr,
@@ -292,6 +339,7 @@ PhaseResult run_process_batch_mt(const dp::FlowTable& table,
   res.lookups = per_thread * threads;
   const auto matched0 = table.total_matched();
   const auto missed0 = table.total_missed();
+  const WinnerPriorities priorities(table);
   std::atomic<std::size_t> sink{0};
   bench::Stopwatch sw;
   std::vector<std::thread> workers;
@@ -308,6 +356,7 @@ PhaseResult run_process_batch_mt(const dp::FlowTable& table,
   for (auto& w : workers) w.join();
   res.seconds = sw.seconds();
   res.matched = table.total_matched() - matched0;
+  res.priorities = priorities.since(table);
   const auto missed = table.total_missed() - missed0;
   if (res.matched + missed != res.lookups) {
     std::fprintf(stderr,
@@ -332,6 +381,135 @@ void print_row(const std::string& mix, std::size_t rules,
   std::fflush(stdout);
 }
 
+/// Fixed lookup counts per phase, shared by every table.
+struct Budget {
+  std::size_t classified_lookups;
+  std::size_t linear_lookups;
+  std::size_t mt_lookups;
+  unsigned threads;
+};
+
+/// Times every mode over one table and one 256-packet stream, printing a
+/// CSV row and counting lookups and matches per (mix, mode). The linear
+/// reference is skipped at rule counts >= 100k, where a full scan per
+/// packet is pointlessly slow.
+void run_modes(const dp::FlowTable& table, const std::string& mix,
+               const std::vector<net::PacketHeader>& pkts,
+               const Budget& budget, telemetry::MetricRegistry& metrics) {
+  constexpr std::size_t kLinearCutoff = 100000;
+  const std::size_t n = table.size();
+  const auto record = [&](const char* mode, unsigned width,
+                          const PhaseResult& r) {
+    print_row(mix, n, mode, width, r);
+    telemetry::Labels labels = {{"mix", mix}, {"mode", mode}};
+    metrics
+        .counter("sdx_packet_bench_lookups_total",
+                 "lookups performed per mix and mode", labels)
+        .inc(r.lookups);
+    metrics
+        .counter("sdx_packet_bench_matched_total",
+                 "lookups that matched a rule per mix and mode", labels)
+        .inc(r.matched);
+    metrics
+        .counter("sdx_packet_bench_winner_priority_total",
+                 "sum of the winning rules' priorities per mix and mode",
+                 labels)
+        .inc(r.priorities);
+  };
+
+  const auto classified = [&table](const net::PacketHeader& h) {
+    return table.lookup(h);
+  };
+  record("classified", 1,
+         run_lookup(classified, pkts, budget.classified_lookups));
+  constexpr std::size_t kBursts[] = {8, 64, 1024};
+  for (const std::size_t b : kBursts) {
+    const std::string mode = "batch" + std::to_string(b);
+    record(mode.c_str(), 1,
+           run_lookup_batch(table, pkts, budget.classified_lookups, b));
+  }
+  record("mt", budget.threads,
+         run_process_mt(table, pkts, budget.mt_lookups, budget.threads));
+  record("mtbatch", budget.threads,
+         run_process_batch_mt(table, pkts, budget.mt_lookups,
+                              budget.threads));
+  if (n < kLinearCutoff) {
+    const auto ordered = table.rules();
+    const auto linear = [&ordered](const net::PacketHeader& h) {
+      return dp::reference_lookup(ordered, h);
+    };
+    record("linear", 1, run_lookup(linear, pkts, budget.linear_lookups));
+  }
+}
+
+/// 256 packets as they reach the switch from the members' border routers,
+/// drawn with a fixed seed: a random sending member's port, a destination
+/// in a random prefix that some other member advertises, the dst-MAC the
+/// sender's router resolves for it (the VMAC of the prefix's binding —
+/// the sender's own partition binding when partitioned — or, for a prefix
+/// no policy touches, the best other advertiser's router MAC), TCP or UDP
+/// equally often, and a dst-port a clause names half the time.
+std::vector<net::PacketHeader> compiled_packets(
+    const ixp::GeneratedIxp& ixp, const core::CompiledSdx& compiled) {
+  std::vector<std::size_t> senders;
+  std::vector<std::uint64_t> clause_ports;
+  for (std::size_t slot = 0; slot < ixp.participants.size(); ++slot) {
+    const auto& p = ixp.participants[slot];
+    if (!p.is_remote()) senders.push_back(slot);
+    for (const auto& c : p.outbound) {
+      for (const auto& [field, value] : c.match.exact) {
+        if (field == net::Field::kDstPort) clause_ports.push_back(value);
+      }
+    }
+  }
+  net::SplitMix64 rng(0x5D2Full);
+  std::vector<net::PacketHeader> out;
+  out.reserve(256);
+  while (out.size() < 256) {
+    const std::size_t slot = senders[rng.below(senders.size())];
+    const auto& sender = ixp.participants[slot];
+    const net::Ipv4Prefix prefix =
+        ixp.prefixes[rng.below(ixp.prefixes.size())];
+    const auto binding = compiled.partitioned
+                             ? compiled.partition_binding_for(slot, prefix)
+                             : compiled.binding_for(prefix);
+    net::MacAddress dst_mac;
+    if (binding) {
+      dst_mac = binding->vmac;
+    } else {
+      const core::Participant* via = nullptr;
+      if (const auto* ranked = ixp.server.candidates(prefix)) {
+        for (const auto& r : *ranked) {
+          const auto& p = ixp.participants[ixp.slot_of(r.learned_from)];
+          if (p.id != sender.id && !p.is_remote()) {
+            via = &p;
+            break;
+          }
+        }
+      }
+      if (via == nullptr) continue;  // nobody else to send it to
+      dst_mac = via->primary_port().router_mac;
+    }
+    const std::uint64_t dport =
+        !clause_ports.empty() && rng.below(2) == 0
+            ? clause_ports[rng.below(clause_ports.size())]
+            : rng.range(1024, 65535);
+    out.push_back(
+        net::PacketBuilder()
+            .port(sender.primary_port().id)
+            .dst_mac(dst_mac)
+            .src_ip(net::Ipv4Address(static_cast<std::uint32_t>(rng())))
+            .dst_ip(net::Ipv4Address(
+                prefix.network().value() |
+                static_cast<std::uint32_t>(rng.range(1, 254))))
+            .proto(rng.below(2) == 0 ? net::kProtoTcp : net::kProtoUdp)
+            .src_port(rng.range(1024, 65535))
+            .dst_port(dport)
+            .build());
+  }
+  return out;
+}
+
 }  // namespace
 
 int main() {
@@ -346,11 +524,8 @@ int main() {
   const std::vector<std::size_t> rule_counts =
       smoke ? std::vector<std::size_t>{256, 262144}
             : std::vector<std::size_t>{256, 1024, 4096, 262144};
-  constexpr std::size_t kLinearCutoff = 100000;
-  const std::size_t classified_lookups = smoke ? 40000 : 4000000;
-  const std::size_t linear_lookups = smoke ? 8000 : 100000;
-  const std::size_t mt_lookups = smoke ? 40000 : 2000000;
-  const std::vector<std::size_t> bursts = {8, 64, 1024};
+  const Budget budget{smoke ? 40000u : 4000000u, smoke ? 8000u : 100000u,
+                      smoke ? 40000u : 2000000u, threads};
   const std::vector<std::string> mixes = {"vmac", "clause", "prefix",
                                           "miss",  "mixed", "traffic"};
 
@@ -364,47 +539,51 @@ int main() {
     dp::FlowTable table;
     table.set_vmac_lanes(vmac_spec());
     fill_rules(table, n);
-    const auto ordered = table.rules();
     metrics
         .counter("sdx_packet_bench_rules_total",
                  "flow rules installed across bench tables")
         .inc(table.size());
 
     for (const auto& mix : mixes) {
-      const auto pkts = make_packets(mix, n);
-      const auto record = [&](const char* mode, unsigned width,
-                              const PhaseResult& r) {
-        print_row(mix, n, mode, width, r);
-        telemetry::Labels labels = {{"mix", mix}, {"mode", mode}};
-        metrics
-            .counter("sdx_packet_bench_lookups_total",
-                     "lookups performed per mix and mode", labels)
-            .inc(r.lookups);
-        metrics
-            .counter("sdx_packet_bench_matched_total",
-                     "lookups that matched a rule per mix and mode", labels)
-            .inc(r.matched);
-      };
-
-      const auto classified = [&table](const net::PacketHeader& h) {
-        return table.lookup(h);
-      };
-      record("classified", 1, run_lookup(classified, pkts, classified_lookups));
-      for (const std::size_t b : bursts) {
-        const std::string mode = "batch" + std::to_string(b);
-        record(mode.c_str(), 1,
-               run_lookup_batch(table, pkts, classified_lookups, b));
-      }
-      record("mt", threads, run_process_mt(table, pkts, mt_lookups, threads));
-      record("mtbatch", threads,
-             run_process_batch_mt(table, pkts, mt_lookups, threads));
-      if (n < kLinearCutoff) {
-        const auto linear = [&ordered](const net::PacketHeader& h) {
-          return dp::reference_lookup(ordered, h);
-        };
-        record("linear", 1, run_lookup(linear, pkts, linear_lookups));
-      }
+      run_modes(table, mix, make_packets(mix, n), budget, metrics);
     }
+  }
+
+  // The compiler's own tables at the scale of perfbench's `traffic`
+  // exchange (100 members, 5000 prefixes, a fifth of them under policy).
+  // They compile in well under a second, so smoke runs them unshrunk.
+  const auto ixp = bench::make_workload(100, 5000, 5000 / 5);
+  for (const bool partitioned : {false, true}) {
+    const std::string mix =
+        partitioned ? "compiled_partitioned" : "compiled_pairwise";
+    core::CompileOptions options;
+    options.threads = bench::bench_threads();
+    options.partitioned = partitioned;
+    core::SdxCompiler compiler(ixp.participants, ixp.ports, ixp.server,
+                               options);
+    core::VnhAllocator vnh(net::Ipv4Prefix::parse("172.16.0.0/12"),
+                           options.vmac_layout);
+    const auto compiled = compiler.compile(vnh);
+    dp::FlowTable table;
+    table.set_vmac_lanes(options.vmac_layout.lane_spec());
+    table.install_classifier(compiled.fabric, 1000, 1);
+    metrics
+        .counter("sdx_packet_bench_compiled_rules_total",
+                 "flow rules installed per compiled table", {{"mix", mix}})
+        .inc(table.size());
+    const auto lanes = table.classifier().stats();
+    std::printf(
+        "# %s lanes: rules=%zu exact_mac=%zu mac_buckets=%zu "
+        "max_mac_bucket=%zu mean_mac_bucket=%.1f nexthop=%zu attr=%zu "
+        "tuple=%zu tuples=%zu\n",
+        mix.c_str(), table.size(), lanes.exact_mac_rules, lanes.mac_buckets,
+        lanes.max_mac_bucket,
+        lanes.mac_buckets > 0 ? static_cast<double>(lanes.exact_mac_rules) /
+                                    static_cast<double>(lanes.mac_buckets)
+                              : 0.0,
+        lanes.nexthop_lane_rules, lanes.attr_lane_rules, lanes.tuple_rules,
+        lanes.tuples);
+    run_modes(table, mix, compiled_packets(ixp, compiled), budget, metrics);
   }
 
   bench::emit_metrics_snapshot(metrics);

@@ -47,8 +47,29 @@ inline bool entry_better(const ClassifierEntry& a, const ClassifierEntry& b) {
 /// recycled through a free list, so churny tables don't grow unboundedly.
 class FlatEntryMap {
  public:
+  /// Handle of one key's chain for visit_chain(): the head node, or
+  /// kNoChain when the key is absent. Valid until the next mutation.
+  using Chain = std::int32_t;
+  static constexpr Chain kNoChain = -1;
+
   bool empty() const { return entries_ == 0; }
   std::size_t entries() const { return entries_; }
+  /// Keys with a non-empty chain.
+  std::size_t keys() const { return live_slots_; }
+
+  /// Length of the longest chain (a full scan — diagnostics only).
+  std::size_t longest_chain() const {
+    std::size_t longest = 0;
+    for (const std::int32_t head : heads_) {
+      std::size_t len = 0;
+      for (std::int32_t n = head; n >= 0;
+           n = nodes_[static_cast<std::size_t>(n)].next) {
+        ++len;
+      }
+      longest = std::max(longest, len);
+    }
+    return longest;
+  }
 
   void clear() {
     keys_.clear();
@@ -68,16 +89,26 @@ class FlatEntryMap {
                                        heads_[s])].entry;
   }
 
-  /// Visits \p key's chain best-first until \p fn returns false.
-  template <typename Fn>
-  void visit(std::uint64_t key, Fn&& fn) const {
-    if (live_slots_ == 0) return;
+  /// \p key's chain, for visit_chain().
+  Chain chain(std::uint64_t key) const {
+    if (live_slots_ == 0) return kNoChain;
     const std::size_t s = find(key);
-    if (s == kNpos) return;
-    for (std::int32_t n = heads_[s]; n != kNil;
+    return s == kNpos ? kNoChain : heads_[s];
+  }
+
+  /// Visits \p c best-first until \p fn returns false.
+  template <typename Fn>
+  void visit_chain(Chain c, Fn&& fn) const {
+    for (std::int32_t n = c; n != kNil;
          n = nodes_[static_cast<std::size_t>(n)].next) {
       if (!fn(nodes_[static_cast<std::size_t>(n)].entry)) return;
     }
+  }
+
+  /// Visits \p key's chain best-first until \p fn returns false.
+  template <typename Fn>
+  void visit(std::uint64_t key, Fn&& fn) const {
+    visit_chain(chain(key), fn);
   }
 
   /// Visits every chain's head (its best entry) — enough to recompute a

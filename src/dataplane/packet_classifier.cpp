@@ -21,6 +21,24 @@ bool better(const PacketClassifier::Entry& a,
   return entry_better(a, b);
 }
 
+/// Visitor for one best-first chain (a lane-1 MAC bucket or a tuple's hash
+/// chain), shared by lookup() and lookup_batch(): stops at the first entry
+/// that cannot beat \p best — every later one is worse still — or at the
+/// first whose full match holds \p h, which then becomes \p best.
+struct ChainScan {
+  const PacketClassifier::Entry*& best;
+  const net::PacketHeader& h;
+
+  bool operator()(const PacketClassifier::Entry& e) const {
+    if (best != nullptr && !better(e, *best)) return false;
+    if (e.rule->match.matches(h)) {
+      best = &e;
+      return false;
+    }
+    return true;
+  }
+};
+
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
@@ -72,13 +90,11 @@ void bucket_insert(std::vector<PacketClassifier::Entry>& b,
   b.insert(std::upper_bound(b.begin(), b.end(), e, better), e);
 }
 
-bool bucket_erase(std::vector<PacketClassifier::Entry>& b,
+void bucket_erase(std::vector<PacketClassifier::Entry>& b,
                   const FlowRule* rule) {
   auto it = std::find_if(b.begin(), b.end(),
                          [rule](const auto& e) { return e.rule == rule; });
-  if (it == b.end()) return false;
-  b.erase(it);
-  return true;
+  if (it != b.end()) b.erase(it);
 }
 
 /// Flat per-burst memo: open-addressed key table over append-only
@@ -86,9 +102,10 @@ bool bucket_erase(std::vector<PacketClassifier::Entry>& b,
 /// no node allocation, no bucket churn — which is what keeps the memo
 /// cheaper than the lane/trie work it short-circuits (a node-based map
 /// here costs more than mac_lane_best itself on distinct-heavy bursts).
+template <typename V>
 struct FlatMemo {
   std::vector<std::uint64_t> keys;
-  std::vector<std::uint64_t> vals;
+  std::vector<V> vals;
   std::vector<std::uint32_t> tab;  // open addressing: value = index + 1
 
   void begin(std::size_t n) {
@@ -98,9 +115,9 @@ struct FlatMemo {
   }
 
   /// Returns the value slot for \p key plus whether it was just created
-  /// (value zero-initialized). Capacity: at most one key per distinct
-  /// header, table sized 2n — load factor stays under 1/2.
-  std::pair<std::uint64_t*, bool> slot(std::uint64_t key) {
+  /// (value-initialized). Capacity: at most one key per distinct header,
+  /// table sized 2n — load factor stays under 1/2.
+  std::pair<V*, bool> slot(std::uint64_t key) {
     const std::size_t mask = tab.size() - 1;
     std::uint64_t h = key * 0x9E3779B97F4A7C15ull;
     h ^= h >> 29;
@@ -110,7 +127,7 @@ struct FlatMemo {
       if (v == 0) {
         tab[s] = static_cast<std::uint32_t>(keys.size()) + 1;
         keys.push_back(key);
-        vals.push_back(0);
+        vals.push_back(V{});
         return {&vals.back(), true};
       }
       if (keys[v - 1] == key) return {&vals[v - 1], false};
@@ -134,11 +151,12 @@ struct BatchScratch {
   std::vector<std::uint64_t> keys;
   std::vector<std::uint32_t> active, next_active, cand;
 
-  // Per-burst memos: trie viability bitmaps per distinct IP, lane results
+  // Per-burst memos: trie viability bitmaps per distinct IP, MAC probes
   // per distinct dst-MAC.
   std::vector<std::uint64_t> dst_bm, src_bm;     // per distinct header
   std::vector<std::uint8_t> dst_have, src_have;  // per distinct header
-  FlatMemo dst_memo, src_memo, mac_memo;
+  FlatMemo<std::uint64_t> dst_memo, src_memo;
+  FlatMemo<PacketClassifier::MacProbe> mac_memo;
 
   void begin(std::size_t n) {
     for (auto& col : fields) col.clear();
@@ -167,20 +185,16 @@ void PacketClassifier::clear() {
   tuple_order_.clear();
   dst_trie_.clear();
   src_trie_.clear();
-  exact_rules_ = nexthop_rules_ = attr_rules_ = tuple_rules_ = 0;
 }
 
 PacketClassifier::ShapeInfo PacketClassifier::classify(
     const FlowRule& rule) const {
   const net::FlowMatch& m = rule.match;
-  for (auto f : kAllFields) {
-    if (f != Field::kDstMac && !m.field(f).is_wildcard()) {
-      return {Shape::kTuple, 0, 0};
-    }
-  }
   const net::FieldMatch& dm = m.field(Field::kDstMac);
-  if (dm.is_wildcard()) return {Shape::kTuple, 0, 0};
   if (dm.is_exact()) return {Shape::kExactMac, dm.value(), 0};
+  if (dm.is_wildcard() || m.constrained_fields() != 1) {
+    return {Shape::kTuple, 0, 0};
+  }
   // Masked dst-MAC-only rule: decode against the active layout. Both lane
   // shapes require the full top-octet guard and the layout's fixed value —
   // anything else (including guard-less masks) falls to tuple search.
@@ -209,15 +223,12 @@ void PacketClassifier::insert(const FlowRule* rule, std::uint64_t seq) {
   switch (s.shape) {
     case Shape::kExactMac:
       exact_mac_.insert(s.key, e);
-      ++exact_rules_;
       break;
     case Shape::kNexthopLane:
       nexthop_lane_.insert(s.key, e);
-      ++nexthop_rules_;
       break;
     case Shape::kAttrLane:
       bucket_insert(attr_lanes_[s.attr_bit], e);
-      ++attr_rules_;
       break;
     case Shape::kTuple:
       insert_tuple(e);
@@ -229,13 +240,13 @@ void PacketClassifier::erase(const FlowRule* rule) {
   const ShapeInfo s = classify(*rule);
   switch (s.shape) {
     case Shape::kExactMac:
-      if (exact_mac_.erase(s.key, rule)) --exact_rules_;
+      exact_mac_.erase(s.key, rule);
       break;
     case Shape::kNexthopLane:
-      if (nexthop_lane_.erase(s.key, rule)) --nexthop_rules_;
+      nexthop_lane_.erase(s.key, rule);
       break;
     case Shape::kAttrLane:
-      if (bucket_erase(attr_lanes_[s.attr_bit], rule)) --attr_rules_;
+      bucket_erase(attr_lanes_[s.attr_bit], rule);
       break;
     case Shape::kTuple:
       erase_tuple(rule);
@@ -264,7 +275,6 @@ void PacketClassifier::insert_tuple(const Entry& e) {
   Tuple& t = tuples_[ti];
   t.entries.insert(rule_key(e.rule->match), e);
   ++t.size;
-  ++tuple_rules_;
   if (t.size == 1 || e.priority > t.max_priority) t.max_priority = e.priority;
   if (ti < 64) {
     const std::uint64_t bit = 1ull << ti;
@@ -298,7 +308,6 @@ void PacketClassifier::erase_tuple(const FlowRule* rule) {
   Tuple& t = tuples_[ti_it->second];
   if (!t.entries.erase(rule_key(rule->match), rule)) return;
   --t.size;
-  --tuple_rules_;
   if (t.size == 0) {
     t.max_priority = 0;
   } else if (rule->priority == t.max_priority) {
@@ -323,13 +332,13 @@ void PacketClassifier::rebuild_tuple_order() {
             });
 }
 
-const PacketClassifier::Entry* PacketClassifier::mac_lane_best(
+PacketClassifier::MacProbe PacketClassifier::probe_mac(
     std::uint64_t mac) const {
-  // Lane 1: exact dst-MAC. Every entry in the chain has the identical
-  // match (dst-MAC only, same value), so the head is the chain's winner.
-  const Entry* best = exact_mac_.best(mac);
+  MacProbe p;
+  p.bucket = exact_mac_.chain(mac);
 
   // Lane 2: VMAC field lanes, probed only for layout-tagged packets.
+  const Entry*& best = p.lane2;
   if (spec_.enabled && (mac & spec_.top_mask) == spec_.top_value) {
     if (spec_.nexthop_bits > 0 && !nexthop_lane_.empty()) {
       const std::uint64_t nh = (mac >> spec_.nexthop_shift()) &
@@ -353,11 +362,21 @@ const PacketClassifier::Entry* PacketClassifier::mac_lane_best(
       }
     }
   }
+  return p;
+}
+
+const PacketClassifier::Entry* PacketClassifier::mac_lane_best(
+    const MacProbe& p, const net::PacketHeader& h) const {
+  // Lane 1: the MAC's bucket, best-first. Its entries differ in the
+  // fields beyond the dst-MAC, so the first whose full match holds wins —
+  // unless lane 2's winner already beats it.
+  const Entry* best = p.lane2;
+  exact_mac_.visit_chain(p.bucket, ChainScan{best, h});
   return best;
 }
 
 const FlowRule* PacketClassifier::lookup(const net::PacketHeader& h) const {
-  const Entry* best = mac_lane_best(h.get(Field::kDstMac));
+  const Entry* best = mac_lane_best(probe_mac(h.get(Field::kDstMac)), h);
 
   // Lane 3: tuple-space search, highest-max-priority tuple first; stop as
   // soon as no remaining tuple can beat the current winner (strict >, so
@@ -386,14 +405,7 @@ const FlowRule* PacketClassifier::lookup(const net::PacketHeader& h) const {
         if ((src_viable & bit) == 0) continue;
       }
     }
-    t.entries.visit(packet_key(*t.masks, h), [&](const Entry& e) {
-      if (best != nullptr && !better(e, *best)) return false;  // rest worse
-      if (e.rule->match.matches(h)) {
-        best = &e;
-        return false;
-      }
-      return true;
-    });
+    t.entries.visit(packet_key(*t.masks, h), ChainScan{best, h});
   }
   return best != nullptr ? best->rule : nullptr;
 }
@@ -443,17 +455,15 @@ void PacketClassifier::lookup_batch(std::span<const net::PacketHeader> pkts,
   const std::size_t uniq = sc.rep.size();
   sc.best.assign(uniq, nullptr);
 
-  // Pass 1 — lanes 1+2, decoded once per distinct dst-MAC in the burst
-  // (many distinct flows share a VMAC next-hop MAC, so this memo hits far
-  // more often than the full-header dedup).
+  // Pass 1 — lanes 1+2. The MAC probe runs once per distinct dst-MAC in
+  // the burst (many distinct flows share a VMAC, so this memo hits far
+  // more often than the full-header dedup); the bucket walk runs once per
+  // distinct header.
   const std::vector<std::uint64_t>& dmac = sc.fields[kDstMacIdx];
   for (std::size_t u = 0; u < uniq; ++u) {
-    auto [val, fresh] = sc.mac_memo.slot(dmac[u]);
-    if (fresh) {
-      *val = reinterpret_cast<std::uintptr_t>(mac_lane_best(dmac[u]));
-    }
-    sc.best[u] = reinterpret_cast<const Entry*>(
-        static_cast<std::uintptr_t>(*val));
+    auto [probe, fresh] = sc.mac_memo.slot(dmac[u]);
+    if (fresh) *probe = probe_mac(dmac[u]);
+    sc.best[u] = mac_lane_best(*probe, pkts[sc.rep[u]]);
   }
 
   // Pass 2 — tuple-space search, lane-major: each tuple is visited once
@@ -545,16 +555,7 @@ void PacketClassifier::lookup_batch(std::span<const net::PacketHeader> pkts,
 
       for (std::size_t j = 0; j < m; ++j) {
         const std::uint32_t u = cs[j];
-        const net::PacketHeader& h = pkts[sc.rep[u]];
-        t.entries.visit(keys[j], [&](const Entry& e) {
-          const Entry* b = sc.best[u];
-          if (b != nullptr && !better(e, *b)) return false;
-          if (e.rule->match.matches(h)) {
-            sc.best[u] = &e;
-            return false;
-          }
-          return true;
-        });
+        t.entries.visit(keys[j], ChainScan{sc.best[u], pkts[sc.rep[u]]});
       }
     }
   }
@@ -568,11 +569,15 @@ void PacketClassifier::lookup_batch(std::span<const net::PacketHeader> pkts,
 
 PacketClassifier::Stats PacketClassifier::stats() const {
   Stats s;
-  s.exact_mac_rules = exact_rules_;
-  s.nexthop_lane_rules = nexthop_rules_;
-  s.attr_lane_rules = attr_rules_;
-  s.tuple_rules = tuple_rules_;
-  for (const auto& t : tuples_) s.tuples += t.size > 0 ? 1 : 0;
+  s.exact_mac_rules = exact_mac_.entries();
+  s.mac_buckets = exact_mac_.keys();
+  s.max_mac_bucket = exact_mac_.longest_chain();
+  s.nexthop_lane_rules = nexthop_lane_.entries();
+  for (const Bucket& b : attr_lanes_) s.attr_lane_rules += b.size();
+  for (const auto& t : tuples_) {
+    s.tuple_rules += t.size;
+    s.tuples += t.size > 0 ? 1 : 0;
+  }
   return s;
 }
 

@@ -8,16 +8,22 @@
 /// rules). This classifier decomposes the installed rule set into lanes
 /// ordered by how cheap they are to probe:
 ///
-///   lane 1 — exact dst-MAC hash. Rules whose only constraint is an exact
-///            dst-MAC (per-group defaults, MAC-learning entries — the
-///            dominant population of a compiled stage-1 table) resolve in
-///            one hash probe.
-///   lane 2 — VMAC field lanes. Masked dst-MAC rules that match the active
-///            VMAC layout's shapes (the next-hop field under its mask, or a
-///            single attribute bit) are decoded into an exact next-hop hash
-///            and per-attribute-bit buckets. A tagged packet probes the
-///            next-hop lane once and one bucket per set attribute bit.
-///   lane 3 — tuple-space search (Srinivasan et al.) over everything else:
+///   lane 1 — exact dst-MAC partition. Every rule that pins an exact
+///            dst-MAC (§4.2's tag) lives in that MAC's bucket, whatever its
+///            other fields: per-group defaults, MAC-learning entries and the
+///            pairwise clause rules that add an in-port, protocol or
+///            transport port. A bucket is one best-first chain; a packet
+///            probes its MAC once and walks the chain to the first entry
+///            whose full match holds, stopping early once no remaining
+///            entry can beat the winner of the other lanes.
+///   lane 2 — VMAC field lanes. Masked dst-MAC-only rules that match the
+///            active VMAC layout's shapes (the next-hop field under its
+///            mask, or a single attribute bit) are decoded into an exact
+///            next-hop hash and per-attribute-bit buckets. A tagged packet
+///            probes the next-hop lane once and one bucket per set
+///            attribute bit.
+///   lane 3 — tuple-space search (Srinivasan et al.) over everything else
+///            (no exact dst-MAC — in a pairwise table just the catch-all):
 ///            rules grouped by mask signature, hashed on their masked field
 ///            values within each tuple, tuples visited in max-priority
 ///            order with early exit, and CIDR tuples pruned by a
@@ -30,9 +36,10 @@
 /// Two lookup entry points share that contract: lookup() classifies one
 /// packet, lookup_batch() classifies a whole burst lane-major — one pass
 /// per lane over the burst, per-burst memoization of trie viability and
-/// per-MAC lane results, SoA key hashing — and is bit-for-bit equivalent
-/// to calling lookup() per packet (enforced by randomized tests and the
-/// differential oracle's equivalence (g)).
+/// of what the dst-MAC alone decides (lane 2's winner, lane 1's bucket),
+/// SoA key hashing — and is bit-for-bit equivalent to calling lookup() per
+/// packet (enforced by randomized tests and the differential oracle's
+/// equivalence (g)).
 ///
 /// Storage is flat for ablation-scale tables: every lane bucket lives in a
 /// FlatEntryMap (see intern.hpp), and each tuple's per-field mask vector
@@ -105,7 +112,8 @@ class PacketClassifier {
   /// Burst lookup: out[i] receives exactly what lookup(pkts[i]) would
   /// return, for every i. Work is amortized lane-major across the burst:
   /// duplicate headers resolve once, lanes 1+2 probe once per distinct
-  /// dst-MAC, trie viability bitmaps are memoized per distinct IP within
+  /// dst-MAC (lane 1's bucket is then walked once per distinct header),
+  /// trie viability bitmaps are memoized per distinct IP within
   /// the burst, and tuple keys hash in SoA loops the compiler can
   /// vectorize. Requires out.size() >= pkts.size(). Same concurrency
   /// contract as lookup(): any number of reader threads, no concurrent
@@ -113,9 +121,12 @@ class PacketClassifier {
   void lookup_batch(std::span<const net::PacketHeader> pkts,
                     std::span<const FlowRule*> out) const;
 
-  /// Lane population snapshot, for diagnostics and benches.
+  /// Lane population snapshot, for diagnostics and benches. Computed on
+  /// demand (mac buckets by a full scan), never on the lookup path.
   struct Stats {
-    std::size_t exact_mac_rules = 0;
+    std::size_t exact_mac_rules = 0;  ///< rules that pin an exact dst-MAC
+    std::size_t mac_buckets = 0;      ///< distinct dst-MACs among them
+    std::size_t max_mac_bucket = 0;   ///< rules in the longest bucket
     std::size_t nexthop_lane_rules = 0;
     std::size_t attr_lane_rules = 0;
     std::size_t tuple_rules = 0;
@@ -125,6 +136,13 @@ class PacketClassifier {
 
   using Entry = ClassifierEntry;
   using Bucket = std::vector<Entry>;  // kept sorted best-first
+
+  /// What a dst-MAC alone decides: lane 2's winner and lane 1's bucket.
+  /// The batched path memoizes it per distinct MAC in the burst.
+  struct MacProbe {
+    const Entry* lane2 = nullptr;
+    FlatEntryMap::Chain bucket = FlatEntryMap::kNoChain;
+  };
 
   using MaskSig = std::array<std::uint64_t, net::kFieldCount>;
   struct MaskSigHash {
@@ -158,10 +176,13 @@ class PacketClassifier {
   void erase_tuple(const FlowRule* rule);
   void rebuild_tuple_order();
 
-  /// Lanes 1+2 for one dst-MAC value — the part of lookup() that depends
-  /// on nothing but the MAC, shared by the single and batched paths (the
-  /// batch memoizes it per distinct MAC in the burst).
-  const Entry* mac_lane_best(std::uint64_t mac) const;
+  MacProbe probe_mac(std::uint64_t mac) const;
+
+  /// Lanes 1+2 for one packet: lane 2's winner, beaten by the first entry
+  /// of the MAC's bucket whose full match holds \p h, if that entry is
+  /// better. Shared by the single and batched paths.
+  const Entry* mac_lane_best(const MacProbe& p,
+                             const net::PacketHeader& h) const;
 
   VmacLaneSpec spec_{};
   FlatEntryMap exact_mac_;
@@ -177,11 +198,6 @@ class PacketClassifier {
   // stale on erase — that only costs an extra probe, never a wrong result.
   net::PrefixTrie<std::uint64_t> dst_trie_;
   net::PrefixTrie<std::uint64_t> src_trie_;
-
-  std::size_t exact_rules_ = 0;
-  std::size_t nexthop_rules_ = 0;
-  std::size_t attr_rules_ = 0;
-  std::size_t tuple_rules_ = 0;
 };
 
 }  // namespace sdx::dp

@@ -4,10 +4,12 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
 #include <system_error>
+#include <tuple>
 
 namespace sdx::ingest {
 
@@ -126,20 +128,25 @@ void Reactor::drain_wakeup() {
 }
 
 void Reactor::fire_due_timers() {
-  std::vector<std::function<void()>> due;
+  std::vector<Timer> due;
   {
     std::lock_guard lock(mu_);
     const auto now = Clock::now();
     for (auto it = timers_.begin(); it != timers_.end();) {
       if (it->deadline <= now) {
-        due.push_back(std::move(it->fn));
+        due.push_back(std::move(*it));
         it = timers_.erase(it);
       } else {
         ++it;
       }
     }
   }
-  for (auto& fn : due) fn();
+  // timers_ is in insertion order; a late poll finds several timers due at
+  // once, and they must still fire in deadline order (id breaks ties).
+  std::sort(due.begin(), due.end(), [](const Timer& a, const Timer& b) {
+    return std::tie(a.deadline, a.id) < std::tie(b.deadline, b.id);
+  });
+  for (auto& t : due) t.fn();
 }
 
 int Reactor::run_once(int timeout_ms) {

@@ -42,6 +42,26 @@ std::uint64_t encode_vmac(const VmacLaneSpec& s, std::uint64_t group,
          (nh << s.nexthop_shift()) | group;
 }
 
+/// The shape a pairwise compile installs for most of its table: an exact
+/// VMAC drawn from a small pool, so each MAC's bucket holds several rules,
+/// plus any of in-port, IP protocol and dst-port. With none of the three
+/// it is the bucket's exact-MAC-only default.
+FlowMatch pairwise_rule_match(SplitMix64& rng, const VmacLaneSpec& spec) {
+  FlowMatch m = FlowMatch::on(
+      Field::kDstMac,
+      encode_vmac(spec, rng.below(4), rng.below(2), rng.below(2)));
+  if (rng.below(4) != 0) {
+    m.set(Field::kPort, FieldMatch::exact(rng.range(1, 4)));
+  }
+  if (rng.below(2) == 0) {
+    m.set(Field::kIpProto, FieldMatch::exact(rng.below(2) == 0 ? 6 : 17));
+  }
+  if (rng.below(2) == 0) {
+    m.set(Field::kDstPort, FieldMatch::exact(rng.below(4) * 100));
+  }
+  return m;
+}
+
 /// Same shape population as test_packet_classifier's generator: compiled
 /// SDX shapes plus adversarial extras, narrow priorities so ties are
 /// common, occasional drop rules.
@@ -50,7 +70,7 @@ FlowRule random_rule(SplitMix64& rng, const VmacLaneSpec& spec, int i) {
   const auto out = static_cast<net::PortId>(i + 1);
   const std::uint64_t cookie = rng.range(1, 4);
   FlowMatch m;
-  switch (rng.below(8)) {
+  switch (rng.below(10)) {
     case 0:
       m = FlowMatch::on(Field::kDstMac,
                         encode_vmac(spec, rng.below(64), rng.below(8),
@@ -102,6 +122,10 @@ FlowRule random_rule(SplitMix64& rng, const VmacLaneSpec& spec, int i) {
       m.set(Field::kDstMac, FieldMatch::masked(rng(), mask));
       break;
     }
+    case 7:
+    case 8:  // pairwise clause rule: exact VMAC + in-port + proto/dstport
+      m = pairwise_rule_match(rng, spec);
+      break;
     default:  // wildcard catch-all
       break;
   }

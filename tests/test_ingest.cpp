@@ -91,6 +91,20 @@ TEST(Reactor, TimersFireInDeadlineOrder) {
   EXPECT_EQ(order[1], 2);
 }
 
+TEST(Reactor, LatePollFiresDueTimersInDeadlineOrder) {
+  // Both deadlines pass before the one poll that finds them due: the later
+  // timer was added first, but the earlier deadline must still fire first.
+  Reactor reactor;
+  std::vector<int> order;
+  reactor.add_timer(0.002, [&] { order.push_back(2); });
+  reactor.add_timer(0.001, [&] { order.push_back(1); });
+  std::this_thread::sleep_for(10ms);
+  reactor.run_once(0);
+  ASSERT_EQ(order.size(), 2u);
+  EXPECT_EQ(order[0], 1);
+  EXPECT_EQ(order[1], 2);
+}
+
 TEST(Reactor, RestartAfterStop) {
   Reactor reactor;
   reactor.stop();

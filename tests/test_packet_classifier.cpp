@@ -53,6 +53,26 @@ FlowRule rule(std::uint32_t priority, FlowMatch match, net::PortId out,
   return r;
 }
 
+/// The shape a pairwise compile installs for most of its table: an exact
+/// VMAC drawn from a small pool, so each MAC's bucket holds several rules,
+/// plus any of in-port, IP protocol and dst-port. With none of the three
+/// it is the bucket's exact-MAC-only default.
+FlowMatch pairwise_rule_match(SplitMix64& rng, const VmacLaneSpec& spec) {
+  FlowMatch m = FlowMatch::on(
+      Field::kDstMac,
+      encode_vmac(spec, rng.below(4), rng.below(2), rng.below(2)));
+  if (rng.below(4) != 0) {
+    m.set(Field::kPort, FieldMatch::exact(rng.range(1, 4)));
+  }
+  if (rng.below(2) == 0) {
+    m.set(Field::kIpProto, FieldMatch::exact(rng.below(2) == 0 ? 6 : 17));
+  }
+  if (rng.below(2) == 0) {
+    m.set(Field::kDstPort, FieldMatch::exact(rng.below(4) * 100));
+  }
+  return m;
+}
+
 /// Draws a random rule from the shape population a compiled SDX table
 /// actually contains, plus adversarial extras (overlapping masks, ties).
 FlowRule random_rule(SplitMix64& rng, const VmacLaneSpec& spec, int i) {
@@ -61,7 +81,7 @@ FlowRule random_rule(SplitMix64& rng, const VmacLaneSpec& spec, int i) {
   const auto out = static_cast<net::PortId>(i + 1);
   const std::uint64_t cookie = rng.range(1, 4);
   FlowMatch m;
-  switch (rng.below(8)) {
+  switch (rng.below(10)) {
     case 0:  // per-group default: exact VMAC
       m = FlowMatch::on(Field::kDstMac,
                         encode_vmac(spec, rng.below(64), rng.below(8),
@@ -113,6 +133,10 @@ FlowRule random_rule(SplitMix64& rng, const VmacLaneSpec& spec, int i) {
       m.set(Field::kDstMac, FieldMatch::masked(rng(), mask));
       break;
     }
+    case 7:
+    case 8:  // pairwise clause rule: exact VMAC + in-port + proto/dstport
+      m = pairwise_rule_match(rng, spec);
+      break;
     default:  // wildcard catch-all (every table has one)
       break;
   }
@@ -267,6 +291,89 @@ TEST(PacketClassifierLanes, ExactVmacBeatsAttrBitByPriorityNotLane) {
   EXPECT_EQ(stats.exact_mac_rules, 1u);
   EXPECT_EQ(stats.attr_lane_rules, 1u);
   EXPECT_EQ(stats.tuple_rules, 0u);
+}
+
+TEST(PacketClassifierLanes, MacBucketWalksPastPortRulesButYieldsToBetterLanes) {
+  const VmacLaneSpec spec = default_spec();
+  FlowTable t;
+  t.set_vmac_lanes(spec);
+  const std::uint64_t vmac = encode_vmac(spec, 5, 0, /*attrs=*/0b0100);
+  const auto on_vmac = [vmac](std::uint64_t in_port) {
+    FlowMatch m = FlowMatch::on(Field::kDstMac, vmac);
+    m.set(Field::kPort, FieldMatch::exact(in_port));
+    return m;
+  };
+  // One bucket: two port-specific clause rules above the exact-MAC-only
+  // default, installed default first so the chain order is the sort's.
+  t.install(rule(10, FlowMatch::on(Field::kDstMac, vmac), 13));
+  FlowMatch web = on_vmac(1);
+  web.set(Field::kDstPort, FieldMatch::exact(80));
+  t.install(rule(20, web, 11));
+  FlowMatch tcp = on_vmac(2);
+  tcp.set(Field::kIpProto, FieldMatch::exact(6));
+  t.install(rule(20, tcp, 12));
+
+  auto stats = t.classifier().stats();
+  EXPECT_EQ(stats.exact_mac_rules, 3u);
+  EXPECT_EQ(stats.mac_buckets, 1u);
+  EXPECT_EQ(stats.max_mac_bucket, 3u);
+  EXPECT_EQ(stats.tuple_rules, 0u);
+
+  const auto pkt = [vmac](net::PortId in_port, std::uint8_t proto,
+                          std::uint16_t dport) {
+    return PacketBuilder()
+        .port(in_port)
+        .dst_mac(net::MacAddress(vmac))
+        .proto(proto)
+        .dst_port(dport)
+        .build();
+  };
+  const std::vector<PacketHeader> pkts = {
+      pkt(1, 17, 80),   // web rule
+      pkt(2, 6, 443),   // tcp rule
+      pkt(3, 17, 443),  // walks past both to the default
+      pkt(1, 6, 81),    // wrong dst-port: default
+  };
+  const auto expect_out = [&](std::vector<net::PortId> want) {
+    const auto ordered = t.rules();
+    std::vector<const FlowRule*> batched(pkts.size(), nullptr);
+    t.lookup_batch(pkts, batched);
+    for (std::size_t i = 0; i < pkts.size(); ++i) {
+      const FlowRule* single = t.lookup(pkts[i]);
+      ASSERT_NE(single, nullptr) << pkts[i].to_string();
+      EXPECT_EQ(single, reference_lookup(ordered, pkts[i]))
+          << pkts[i].to_string();
+      EXPECT_EQ(batched[i], single) << pkts[i].to_string();
+      const auto frames = t.process(pkts[i]);
+      ASSERT_EQ(frames.size(), 1u);
+      EXPECT_EQ(frames[0].port(), want[i]) << pkts[i].to_string();
+    }
+  };
+  expect_out({11, 12, 13, 13});
+
+  // A tuple rule (no dst-MAC) above the whole bucket wins for its port; a
+  // tuple rule tied with the tcp rule but installed later loses the tie.
+  FlowMatch https;
+  https.set(Field::kPort, FieldMatch::exact(3));
+  https.set(Field::kDstPort, FieldMatch::exact(443));
+  t.install(rule(30, https, 21));
+  FlowMatch tie;
+  tie.set(Field::kPort, FieldMatch::exact(2));
+  t.install(rule(20, tie, 22));
+  EXPECT_EQ(t.classifier().stats().tuple_rules, 2u);
+  expect_out({11, 12, 21, 13});
+
+  // A lane-2 attribute rule above the bucket's clause rules wins for every
+  // packet carrying its bit, except where the tuple rule beats it.
+  const std::uint64_t bit = 1ull << (spec.attr_shift() + 2);
+  FlowMatch attr;
+  attr.set(Field::kDstMac,
+           FieldMatch::masked(spec.top_value | bit, spec.top_mask | bit));
+  t.install(rule(25, attr, 31));
+  stats = t.classifier().stats();
+  EXPECT_EQ(stats.attr_lane_rules, 1u);
+  EXPECT_EQ(stats.exact_mac_rules, 3u);
+  expect_out({31, 31, 21, 31});
 }
 
 TEST(PacketClassifierLanes, RouterMacsNeverHitAttrLanes) {
