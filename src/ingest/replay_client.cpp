@@ -7,12 +7,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <thread>
+
+#include "netbase/backoff.hpp"
 
 namespace sdx::ingest {
 
@@ -55,11 +56,12 @@ bool BgpReplayClient::send_all(const std::vector<std::uint8_t>& bytes) {
 }
 
 bool BgpReplayClient::establish(bool counts_as_reconnect) {
-  double backoff = options_.initial_backoff_seconds;
+  net::Backoff backoff(options_.initial_backoff_seconds,
+                       options_.max_backoff_seconds);
   for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
     if (attempt > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-      backoff = std::min(backoff * 2, options_.max_backoff_seconds);
+      std::this_thread::sleep_for(
+          std::chrono::duration<double>(backoff.next()));
     }
     if (fd_ >= 0) {
       ::close(fd_);

@@ -1,6 +1,5 @@
 #include "sdx/bgp_frontend.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace sdx::core {
@@ -74,17 +73,6 @@ std::size_t BgpFrontend::distribute(ParticipantId participant,
   return moved;
 }
 
-std::size_t BgpFrontend::distribute_all(const bgp::UpdateMessage& update) {
-  std::size_t moved = 0;
-  for (auto& [id, link] : links_) {
-    link.server_side.send_update(update);
-    ++updates_;
-    moved += pump(link);
-  }
-  bytes_ += moved;
-  return moved;
-}
-
 void BgpFrontend::enable_auto_reconnect(ReconnectPolicy policy) {
   auto_reconnect_ = true;
   policy_ = policy;
@@ -104,16 +92,18 @@ std::vector<ParticipantId> BgpFrontend::advance_clock(double seconds) {
     auto it = links_.find(id);
     if (auto_reconnect_ && it != links_.end() &&
         it->second.router != nullptr) {
-      pending_[id] = PendingReconnect{it->second.router,
-                                      policy_.initial_backoff_seconds,
-                                      policy_.initial_backoff_seconds};
+      net::Backoff backoff(policy_.initial_backoff_seconds,
+                           policy_.max_backoff_seconds);
+      const double wait = backoff.next();
+      pending_.insert_or_assign(
+          id, PendingReconnect{it->second.router, backoff, wait});
     }
     links_.erase(id);
   }
   drops_ += dropped.size();
 
   // Redial sessions whose backoff has elapsed; failures re-arm with the
-  // doubled (capped) backoff.
+  // next (doubled, capped) wait.
   for (auto it = pending_.begin(); it != pending_.end();) {
     it->second.wait -= seconds;
     if (it->second.wait > 0) {
@@ -127,9 +117,7 @@ std::vector<ParticipantId> BgpFrontend::advance_clock(double seconds) {
       ++reconnects_;
       it = pending_.erase(it);
     } catch (const std::exception&) {
-      it->second.backoff =
-          std::min(it->second.backoff * 2, policy_.max_backoff_seconds);
-      it->second.wait = it->second.backoff;
+      it->second.wait = it->second.backoff.next();
       ++it;
     }
   }

@@ -17,6 +17,7 @@
 
 #include "bgp/session.hpp"
 #include "dataplane/border_router.hpp"
+#include "netbase/backoff.hpp"
 #include "sdx/participant.hpp"
 
 namespace sdx::core {
@@ -39,9 +40,6 @@ class BgpFrontend {
   std::size_t distribute(ParticipantId participant,
                          const bgp::UpdateMessage& update);
 
-  /// Sends the same UPDATE to every connected router.
-  std::size_t distribute_all(const bgp::UpdateMessage& update);
-
   /// Advances both sides' hold/keepalive clocks and pumps any keepalives.
   /// Returns the participants whose sessions dropped. A dropped session's
   /// link is torn down (established() turns false; the runtime falls back
@@ -60,7 +58,6 @@ class BgpFrontend {
   /// clock time, doubling up to the cap while attempts keep failing.
   /// Successful redials are counted in reconnects().
   void enable_auto_reconnect(ReconnectPolicy policy);
-  void enable_auto_reconnect() { enable_auto_reconnect(ReconnectPolicy{}); }
   bool auto_reconnect() const { return auto_reconnect_; }
 
   /// Sessions automatically re-established after a drop.
@@ -69,7 +66,7 @@ class BgpFrontend {
   std::size_t pending_reconnects() const { return pending_.size(); }
 
   std::uint64_t updates_distributed() const { return updates_; }
-  /// Wire bytes moved by distribute()/distribute_all() — UPDATE frames
+  /// Wire bytes moved by distribute() — UPDATE frames
   /// plus any keepalives pumped alongside them (handshake traffic from
   /// connect() and pure keepalive ticks are not distribution and don't
   /// count).
@@ -93,9 +90,9 @@ class BgpFrontend {
 
   /// One dropped session waiting out its backoff.
   struct PendingReconnect {
-    dp::BorderRouter* router = nullptr;
-    double wait = 0;     ///< clock time until the next attempt
-    double backoff = 0;  ///< the wait armed after another failure
+    dp::BorderRouter* router;
+    net::Backoff backoff;
+    double wait;  ///< clock time until the next attempt
   };
 
   net::Asn server_asn_;

@@ -235,10 +235,6 @@ class SdxCompiler {
   }
   const CompileOptions& options() const { return options_; }
 
-  /// Re-sizes the parallel pipeline for subsequent compile() calls (0 =
-  /// one thread per hardware thread). Output is unaffected.
-  void set_threads(unsigned threads) { options_.threads = threads; }
-
   /// Attaches the measurement plane (nullptr detaches). Each compile()
   /// then opens a "compile" span with one child span per pipeline stage
   /// (snapshot/reach/fec_vnh/synth/compose), observes the same stage

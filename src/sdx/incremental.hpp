@@ -36,17 +36,13 @@ class IncrementalEngine {
 
   /// The background stage: full pipeline, minimal rule table. Replaces the
   /// engine's current state. Runs the compiler's parallel pipeline at
-  /// CompileOptions::threads width (see set_threads()).
+  /// CompileOptions::threads width.
   const CompiledSdx& full_recompile(VnhAllocator& vnh);
 
   /// Installs an externally-compiled result as the engine's current state,
   /// exactly as if full_recompile() had produced it — the swap half of the
   /// asynchronous background recompilation's double buffer.
   const CompiledSdx& adopt(CompiledSdx compiled);
-
-  /// Re-sizes the parallel pipeline used by full_recompile() (0 = one
-  /// thread per hardware thread). Output is unaffected.
-  void set_threads(unsigned threads) { compiler_.set_threads(threads); }
 
   /// Attaches the measurement plane to the underlying compiler (see
   /// SdxCompiler::set_telemetry); nullptr detaches.

@@ -17,21 +17,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Scoped flag override; restores the previous value on any exit path.
-class FlagOverride {
- public:
-  FlagOverride(bool& flag, bool value) : flag_(flag), saved_(flag) {
-    flag_ = value;
-  }
-  ~FlagOverride() { flag_ = saved_; }
-  FlagOverride(const FlagOverride&) = delete;
-  FlagOverride& operator=(const FlagOverride&) = delete;
-
- private:
-  bool& flag_;
-  bool saved_;
-};
-
 }  // namespace
 
 SdxRuntime::SdxRuntime(bgp::DecisionConfig decision, CompileOptions options)
@@ -225,11 +210,8 @@ void SdxRuntime::set_inbound(ParticipantId id,
   // An inbound change rewrites this participant's stage-2 classifier, which
   // is composed into every partition whose clauses target it — not a
   // single-partition change, so rebuild everything. The WAL record above
-  // covers the derived effects on replay.
-  if (installed() && options_.partitioned) {
-    FlagOverride suppress(journal_recording_, false);
-    background_recompile();
-  }
+  // covers the derived effects on replay (a recompile writes none).
+  if (installed() && options_.partitioned) background_recompile();
 }
 
 void SdxRuntime::enable_rpki(bgp::RoaTable table, RpkiMode mode) {
@@ -293,36 +275,27 @@ std::size_t SdxRuntime::session_down(ParticipantId id) {
     rec.participant = id;
     journal_->append(rec);
   }
-  // The inner withdraw()/recompile calls below are derived effects of this
-  // one record — suppress their own journaling so replay, which re-runs
-  // session_down() wholesale, does not double-apply them.
-  FlagOverride suppress(journal_recording_, false);
+  // The withdrawals and the recompile below are derived effects of this one
+  // record, and neither writes one of its own: replay re-runs
+  // session_down() wholesale.
   p.outbound.clear();
   p.inbound.clear();
   ++policy_epoch_;
   // Other participants' clauses toward a dead peer stay installed — their
   // reach sets simply become empty, exactly as with any withdrawal.
   const auto advertised = server_.advertised_by(id);
-  for (auto prefix : advertised) withdraw(id, prefix);
-  if (installed()) {
-    // Purge the withdrawn prefixes from any pending batch and drop their
-    // fast-path bindings *before* recompiling, so nothing pending can
-    // re-install state for routes that no longer exist.
-    for (auto prefix : advertised) {
-      if (dirty_set_.erase(prefix) != 0) {
-        dirty_order_.erase(
-            std::remove(dirty_order_.begin(), dirty_order_.end(), prefix),
-            dirty_order_.end());
-        // The batched withdrawal this purge swallows still has to reach
-        // the border routers.
-        readvertise(prefix);
-      }
-      fast_bindings_.erase(prefix);
-    }
-    if (dirty_order_.empty()) pending_clock_ = 0;
-    // Policies changed, so the two-stage fast path is not enough: rebuild.
-    background_recompile();
+  for (auto prefix : advertised) server_.withdraw(id, prefix);
+  if (!installed()) {
+    for (auto prefix : advertised) readvertise(prefix);
+    return advertised.size();
   }
+  // Policies changed, so the two-stage fast path is not enough: queue the
+  // withdrawals and rebuild. The rebuild absorbs the whole queue and
+  // re-advertises it, so no fast pass runs for a route that is gone.
+  for (auto prefix : advertised) {
+    if (dirty_set_.insert(prefix).second) dirty_order_.push_back(prefix);
+  }
+  background_recompile();
   return advertised.size();
 }
 
@@ -342,29 +315,48 @@ void SdxRuntime::withdraw(ParticipantId from, Ipv4Prefix prefix) {
   }
 }
 
-const CompiledSdx& SdxRuntime::deploy() {
-  // A synchronous rebuild outruns any in-flight asynchronous one: mark the
-  // job superseded so its (older) result is discarded at poll time. The
-  // rebuild reads the live RIB, so it covers every raced delta too.
-  if (job_) job_->superseded = true;
+const CompiledSdx& SdxRuntime::install_compiled(
+    std::optional<CompiledSdx> adopted,
+    const persist::CheckpointState* restored) {
+  std::vector<Ipv4Prefix> raced = std::move(raced_order_);
   raced_order_.clear();
   raced_set_.clear();
-  const CompiledSdx& compiled = engine_->full_recompile(vnh_);
-  install_compiled(compiled);
-  run_safety_stage(nullptr);
-  return compiled;
-}
-
-void SdxRuntime::install_compiled(const CompiledSdx& compiled) {
-  // One binding per remote participant, advertised as the next hop of its
-  // otherwise-unreachable announcements so senders can frame the traffic.
-  remote_bindings_.clear();
-  for (const auto& p : participants_) {
-    if (p.is_remote()) remote_bindings_[p.id] = vnh_.allocate();
+  if (!adopted) {
+    // A live compile reads the current RIB, so it covers every raced delta
+    // and outruns any in-flight asynchronous job: mark the job superseded
+    // so its (older) result is discarded at poll time.
+    if (job_) job_->superseded = true;
+    raced.clear();
   }
-
+  const CompiledSdx& compiled = adopted
+                                    ? engine_->adopt(std::move(*adopted))
+                                    : engine_->full_recompile(vnh_);
   install_base_tables(compiled);
+  remote_bindings_.clear();
   fast_bindings_.clear();
+  if (restored == nullptr) {
+    // One binding per remote participant, advertised as the next hop of its
+    // otherwise-unreachable announcements so senders can frame the traffic.
+    for (const auto& p : participants_) {
+      if (p.is_remote()) remote_bindings_[p.id] = vnh_.allocate();
+    }
+  } else {
+    // Warm restart: reuse every persisted binding, keeping border-router
+    // ARP caches valid, and lay the fast-path residue over the base.
+    remote_bindings_.insert(restored->remote_bindings.begin(),
+                            restored->remote_bindings.end());
+    fast_bindings_.insert(restored->fast_bindings.begin(),
+                          restored->fast_bindings.end());
+    auto& table = fabric_.sdx_switch().table();
+    for (const auto& extra : restored->extra_rules) {
+      dp::FlowRule rule;
+      rule.priority = extra.priority;
+      rule.match = extra.rule.match;
+      rule.actions = extra.rule.actions;
+      rule.cookie = extra.cookie;
+      table.install(std::move(rule));
+    }
+  }
   bind_arp(compiled);
   // The new base covers every pending dirty prefix and the per-update log;
   // anything that raced past an asynchronous snapshot re-applies through
@@ -376,13 +368,12 @@ void SdxRuntime::install_compiled(const CompiledSdx& compiled) {
   dirty_order_.clear();
   dirty_set_.clear();
   pending_clock_ = 0;
-  std::vector<Ipv4Prefix> raced = std::move(raced_order_);
-  raced_order_.clear();
-  raced_set_.clear();
   update_log_.clear();
   for (auto prefix : server_.all_prefixes()) readvertise(prefix);
   for (auto prefix : pending) readvertise(prefix);
   install_batch(raced);
+  run_safety_stage(nullptr);
+  return compiled;
 }
 
 const CompiledSdx& SdxRuntime::install() {
@@ -398,7 +389,7 @@ const CompiledSdx& SdxRuntime::install() {
   engine_ = std::make_unique<IncrementalEngine>(
       SdxCompiler(participants_, port_map_, server_, options_));
   engine_->set_telemetry(&telemetry_);
-  return deploy();
+  return install_compiled();
 }
 
 const CompiledSdx& SdxRuntime::background_recompile() {
@@ -406,7 +397,7 @@ const CompiledSdx& SdxRuntime::background_recompile() {
     throw std::logic_error("install() before background_recompile()");
   }
   telemetry::Span span = telemetry_.tracer.span("background_recompile");
-  return deploy();
+  return install_compiled();
 }
 
 bool SdxRuntime::start_background_recompile() {
@@ -464,7 +455,14 @@ bool SdxRuntime::poll_background_recompile() {
     start_background_recompile();
     return false;
   }
-  apply_recompile(std::move(*job));
+  // Double-buffer swap on the control thread: adopt the worker's compiled
+  // state and allocator — the same allocator sequence keeps async
+  // byte-identical to sync.
+  telemetry::Span span = telemetry_.tracer.span("recompile_swap");
+  const auto t0 = std::chrono::steady_clock::now();
+  vnh_ = std::move(job->vnh);
+  install_compiled(std::move(job->result));
+  swap_seconds_->observe(seconds_since(t0));
   return true;
 }
 
@@ -474,25 +472,6 @@ const CompiledSdx& SdxRuntime::wait_background_recompile() {
     poll_background_recompile();
   }
   return compiled();
-}
-
-void SdxRuntime::apply_recompile(RecompileJob job) {
-  telemetry::Span span = telemetry_.tracer.span("recompile_swap");
-  const auto t0 = std::chrono::steady_clock::now();
-  // Double-buffer swap: adopt the worker's compiled state and allocator,
-  // then install it through the same routine as deploy() — the same
-  // allocator sequence keeps async byte-identical to sync.
-  vnh_ = std::move(job.vnh);
-  install_compiled(engine_->adopt(std::move(job.result)));
-  swap_seconds_->observe(seconds_since(t0));
-  // Full re-verification after the swap (the raced-delta batch above already
-  // re-checked its own prefixes incrementally; the new base needs the rest).
-  run_safety_stage(nullptr);
-}
-
-void SdxRuntime::set_compile_threads(unsigned threads) {
-  options_.threads = threads;
-  if (engine_) engine_->set_threads(threads);
 }
 
 void SdxRuntime::install_base_tables(const CompiledSdx& compiled) {
@@ -554,6 +533,9 @@ void SdxRuntime::bind_arp(const CompiledSdx& compiled) {
     }
   }
   for (const auto& [id, b] : remote_bindings_) {
+    fabric_.arp().bind(b.vnh, b.vmac);
+  }
+  for (const auto& [prefix, b] : fast_bindings_) {
     fabric_.arp().bind(b.vnh, b.vmac);
   }
 }
@@ -641,19 +623,6 @@ std::size_t SdxRuntime::flush() {
   batch_size_->observe(static_cast<double>(prefixes.size()));
   install_batch(prefixes);
   return prefixes.size();
-}
-
-void SdxRuntime::set_update_log_capacity(std::size_t capacity) {
-  update_log_capacity_ = capacity;
-  while (update_log_.size() > update_log_capacity_) update_log_.pop_front();
-}
-
-void SdxRuntime::log_update(UpdateReport report) {
-  if (update_log_capacity_ == 0) return;
-  // Trim before admitting, so the ring never transiently exceeds its
-  // capacity (capacity 0 admits nothing at all).
-  while (update_log_.size() >= update_log_capacity_) update_log_.pop_front();
-  update_log_.push_back(std::move(report));
 }
 
 std::string SdxRuntime::dump_metrics() {
@@ -803,7 +772,8 @@ void SdxRuntime::install_batch(const std::vector<Ipv4Prefix>& prefixes) {
     }
     fast_seconds_->observe(amortized);
     readvertise(item.prefix);
-    log_update(
+    if (update_log_.size() == kUpdateLogCapacity) update_log_.pop_front();
+    update_log_.push_back(
         UpdateReport{item.prefix, item.additional_rules, amortized});
   }
   run_safety_stage(&prefixes);
@@ -935,28 +905,7 @@ void SdxRuntime::restore_checkpoint(const persist::CheckpointState& st,
     // VNH/VMAC binding, keeping border-router ARP caches valid.
     report.warm = true;
     vnh_.restore(st.vnh_allocated);
-    const CompiledSdx& adopted = engine_->adopt(std::move(compiled));
-    remote_bindings_.clear();
-    for (const auto& [id, b] : st.remote_bindings) remote_bindings_[id] = b;
-    install_base_tables(adopted);
-    auto& table = fabric_.sdx_switch().table();
-    for (const auto& extra : st.extra_rules) {
-      dp::FlowRule rule;
-      rule.priority = extra.priority;
-      rule.match = extra.rule.match;
-      rule.actions = extra.rule.actions;
-      rule.cookie = extra.cookie;
-      table.install(std::move(rule));
-    }
-    fast_bindings_.clear();
-    for (const auto& [prefix, b] : st.fast_bindings) {
-      fast_bindings_[prefix] = b;
-    }
-    bind_arp(adopted);
-    for (const auto& [prefix, b] : fast_bindings_) {
-      fabric_.arp().bind(b.vnh, b.vmac);
-    }
-    for (auto prefix : server_.all_prefixes()) readvertise(prefix);
+    install_compiled(std::move(compiled), &st);
   } else {
     // Fingerprint mismatch (different compile options, code drift, or a
     // corrupted artifact that still decoded): fall back to a cold install.
@@ -1179,8 +1128,6 @@ void SdxRuntime::enable_verification() {
   }
   if (installed()) run_safety_stage(nullptr);
 }
-
-void SdxRuntime::disable_verification() { checker_.reset(); }
 
 verify::SafetyReport SdxRuntime::artifact_audit() const {
   // The static audit compares the compiled artifact against the current

@@ -18,8 +18,16 @@
 ///      installs the whole burst as one batch; background_recompile()
 ///      coalesces synchronously, while start_background_recompile() runs
 ///      the optimal pipeline off-thread against a versioned snapshot and
-///      swaps the result in atomically.
+///      swaps the result in atomically. A session_down() queues its
+///      withdrawals and lets a synchronous recompile absorb the queue.
 ///   5. send() pushes packets through the emulated data plane end to end.
+///
+/// There is one full deploy, install_compiled(): install(),
+/// background_recompile(), the asynchronous swap and a warm recover() all
+/// end in it, and differ only in where the compiled state and the VNH
+/// allocator come from — a live compile, the worker's job, or a decoded
+/// checkpoint. It installs the base tables, binds ARP, re-advertises every
+/// prefix, re-applies raced deltas and runs the full safety stage.
 
 #include <array>
 #include <cstdint>
@@ -92,10 +100,10 @@ class SdxRuntime {
   /// A participant's BGP session drops (maintenance, failure, departure):
   /// every route it advertised is withdrawn and its policies are removed
   /// (they may reference routes that no longer exist). Its ports remain in
-  /// the topology, and re-announcing later brings it back. Withdrawn
-  /// prefixes are purged from any pending batch and their fast-path
-  /// bindings dropped before the full recompilation runs. Returns the
-  /// number of prefixes withdrawn.
+  /// the topology, and re-announcing later brings it back. After
+  /// install(), the withdrawals join the dirty queue and the full
+  /// recompilation that follows absorbs the whole queue: no fast-path pass
+  /// runs for them. Returns the number of prefixes withdrawn.
   std::size_t session_down(ParticipantId id);
 
   bgp::RouteServer& route_server() { return server_; }
@@ -186,13 +194,6 @@ class SdxRuntime {
   /// the current compiled state either way.
   const CompiledSdx& wait_background_recompile();
 
-  /// Sets the worker-thread count for subsequent compilations — install()
-  /// and background_recompile(), synchronous or asynchronous — with 0
-  /// meaning one thread per hardware thread. Compiled output is
-  /// byte-identical for every width, so this is purely a latency knob.
-  void set_compile_threads(unsigned threads);
-  const CompileOptions& compile_options() const { return options_; }
-
   // --- burst batching (§4.3.2 "between update bursts") ----------------------
 
   struct BatchOptions {
@@ -216,7 +217,6 @@ class SdxRuntime {
   void disable_batching();
 
   bool batching() const { return batching_; }
-  const BatchOptions& batch_options() const { return batch_options_; }
 
   /// Distinct prefixes waiting for the next flush.
   std::size_t pending_updates() const { return dirty_order_.size(); }
@@ -232,16 +232,13 @@ class SdxRuntime {
     double fast_seconds = 0;
   };
 
-  /// The per-update fast-path log: a bounded ring (see
-  /// set_update_log_capacity) holding the most recent reports. Superseded
-  /// entries are cleared by a successful background recompilation.
+  /// The per-update fast-path log: a ring of the most recent
+  /// kUpdateLogCapacity reports (oldest drop first, so long burst replays
+  /// can't grow memory without bound). Superseded entries are cleared by a
+  /// successful background recompilation.
+  static constexpr std::size_t kUpdateLogCapacity = 4096;
   const std::deque<UpdateReport>& update_log() const { return update_log_; }
   void clear_update_log() { update_log_.clear(); }
-
-  /// Caps the update log (default 4096; oldest entries drop first so long
-  /// burst replays can't grow memory without bound). 0 disables logging.
-  void set_update_log_capacity(std::size_t capacity);
-  std::size_t update_log_capacity() const { return update_log_capacity_; }
 
   // --- durability & crash recovery (persist/) -------------------------------
 
@@ -281,7 +278,8 @@ class SdxRuntime {
   /// path, and resumes recording. When the restored tables' fingerprint
   /// matches the checkpointed one the restart is *warm*: the compiled state
   /// is adopted without recompiling and every persisted VNH→VMAC binding is
-  /// reused, so border-router ARP caches stay valid. Throws
+  /// reused, so border-router ARP caches stay valid; the adopted state then
+  /// passes the same full safety stage as a fresh install. Throws
   /// std::logic_error on a non-fresh runtime, std::runtime_error when the
   /// directory holds neither a checkpoint nor a complete (genesis) WAL.
   RecoveryReport recover(const std::string& dir,
@@ -355,7 +353,6 @@ class SdxRuntime {
   /// `sdx_verify_violations_total{kind=...}`, ...). Runs immediately when
   /// already installed.
   void enable_verification();
-  void disable_verification();
   bool verification_enabled() const { return checker_ != nullptr; }
 
   /// One-shot full safety check — the single entry point returning both
@@ -400,15 +397,18 @@ class SdxRuntime {
     bool superseded = false;  ///< a synchronous recompile outran this job
   };
 
-  /// Full compile on the control thread, then install_compiled() and a
-  /// full safety pass. Supersedes any in-flight asynchronous recompile.
-  const CompiledSdx& deploy();
-  /// Installs a freshly compiled (or adopted) state — shared by deploy()
-  /// and apply_recompile(): remote-participant bindings, base tables, ARP,
-  /// re-advertisement of every prefix; drops the fast-path bindings,
-  /// pending batch and update log it supersedes, then re-applies raced
-  /// deltas through one batched fast pass.
-  void install_compiled(const CompiledSdx& compiled);
+  /// The one full deploy. Without \p adopted it compiles the live RIB and
+  /// policies here, which supersedes any in-flight asynchronous recompile
+  /// and covers every raced delta; otherwise it adopts a state compiled
+  /// elsewhere (the worker's job, a decoded checkpoint) and re-applies the
+  /// raced deltas through one batched fast pass on top of it. \p restored
+  /// (warm restart) supplies the persisted remote and fast-path bindings
+  /// and the fast-path residue rules instead of fresh allocations. Then:
+  /// base tables, ARP, re-advertisement of every prefix and of the pending
+  /// batch it absorbs, a cleared update log, and the full safety stage.
+  const CompiledSdx& install_compiled(
+      std::optional<CompiledSdx> adopted = std::nullopt,
+      const persist::CheckpointState* restored = nullptr);
   /// Clears the flow table and installs the compiled base state: the whole
   /// fabric under kBaseCookie (pairwise), or the shared band plus one
   /// priority band per partition under per-slot cookies (partitioned),
@@ -424,6 +424,8 @@ class SdxRuntime {
   /// UPDATE for all its wire sessions. The prefix's FIB slot is resolved
   /// once and every in-process router is written by slot.
   void readvertise(Ipv4Prefix prefix);
+  /// Binds every live VNH: compiled (pairwise or per-partition), remote
+  /// participant and fast-path bindings.
   void bind_arp(const CompiledSdx& compiled);
   /// Post-install update routing: raced-delta tracking, then either an
   /// immediate batch of one or the dirty queue (batching).
@@ -432,10 +434,6 @@ class SdxRuntime {
   /// log. The single fast-path install: inline updates (a batch of one),
   /// flush() and the post-swap raced-delta re-application all run here.
   void install_batch(const std::vector<Ipv4Prefix>& prefixes);
-  /// Applies a finished, non-stale job on the control thread: swap tables,
-  /// drop superseded fast rules, re-apply raced deltas, re-advertise.
-  void apply_recompile(RecompileJob job);
-  void log_update(UpdateReport report);
   /// Runs the enabled safety stage: full when \p dirty is null, else an
   /// incremental re-check of exactly those prefixes. No-op unless
   /// verification is enabled and the runtime is installed.
@@ -502,7 +500,6 @@ class SdxRuntime {
   /// Last frontend reconnect count synced into the ingest counter.
   std::uint64_t synced_frontend_reconnects_ = 0;
   std::deque<UpdateReport> update_log_;
-  std::size_t update_log_capacity_ = 4096;
   /// Fast-path bindings installed since the last full compile.
   std::unordered_map<Ipv4Prefix, VnhBinding> fast_bindings_;
   /// Per-remote-participant next-hop binding so senders can frame traffic

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <thread>
 
+#include "deployment_state.hpp"
 #include "netbase/parallel.hpp"
 #include "sdx/incremental.hpp"
 #include "sdx/runtime.hpp"
@@ -169,7 +170,7 @@ TEST_F(AsyncUpdatesFixture, SessionDownPurgesPendingBatch) {
   // prefixes must leave the dirty set and shed their fast-path bindings —
   // no later flush may resurrect state for routes that no longer exist.
   rt.session_down(b);
-  EXPECT_EQ(rt.pending_updates(), 0u);  // purge + rebuild absorbed the rest
+  EXPECT_EQ(rt.pending_updates(), 0u);  // the rebuild absorbed the queue
   EXPECT_EQ(rt.flush(), 0u);
   EXPECT_EQ(rt.fabric().sdx_switch().table().size(),
             rt.compiled().fabric.size());  // no fast rules survived
@@ -178,33 +179,77 @@ TEST_F(AsyncUpdatesFixture, SessionDownPurgesPendingBatch) {
   EXPECT_EQ(egress(rt, a, "100.9.1.1", 53), rt.participant(c).ports[0].id);
 }
 
+TEST_F(AsyncUpdatesFixture, SessionDownEqualsWithdrawalsThenRecompile) {
+  const auto p1 = Ipv4Prefix::parse("100.1.0.0/16");
+  const auto p2 = Ipv4Prefix::parse("100.2.0.0/16");
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batched" : "inline");
+    SdxRuntime drop;
+    SdxRuntime twin;
+    for (SdxRuntime* r : {&drop, &twin}) {
+      build(*r);
+      // B carries a policy the drop removes; C backs up B's first prefix,
+      // so the drop moves it instead of removing it, and C's own update is
+      // still queued when the drop lands in batched mode.
+      r->set_outbound(b, {OutboundClause{ClauseMatch{}.dst_port(22), c}});
+      r->background_recompile();
+      if (batched) r->enable_batching({0, 0});
+      r->announce(c, p1, net::AsPath{65003, 9, 9});
+      r->announce(c, Ipv4Prefix::parse("100.3.0.0/16"), net::AsPath{65003});
+    }
+    const auto passes = counter(drop, "sdx_fast_path_updates_total");
+    EXPECT_EQ(drop.session_down(b), 2u);
+    // The recompile absorbs the withdrawals: no fast pass runs for them.
+    EXPECT_EQ(counter(drop, "sdx_fast_path_updates_total"), passes);
+
+    twin.set_outbound(b, {});
+    twin.withdraw(b, p1);
+    twin.withdraw(b, p2);
+    twin.background_recompile();
+
+    EXPECT_EQ(test::flow_table_dump(drop), test::flow_table_dump(twin));
+    EXPECT_EQ(test::fib_crc(drop), test::fib_crc(twin));
+    EXPECT_EQ(test::arp_dump(drop), test::arp_dump(twin));
+    // The twin's inline fast passes also leave bindings that no FIB points
+    // at any more; the drop makes none.
+    EXPECT_LE(drop.fabric().arp().size(), twin.fabric().arp().size());
+    EXPECT_EQ(drop.pending_updates(), 0u);
+    EXPECT_EQ(twin.pending_updates(), 0u);
+  }
+}
+
 // --- asynchronous optimal recompilation -------------------------------------
 
 TEST_F(AsyncUpdatesFixture, AsyncRecompileByteIdenticalToSync) {
-  SdxRuntime sync_rt;
+  CompileOptions serial;
+  serial.threads = 1;
+  CompileOptions wide;
+  wide.threads = 8;
+  SdxRuntime sync_rt(bgp::DecisionConfig{}, serial);
+  SdxRuntime async_rt(bgp::DecisionConfig{}, wide);
   build(sync_rt);
+  build(async_rt);
 
   // Same post-install churn on both, then sync vs async recompile.
-  for (SdxRuntime* r : {&rt, &sync_rt}) {
+  for (SdxRuntime* r : {&async_rt, &sync_rt}) {
     r->announce(c, Ipv4Prefix::parse("100.1.0.0/16"), net::AsPath{65003});
     r->withdraw(c, Ipv4Prefix::parse("100.1.0.0/16"));
     r->announce(c, Ipv4Prefix::parse("100.2.0.0/16"), net::AsPath{65003});
   }
-  sync_rt.set_compile_threads(1);
   sync_rt.background_recompile();
 
-  rt.set_compile_threads(8);
-  ASSERT_TRUE(rt.start_background_recompile());
-  EXPECT_FALSE(rt.start_background_recompile());  // one job at a time
-  rt.wait_background_recompile();
-  EXPECT_FALSE(rt.recompile_in_flight());
+  ASSERT_TRUE(async_rt.start_background_recompile());
+  EXPECT_FALSE(async_rt.start_background_recompile());  // one job at a time
+  async_rt.wait_background_recompile();
+  EXPECT_FALSE(async_rt.recompile_in_flight());
 
   // Byte-identical across sync-vs-async *and* threads 1-vs-8.
-  EXPECT_EQ(rt.compiled().fingerprint(), sync_rt.compiled().fingerprint());
-  EXPECT_EQ(rt.fabric().sdx_switch().table().size(),
+  EXPECT_EQ(async_rt.compiled().fingerprint(),
+            sync_rt.compiled().fingerprint());
+  EXPECT_EQ(async_rt.fabric().sdx_switch().table().size(),
             sync_rt.fabric().sdx_switch().table().size());
-  EXPECT_EQ(counter(rt, "sdx_recompile_async_total"), 1u);
-  EXPECT_EQ(counter(rt, "sdx_recompile_stale_total"), 0u);
+  EXPECT_EQ(counter(async_rt, "sdx_recompile_async_total"), 1u);
+  EXPECT_EQ(counter(async_rt, "sdx_recompile_stale_total"), 0u);
 }
 
 TEST_F(AsyncUpdatesFixture, StartBeforeInstallThrows) {
@@ -270,42 +315,26 @@ TEST_F(AsyncUpdatesFixture, BatchedUpdatesUnderInFlightJobAreReapplied) {
 // --- bounded update log -----------------------------------------------------
 
 TEST_F(AsyncUpdatesFixture, UpdateLogIsBoundedRing) {
-  rt.set_update_log_capacity(3);
-  const auto p1 = Ipv4Prefix::parse("100.1.0.0/16");
-  for (int i = 0; i < 5; ++i) {
-    rt.announce(c, p1, net::AsPath{65003, static_cast<net::Asn>(100 + i)});
-  }
-  ASSERT_EQ(rt.update_log().size(), 3u);  // oldest two dropped
-  EXPECT_EQ(rt.update_log().front().prefix, p1);
-
-  // Shrinking the cap trims immediately; 0 disables logging.
-  rt.set_update_log_capacity(1);
-  EXPECT_EQ(rt.update_log().size(), 1u);
-  rt.set_update_log_capacity(0);
-  rt.announce(c, p1, net::AsPath{65003});
-  EXPECT_TRUE(rt.update_log().empty());
-}
-
-TEST_F(AsyncUpdatesFixture, ZeroCapacityLogNeverAdmitsAnEntry) {
-  // Regression: capacity 0 used to admit each report before the bound was
-  // enforced. The ring must never hold an entry — not transiently, not
-  // through the batched path — when logging is disabled.
-  rt.set_update_log_capacity(0);
-  const auto p1 = Ipv4Prefix::parse("100.1.0.0/16");
-  for (int i = 0; i < 3; ++i) {
-    rt.announce(c, p1, net::AsPath{65003, static_cast<net::Asn>(100 + i)});
-    EXPECT_TRUE(rt.update_log().empty());
+  // Two updates more than the ring holds, in one flush: the oldest two
+  // drop, and the ring never grows past its capacity.
+  constexpr std::size_t kCap = SdxRuntime::kUpdateLogCapacity;
+  std::vector<Ipv4Prefix> prefixes;
+  for (std::uint32_t i = 0; i < kCap + 2; ++i) {
+    prefixes.emplace_back(net::Ipv4Address((101u << 24) | (i << 8)), 24);
   }
   rt.enable_batching({0, 0});
-  rt.announce(c, Ipv4Prefix::parse("100.2.0.0/16"), net::AsPath{65003});
-  EXPECT_EQ(rt.flush(), 1u);
-  EXPECT_TRUE(rt.update_log().empty());
-  rt.disable_batching();
+  for (auto prefix : prefixes) rt.announce(c, prefix, net::AsPath{65003});
+  EXPECT_EQ(rt.flush(), kCap + 2);
+  ASSERT_EQ(rt.update_log().size(), kCap);
+  EXPECT_EQ(rt.update_log().front().prefix, prefixes[2]);
+  EXPECT_EQ(rt.update_log().back().prefix, prefixes.back());
 
-  // Re-enabling restores logging from the next update on.
-  rt.set_update_log_capacity(2);
-  rt.announce(c, p1, net::AsPath{65003});
-  EXPECT_EQ(rt.update_log().size(), 1u);
+  // One more inline update still holds the ring at capacity.
+  rt.disable_batching();
+  rt.announce(c, prefixes[0], net::AsPath{65003, 7});
+  ASSERT_EQ(rt.update_log().size(), kCap);
+  EXPECT_EQ(rt.update_log().front().prefix, prefixes[3]);
+  EXPECT_EQ(rt.update_log().back().prefix, prefixes[0]);
 }
 
 TEST_F(AsyncUpdatesFixture, RecompileClearsSupersededLogEntries) {

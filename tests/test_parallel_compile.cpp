@@ -335,8 +335,9 @@ TEST(CompilerGolden, CompileModesAndFastPathBurstArePinned) {
 
 TEST(ParallelCompileDeterminism, RuntimeThreadKnobKeepsDeployIdentical) {
   auto build = [](unsigned threads) {
-    SdxRuntime sdx;
-    sdx.set_compile_threads(threads);
+    CompileOptions options;
+    options.threads = threads;
+    SdxRuntime sdx(bgp::DecisionConfig{}, options);
     const auto a = sdx.add_participant("A", 65001);
     const auto b = sdx.add_participant("B", 65002, /*port_count=*/2);
     const auto c = sdx.add_participant("C", 65003);

@@ -2,8 +2,10 @@
 // tables adopted with zero recompiles, VNH/VMAC bindings preserved), cold
 // replay from a genesis WAL, checkpoint+tail recovery, the torn-tail
 // truncation sweep against an ixp::UpdateTrace (at compile widths 1 and 8),
-// forced-cold fallback, session_down record collapsing, error paths, and
-// the scenario-language save/recover/journal round trip.
+// forced-cold fallback, warm and cold restarts held to a never-crashed
+// twin's FIBs, flow table and ARP, the full safety check after a warm
+// restart, session_down record collapsing, error paths, and the
+// scenario-language save/recover/journal round trip.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "deployment_state.hpp"
 #include "ixp/update_trace.hpp"
 #include "persist/journal.hpp"
 #include "persist/wal.hpp"
@@ -143,6 +146,73 @@ TEST_F(RecoveryFixture, WarmRestartPreservesFastPathBindings) {
   EXPECT_EQ(rt2.current_binding(p4), binding);
   EXPECT_EQ(egress(rt2, a, "100.4.1.1", 443), egress(rt, a, "100.4.1.1", 443));
   EXPECT_EQ(egress(rt2, a, "100.4.1.1", 53), egress(rt, a, "100.4.1.1", 53));
+}
+
+TEST_F(RecoveryFixture, WarmRestartRunsTheFullSafetyCheck) {
+  TempDir dir;
+  SdxRuntime rt;
+  build(rt);
+  rt.attach_journal(dir.path);
+
+  SdxRuntime rt2;
+  rt2.enable_verification();
+  const auto report = rt2.recover(dir.path);
+  ASSERT_TRUE(report.warm);
+  // Adopted tables are checked like freshly compiled ones: one full pass
+  // that walks real classes, not a clean report over an empty cache.
+  EXPECT_EQ(rt2.telemetry()
+                .metrics.counter("sdx_verify_runs_total", "", {{"mode", "full"}})
+                .value(),
+            1u);
+  EXPECT_GT(rt2.last_safety_report().classes_checked, 0u);
+  EXPECT_TRUE(rt2.last_safety_report().ok())
+      << rt2.last_safety_report().to_string();
+}
+
+TEST_F(RecoveryFixture, RecoveredDeploymentEqualsNeverCrashedTwin) {
+  const auto p1 = Ipv4Prefix::parse("100.1.0.0/16");
+  const auto p2 = Ipv4Prefix::parse("100.2.0.0/16");
+  const auto p4 = Ipv4Prefix::parse("100.4.0.0/16");
+  const auto p5 = Ipv4Prefix::parse("100.5.0.0/16");
+  for (const bool warm : {true, false}) {
+    SCOPED_TRACE(warm ? "warm" : "cold");
+    TempDir dir;
+    SdxRuntime twin;
+    build(twin);
+    twin.attach_journal(dir.path);
+    // Recovery replays the WAL tail as one batch; the twin runs it as one
+    // batch too, so both lay the same fast-path rules on the same base.
+    twin.enable_batching({0, 0});
+    if (warm) {
+      // Fast-path residue inside the checkpoint: rules above the base
+      // tables and their VNH bindings, which the warm restart reinstalls.
+      twin.announce(c, p4, net::AsPath{65003});
+      twin.announce(c, p1, net::AsPath{65003});
+      twin.checkpoint();
+    }
+    twin.withdraw(b, p2);
+    twin.announce(b, p5, net::AsPath{65002});
+    twin.flush();
+    if (!warm) {
+      // A fingerprint that does not match forces the cold install.
+      for (const auto& entry : fs::directory_iterator(dir.path)) {
+        if (entry.path().extension() != ".ckpt") continue;
+        auto st = persist::try_load_checkpoint(entry.path());
+        ASSERT_TRUE(st.has_value());
+        st->fingerprint = "not-the-real-fingerprint";
+        persist::write_checkpoint_file(entry.path(), *st);
+      }
+    }
+
+    SdxRuntime rt2;
+    const auto report = rt2.recover(dir.path);
+    ASSERT_EQ(report.warm, warm);
+    EXPECT_EQ(report.replayed, 2u);
+    EXPECT_EQ(test::fib_crc(rt2), test::fib_crc(twin));
+    EXPECT_EQ(test::flow_table_dump(rt2), test::flow_table_dump(twin));
+    EXPECT_EQ(test::arp_dump(rt2), test::arp_dump(twin));
+    EXPECT_EQ(rt2.fabric().arp().size(), twin.fabric().arp().size());
+  }
 }
 
 // --- cold replay ------------------------------------------------------------

@@ -18,15 +18,17 @@
 #include <utility>
 #include <vector>
 
+#include "deployment_state.hpp"
 #include "ixp/ixp_generator.hpp"
 #include "netbase/rng.hpp"
-#include "persist/crc32c.hpp"
 #include "sdx/runtime.hpp"
 
 namespace sdx::core {
 namespace {
 
 using net::Ipv4Prefix;
+using test::fib_crc;
+using test::put_entry;
 
 ixp::GeneratedIxp make_ixp() {
   ixp::GeneratorConfig cfg;
@@ -113,47 +115,6 @@ void churn(SdxRuntime& rt, const ixp::GeneratedIxp& ixp,
     if (rng.chance(0.25)) rt.flush();
   }
   rt.flush();
-}
-
-void put32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void put_entry(std::string& out, Ipv4Prefix prefix,
-               const bgp::RouteAttributes& a) {
-  put32(out, prefix.network().value());
-  out.push_back(static_cast<char>(prefix.length()));
-  put32(out, a.next_hop.value());
-  put32(out, static_cast<std::uint32_t>(a.as_path.length()));
-  for (auto asn : a.as_path.asns()) put32(out, asn);
-  out.push_back(static_cast<char>(a.origin));
-  out.push_back(a.med.has_value() ? 1 : 0);
-  put32(out, a.med.value_or(0));
-  out.push_back(a.local_pref.has_value() ? 1 : 0);
-  put32(out, a.local_pref.value_or(0));
-  put32(out, static_cast<std::uint32_t>(a.communities.size()));
-  for (auto c : a.communities) put32(out, c);
-}
-
-/// CRC-32C over every router's FIB, routers in (participant, port) order.
-std::uint32_t fib_crc(SdxRuntime& rt, std::size_t& entries) {
-  std::uint32_t crc = 0;
-  entries = 0;
-  for (const auto& p : rt.participants()) {
-    for (std::size_t k = 0; k < p.ports.size(); ++k) {
-      std::string bytes;
-      put32(bytes, p.id);
-      put32(bytes, static_cast<std::uint32_t>(k));
-      const auto& rib = rt.router(p.id, k).rib();
-      rib.for_each([&bytes](Ipv4Prefix prefix,
-                            const bgp::RouteAttributes& attrs) {
-        put_entry(bytes, prefix, attrs);
-      });
-      entries += rib.size();
-      crc = persist::crc32c(bytes, crc);
-    }
-  }
-  return crc;
 }
 
 TEST(RouterFibGolden, InstallPlusChurnIsPinnedInEveryMode) {

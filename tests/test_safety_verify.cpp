@@ -73,8 +73,9 @@ void assert_replayable(SdxRuntime& rt, const verify::SafetyReport& report,
 
 TEST(SafetyVerify, CleanScenarioPassesAtThreads1And8) {
   for (unsigned threads : {1u, 8u}) {
-    SdxRuntime rt;
-    rt.set_compile_threads(threads);
+    CompileOptions options;
+    options.threads = threads;
+    SdxRuntime rt(bgp::DecisionConfig{}, options);
     rt.enable_verification();
     build_clean(rt);
     const auto& report = rt.last_safety_report();
@@ -596,8 +597,8 @@ TEST(SafetyVerify, ViolationTelemetryCountsByKind) {
   EXPECT_EQ(
       counter(rt, "sdx_verify_violations_total", {{"kind", "blackhole"}}),
       0u);
-  // The behind-the-back withdrawal survives even a full recompile: deploy()
-  // re-advertises only prefixes the server still knows, so A's router keeps
+  // The behind-the-back withdrawal survives even a full recompile: the
+  // deploy re-advertises only prefixes the server still knows, so A's router keeps
   // its stale route and the new table has no rules for the vanished group.
   rt.route_server().withdraw(px, p);
   rt.background_recompile();
