@@ -346,19 +346,9 @@ void BM_RouterFibReadvertise(benchmark::State& state) {
 }
 BENCHMARK(BM_RouterFibReadvertise);
 
-/// A member router's per-packet cost on the fabric's send path: forward()
-/// takes the longest-prefix match in the router's column of the shared
-/// index, ARPs for the next hop and frames the packet. The sender rotates
-/// over the same 100 routers as BM_RouterFibReadvertise, one packet each,
-/// as perfbench bursts rotate senders.
-void BM_RouterForward(benchmark::State& state) {
-  const auto prefixes = prefix_list(kRouterPrefixes);
-  const net::Ipv4Address next_hop(0xAC100001u);
-  auto fib = std::make_shared<bgp::FibIndex>();
-  const auto routers = shared_fib_routers(fib, prefixes, next_hop);
-  dp::ArpResponder arp;
-  arp.bind(next_hop, net::MacAddress(0x02'00'00'00'00'01ull));
-
+/// 1024 packets to random hosts of \p prefixes.
+std::vector<net::PacketHeader> router_packets(
+    const std::vector<net::Ipv4Prefix>& prefixes) {
   net::SplitMix64 rng(11);
   std::vector<net::PacketHeader> packets;
   for (std::size_t n = 0; n < 1024; ++n) {
@@ -368,6 +358,24 @@ void BM_RouterForward(benchmark::State& state) {
                                                    rng.below(256)))
                           .build());
   }
+  return packets;
+}
+
+/// A member router's per-packet cost on the fabric's send path, one packet
+/// at a time: forward() takes the longest-prefix match in the router's
+/// column of the shared index, ARPs for the next hop and frames the
+/// packet. The sender rotates over the same 100 routers as
+/// BM_RouterFibReadvertise after every packet, so no two consecutive
+/// packets share a column (perfbench sends 64-packet bursts per sender;
+/// see BM_RouterForwardBurst).
+void BM_RouterForward(benchmark::State& state) {
+  const auto prefixes = prefix_list(kRouterPrefixes);
+  const net::Ipv4Address next_hop(0xAC100001u);
+  auto fib = std::make_shared<bgp::FibIndex>();
+  const auto routers = shared_fib_routers(fib, prefixes, next_hop);
+  dp::ArpResponder arp;
+  arp.bind(next_hop, net::MacAddress(0x02'00'00'00'00'01ull));
+  const auto packets = router_packets(prefixes);
   std::size_t next = 0;
   for (auto _ : state) {
     const auto& router = routers[next % kRouters];
@@ -377,6 +385,39 @@ void BM_RouterForward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RouterForward);
+
+/// The same routers and packets as BM_RouterForward, framed as
+/// Fabric::send_batch frames them: 64-packet bursts through the burst
+/// forward(), whose FIB walk advances all of a burst's packets one trie
+/// level at a time. The sender rotates per burst, as perfbench rotates
+/// senders; items are packets, so the figure reads against
+/// BM_RouterForward's.
+void BM_RouterForwardBurst(benchmark::State& state) {
+  constexpr std::size_t kBurst = 64;
+  const auto prefixes = prefix_list(kRouterPrefixes);
+  const net::Ipv4Address next_hop(0xAC100001u);
+  auto fib = std::make_shared<bgp::FibIndex>();
+  const auto routers = shared_fib_routers(fib, prefixes, next_hop);
+  dp::ArpResponder arp;
+  arp.bind(next_hop, net::MacAddress(0x02'00'00'00'00'01ull));
+  const auto packets = router_packets(prefixes);
+  std::vector<net::PacketHeader> frames;
+  std::vector<std::uint32_t> origin;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const auto& router = routers[next % kRouters];
+    const auto burst =
+        std::span(packets).subspan((next * kBurst) & 1023, kBurst);
+    frames.clear();
+    origin.clear();
+    router.forward(burst, arp, frames, origin);
+    benchmark::DoNotOptimize(frames.data());
+    ++next;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kBurst));
+}
+BENCHMARK(BM_RouterForwardBurst);
 
 }  // namespace
 

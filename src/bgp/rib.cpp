@@ -97,17 +97,10 @@ const RouteAttributes* Rib::find(Ipv4Prefix prefix) const {
 }
 
 std::optional<Rib::Match> Rib::lookup(Ipv4Address addr) const {
-  // The deepest covering prefix this router holds: shorter ones come first.
-  AttrHandle best = kNoRoute;
-  FibIndex::Slot best_slot = 0;
-  index_->for_each_covering(addr, [&](FibIndex::Slot slot) {
-    if (const AttrHandle h = held(slot); h != kNoRoute) {
-      best = h;
-      best_slot = slot;
-    }
-  });
-  if (best == kNoRoute) return std::nullopt;
-  return Match{index_->prefix(best_slot), index_->attrs()[best]};
+  Hit hit;
+  lookup(std::span(&addr, 1), std::span(&hit, 1));
+  if (hit.attrs == kNoRoute) return std::nullopt;
+  return Match{index_->prefix(hit.slot), index_->attrs()[hit.attrs]};
 }
 
 }  // namespace sdx::bgp

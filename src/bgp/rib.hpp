@@ -26,12 +26,16 @@
 /// Reads. A Rib's find, lookup and for_each walk the shared trie and accept
 /// only slots its own column holds: its longest-prefix match is the deepest
 /// prefix on the path that *this* router holds, never a longer one that
-/// only another router was advertised. The attributes they return point
-/// into the AttrTable and stay valid until the next AttrTable::make().
+/// only another router was advertised. lookup takes a burst of addresses
+/// and walks the trie for all of them in lockstep; one address is a burst
+/// of one. The attributes they return point into the AttrTable and stay
+/// valid until the next AttrTable::make().
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "bgp/route.hpp"
@@ -111,10 +115,12 @@ class FibIndex {
     trie_.for_each(fn);
   }
 
-  /// Visits the slot of every held prefix covering \p addr, shortest first.
+  /// Visits the slot of every held prefix covering an address of \p addrs:
+  /// fn(i, slot) for addrs[i], shortest first per address, all addresses
+  /// walked in lockstep (net::PrefixTrie::for_each_covering).
   template <typename Fn>
-  void for_each_covering(Ipv4Address addr, Fn&& fn) const {
-    trie_.for_each_covering(addr, fn);
+  void for_each_covering(std::span<const Ipv4Address> addrs, Fn&& fn) const {
+    trie_.for_each_covering(addrs, fn);
   }
 
   AttrTable& attrs() { return attrs_; }
@@ -163,7 +169,27 @@ class Rib {
   /// Exact-prefix lookup (nullptr when absent).
   const RouteAttributes* find(Ipv4Prefix prefix) const;
 
-  /// Longest-prefix-match lookup for a destination address.
+  /// A held route found by a burst lookup: the matched prefix's slot and
+  /// its attribute set (kNoRoute when no held prefix covers the address).
+  struct Hit {
+    FibIndex::Slot slot = 0;
+    AttrHandle attrs = kNoRoute;
+  };
+
+  /// Longest-prefix match for a burst of destinations, one lockstep walk
+  /// of the shared trie for all of them: out[i] is the deepest prefix
+  /// covering addrs[i] that this router holds. \p out is as long as
+  /// \p addrs. Inline, so a caller's one-address burst folds into the
+  /// trie's width-1 walk.
+  void lookup(std::span<const Ipv4Address> addrs, std::span<Hit> out) const {
+    // Shorter covering prefixes come first, so the last held one wins.
+    std::fill(out.begin(), out.end(), Hit{});
+    index_->for_each_covering(addrs, [&](std::size_t i, FibIndex::Slot slot) {
+      if (const AttrHandle h = held(slot); h != kNoRoute) out[i] = {slot, h};
+    });
+  }
+
+  /// The one-address case: longest-prefix match for a destination.
   std::optional<Match> lookup(Ipv4Address addr) const;
 
   std::size_t size() const { return size_; }

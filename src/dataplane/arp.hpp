@@ -24,6 +24,20 @@ class ArpResponder {
   /// Removes a binding; returns true when present.
   bool unbind(net::Ipv4Address ip) { return table_.erase(ip) > 0; }
 
+  /// Removes every binding whose address lies in \p range; returns how
+  /// many. The runtime drops a replaced state's VNHs by their pool.
+  std::size_t unbind_within(net::Ipv4Prefix range) {
+    return std::erase_if(table_, [range](const auto& kv) {
+      return range.contains(kv.first);
+    });
+  }
+
+  /// Visits every (address, MAC) binding, in no particular order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const auto& [ip, mac] : table_) fn(ip, mac);
+  }
+
   /// Mirrors query/miss accounting into registry counters (either may be
   /// nullptr to detach). The counters must outlive the responder's use.
   void set_counters(telemetry::Counter* queries, telemetry::Counter* misses) {
@@ -35,7 +49,7 @@ class ArpResponder {
   /// unknown.
   std::optional<net::MacAddress> resolve(net::Ipv4Address ip) const {
     const net::MacAddress* mac = lookup(ip);
-    count_query(mac != nullptr);
+    count_queries(1, mac == nullptr);
     if (mac == nullptr) return std::nullopt;
     return *mac;
   }
@@ -47,13 +61,13 @@ class ArpResponder {
     return it == table_.end() ? nullptr : &it->second;
   }
 
-  /// Books one query that lookup() answered (or, when !answered, missed).
-  void count_query(bool answered) const {
-    ++queries_;
-    if (query_counter_ != nullptr) query_counter_->inc();
-    if (answered) return;
-    ++misses_;
-    if (miss_counter_ != nullptr) miss_counter_->inc();
+  /// Books \p queries that lookup() looked up, \p misses of them
+  /// unanswered: a border router counts a whole burst at once.
+  void count_queries(std::uint64_t queries, std::uint64_t misses) const {
+    queries_ += queries;
+    misses_ += misses;
+    if (query_counter_ != nullptr) query_counter_->inc(queries);
+    if (miss_counter_ != nullptr) miss_counter_->inc(misses);
   }
 
   std::size_t size() const { return table_.size(); }

@@ -18,10 +18,19 @@
 /// A slot freed by its last holder is reused by the next new prefix. The
 /// attributes a lookup returns stay valid until the next AttrTable::make(),
 /// i.e. until the next FIB write that makes a set.
+///
+/// Bursts. There is one framing routine, over up to kLockstep packets: one
+/// lockstep walk of the shared trie for all their destinations
+/// (bgp::Rib::lookup), then per packet the next hop's ARP binding and the
+/// frame written in place. The burst forward() frames a whole burst through
+/// it and books the router's and the ARP responder's counters once, by the
+/// totals one forward() per packet would add; forward() and frame() of a
+/// single packet are its one-packet case.
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -77,6 +86,18 @@ class BorderRouter {
   std::optional<net::PacketHeader> forward(net::PacketHeader payload,
                                            const ArpResponder& arp) const;
 
+  /// forward() for a burst: appends the frame of every payload that is
+  /// routed and whose next hop resolves to \p frames, and its index in
+  /// \p payloads to \p origin, in payload order. The FIB is walked in
+  /// lockstep per kLockstep payloads, and the counters move once, by the
+  /// same totals as one forward() per payload.
+  void forward(std::span<const net::PacketHeader> payloads,
+               const ArpResponder& arp, std::vector<net::PacketHeader>& frames,
+               std::vector<std::uint32_t>& origin) const;
+
+  /// Packets one framing pass walks the FIB for together.
+  static constexpr std::size_t kLockstep = 64;
+
   /// What frame() found.
   struct Framing {
     bool routed = false;    ///< a FIB entry covers the destination
@@ -101,6 +122,17 @@ class BorderRouter {
   std::uint64_t blackholed() const { return blackholed_; }
 
  private:
+  /// The one framing routine: frame() for each of \p packets (at most N),
+  /// out[i] for packets[i], with one lockstep FIB walk. N is 1 for a single
+  /// packet and kLockstep for a burst's chunks.
+  template <std::size_t N>
+  void frame(std::span<net::PacketHeader> packets, std::span<Framing> out,
+             const ArpResponder& arp) const;
+  /// Books \p packets forwarded, \p routed of them asked ARP and
+  /// \p framed of those answered; the rest are blackholed.
+  void count(std::size_t packets, std::size_t routed, std::size_t framed,
+             const ArpResponder& arp) const;
+
   net::Asn asn_;
   net::PortId port_;
   net::MacAddress mac_;

@@ -43,15 +43,10 @@ Fabric::BatchDeliveries Fabric::send_batch(
   // Frame what the router can forward, remembering which payload each
   // frame came from so router-dropped payloads keep an empty range.
   std::vector<net::PacketHeader> frames;
-  std::vector<std::size_t> origin;
+  std::vector<std::uint32_t> origin;
   frames.reserve(payloads.size());
   origin.reserve(payloads.size());
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    if (auto frame = src.forward(payloads[i], arp_)) {
-      frames.push_back(std::move(*frame));
-      origin.push_back(i);
-    }
-  }
+  src.forward(payloads, arp_, frames, origin);
   const FlowTable::BatchResult egress = switch_.inject_batch(frames);
   BatchDeliveries out;
   out.offsets.reserve(payloads.size() + 1);

@@ -64,9 +64,11 @@ class Fabric {
     }
   };
 
-  /// Burst counterpart of send(): forwards each payload through \p src's
-  /// FIB+ARP, then runs every framed packet through the switch in one
-  /// process_batch pass. Per-payload results match send() exactly.
+  /// Burst counterpart of send(): frames the burst through \p src's burst
+  /// forward() (one lockstep FIB walk per BorderRouter::kLockstep payloads,
+  /// then ARP), then runs every framed packet through the switch in one
+  /// process_batch pass. Per-payload results and every counter match one
+  /// send() per payload exactly.
   BatchDeliveries send_batch(const BorderRouter& src,
                              std::span<const net::PacketHeader> payloads);
 

@@ -17,13 +17,25 @@
 /// not grow its value vector. Nodes are never reclaimed: a prefix that is
 /// withdrawn and re-announced walks the path it left behind.
 ///
+/// Lockstep walk. One address's walk is a chain of dependent node loads,
+/// one per level, ~24 deep in a full FIB. for_each_covering takes a span
+/// of addresses and walks them together: each pass advances every address
+/// still walking by one level, so a burst's loads overlap instead of
+/// queueing behind each other. Each address still sees its covering values
+/// shortest prefix first; calls for different addresses interleave.
+/// lookup() and the one-address for_each_covering are that walk over one
+/// address, so there is no second walk to keep equal.
+///
 /// Pointer contract. A pointer returned by `find` or `lookup` stays valid
 /// until the next `insert`, `erase` or `clear` on the same trie. Callers
 /// that update a stored value in place do so through `find`'s mutable
 /// pointer and must not hold it across another mutation.
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -84,22 +96,13 @@ class PrefixTrie {
   /// and its value, or std::nullopt when nothing covers the address.
   std::optional<std::pair<Ipv4Prefix, const V*>> lookup(
       Ipv4Address addr) const {
-    std::uint32_t node = 0;
     std::uint32_t best_slot = kNone;
     int best_depth = 0;
-    std::uint32_t bits = addr.value();
-    for (int depth = 0;; ++depth) {
-      const Node& n = nodes_[node];
-      if (n.value != kNone) {
-        best_slot = n.value;
-        best_depth = depth;
-      }
-      if (depth == 32) break;
-      const int bit = (bits >> 31) & 1;
-      bits <<= 1;
-      if (n.child[bit] == kNone) break;
-      node = n.child[bit];
-    }
+    walk_covering(std::span(&addr, 1),
+                  [&](std::size_t, int depth, std::uint32_t slot) {
+                    best_slot = slot;
+                    best_depth = depth;
+                  });
     if (best_slot == kNone) return std::nullopt;
     const Ipv4Address network(addr.value() & netmask(best_depth));
     return std::pair{Ipv4Prefix(network, best_depth), &values_[best_slot]};
@@ -111,24 +114,26 @@ class PrefixTrie {
     visit(0, 0u, 0, fn);
   }
 
-  /// Visits the value of every stored prefix that covers \p addr, shortest
-  /// prefix first — one root-to-leaf walk, no allocation. This is the
-  /// data-plane tuple precheck: the packet classifier ORs per-prefix tuple
-  /// bitmaps along the path to decide which CIDR tuples can possibly hold a
-  /// matching rule before probing any of them.
+  /// Visits the value of every stored prefix that covers an address of
+  /// \p addrs: fn(i, value) for addrs[i], shortest prefix first for each
+  /// address, no allocation. The walk is lockstep (see the file comment):
+  /// calls for different addresses interleave, one trie level at a time.
+  template <typename Fn>
+  void for_each_covering(std::span<const Ipv4Address> addrs, Fn&& fn) const {
+    walk_covering(addrs, [&](std::size_t i, int, std::uint32_t slot) {
+      fn(i, values_[slot]);
+    });
+  }
+
+  /// The one-address case: fn(value) for every stored prefix covering
+  /// \p addr, shortest first. This is the data-plane tuple precheck: the
+  /// packet classifier ORs per-prefix tuple bitmaps along the path to decide
+  /// which CIDR tuples can possibly hold a matching rule before probing any
+  /// of them.
   template <typename Fn>
   void for_each_covering(Ipv4Address addr, Fn&& fn) const {
-    std::uint32_t node = 0;
-    std::uint32_t bits = addr.value();
-    for (int depth = 0;; ++depth) {
-      const Node& n = nodes_[node];
-      if (n.value != kNone) fn(values_[n.value]);
-      if (depth == 32) break;
-      const int bit = (bits >> 31) & 1;
-      bits <<= 1;
-      if (n.child[bit] == kNone) break;
-      node = n.child[bit];
-    }
+    for_each_covering(std::span(&addr, 1),
+                      [&fn](std::size_t, const V& value) { fn(value); });
   }
 
   std::size_t size() const { return values_.size() - free_.size(); }
@@ -156,6 +161,52 @@ class PrefixTrie {
       throw std::length_error("PrefixTrie: index space exhausted");
     }
     return static_cast<std::uint32_t>(n);
+  }
+
+  /// Addresses one lockstep pass advances together.
+  static constexpr std::size_t kLanes = 64;
+
+  /// The one covering walk: fn(i, depth, slot) for each stored prefix of
+  /// length depth that covers addrs[i], by increasing depth per address.
+  /// One address walks at width 1, where the walk's state stays in
+  /// registers; a burst walks kLanes addresses at a time.
+  template <typename Fn>
+  void walk_covering(std::span<const Ipv4Address> addrs, Fn&& fn) const {
+    if (addrs.size() == 1) {
+      walk_lanes<1>(addrs, fn);
+    } else {
+      walk_lanes<kLanes>(addrs, fn);
+    }
+  }
+
+  /// walk_covering over up to W addresses at a time: each pass moves every
+  /// address still walking down one level, so a pass's node loads are
+  /// independent of each other. A node at depth 32 has no children, so
+  /// every walk ends by then.
+  template <std::size_t W, typename Fn>
+  void walk_lanes(std::span<const Ipv4Address> addrs, Fn& fn) const {
+    std::array<std::uint32_t, W> node;  ///< kNone once the path ends
+    std::array<std::uint32_t, W> bits;  ///< unread address bits, MSB next
+    for (std::size_t base = 0; base < addrs.size(); base += W) {
+      // k < W bounds every loop, so at W == 1 the lane arrays fold into
+      // registers.
+      const std::size_t n = std::min(W, addrs.size() - base);
+      for (std::size_t k = 0; k < W && k < n; ++k) {
+        node[k] = 0;
+        bits[k] = addrs[base + k].value();
+      }
+      for (int depth = 0, live = 1; live != 0; ++depth) {
+        live = 0;
+        for (std::size_t k = 0; k < W && k < n; ++k) {
+          if (node[k] == kNone) continue;
+          const Node& nd = nodes_[node[k]];
+          if (nd.value != kNone) fn(base + k, depth, nd.value);
+          node[k] = nd.child[bits[k] >> 31];
+          bits[k] <<= 1;
+          live |= node[k] != kNone;
+        }
+      }
+    }
   }
 
   /// Walks to \p prefix's node, creating the missing path.

@@ -357,6 +357,11 @@ const CompiledSdx& SdxRuntime::install_compiled(
       table.install(std::move(rule));
     }
   }
+  // Every VNH the replaced state bound lies in the pool: the compiled and
+  // remote bindings, and fast-path bindings, superseded ones included.
+  // None of them outlives the swap, so ARP answers exactly the routers and
+  // what the new state binds.
+  fabric_.arp().unbind_within(vnh_.pool());
   bind_arp(compiled);
   // The new base covers every pending dirty prefix and the per-update log;
   // anything that raced past an asynchronous snapshot re-applies through
@@ -1043,16 +1048,15 @@ verify::DeploymentView SdxRuntime::deployment_view() const {
     return self->fabric_.sdx_switch().table().probe(h);
   };
   view.forward = [self](ParticipantId sender, net::PacketHeader payload)
-      -> std::optional<net::PacketHeader> {
+      -> verify::DeploymentView::Framed {
     const Participant& p = self->participant(sender);
-    if (p.is_remote()) return std::nullopt;
+    if (p.is_remote()) return {};
     const dp::BorderRouter* router =
         self->fabric_.router_at(p.primary_port().id);
-    if (router == nullptr) return std::nullopt;
-    if (!router->frame(payload, self->fabric_.arp()).framed) {
-      return std::nullopt;
-    }
-    return payload;
+    if (router == nullptr) return {};
+    const auto f = router->frame(payload, self->fabric_.arp());
+    if (!f.framed) return {f.routed, std::nullopt};
+    return {true, payload};
   };
   view.owner_of = [self](net::PortId port) -> std::optional<ParticipantId> {
     if (PortMap::is_virtual(port)) return std::nullopt;

@@ -404,7 +404,8 @@ class SdxRuntime {
   /// raced deltas through one batched fast pass on top of it. \p restored
   /// (warm restart) supplies the persisted remote and fast-path bindings
   /// and the fast-path residue rules instead of fresh allocations. Then:
-  /// base tables, ARP, re-advertisement of every prefix and of the pending
+  /// base tables, ARP (every VNH of the replaced state unbound, the new
+  /// state's bound), re-advertisement of every prefix and of the pending
   /// batch it absorbs, a cleared update log, and the full safety stage.
   const CompiledSdx& install_compiled(
       std::optional<CompiledSdx> adopted = std::nullopt,

@@ -244,7 +244,7 @@ void walk_from(const DeploymentView& view, ParticipantId sender,
       }
       // x attracts the class without advertising it — model its re-entry
       // through its own FIB (LPM → next hop → ARP).
-      auto onward = view.forward(x, copy);
+      auto onward = view.forward(x, copy).frame;
       if (!onward) {
         if (!only_remote_advertisers(view, pfx)) {
           out.push_back({ViolationKind::kBlackhole,
@@ -320,14 +320,28 @@ SafetyChecker::PrefixFinding SafetyChecker::check_prefix(
   for (const auto& p : *view.participants) {
     if (p.is_remote()) continue;
     for (std::size_t vi = 0; vi < variants.size(); ++vi) {
-      auto framed = view.forward(p.id, make_payload(prefix, variants[vi]));
-      if (!framed) continue;  // the router holds no route: no traffic
+      const auto framed =
+          view.forward(p.id, make_payload(prefix, variants[vi]));
+      if (!framed.routed) continue;  // the router holds no route: no traffic
       ++f.classes;
       const auto describe = [&] {
         return "class dst=" + prefix.to_string() + " variant#" +
                std::to_string(vi) + " from " + p.name;
       };
-      walk_from(view, p.id, prefix, describe, *framed, f.violations,
+      if (!framed.frame) {
+        // Routed, but the next hop has no ARP answer: the sender's router
+        // drops the class before it reaches the fabric.
+        if (!only_remote_advertisers(view, prefix)) {
+          f.violations.push_back(
+              {ViolationKind::kBlackhole,
+               describe() + ": " + p.name +
+                   "'s border router has a route but no ARP answer for "
+                   "its next hop",
+               std::nullopt});
+        }
+        continue;
+      }
+      walk_from(view, p.id, prefix, describe, *framed.frame, f.violations,
                 f.edges);
     }
   }

@@ -96,7 +96,9 @@ struct Counterexample {
 struct SafetyViolation {
   ViolationKind kind = ViolationKind::kLoop;
   std::string what;  ///< kLocalRule: "rule N: ..." (N = classifier index)
-  /// Absent only for kLocalRule findings (those are per-rule, not per-walk).
+  /// Absent for kLocalRule findings (those are per-rule, not per-walk) and
+  /// for a class its sender's router routes but cannot frame (no ARP
+  /// answer): that traffic never enters the fabric.
   std::optional<Counterexample> counterexample;
 };
 
@@ -130,12 +132,19 @@ struct DeploymentView {
   /// without the traffic counters).
   std::function<std::vector<PacketHeader>(const PacketHeader&)> process;
 
+  /// What a border router's framing step did with a payload.
+  struct Framed {
+    /// The router holds a route for the destination; without one the
+    /// class emits no traffic at this hop.
+    bool routed = false;
+    /// The framed packet; absent when unrouted or when the route's next
+    /// hop has no ARP answer (the router drops the traffic).
+    std::optional<PacketHeader> frame;
+  };
+
   /// The sender's border-router framing step (LPM → next hop → ARP → L2
-  /// rewrite, BorderRouter::frame). nullopt = the router holds no route
-  /// for the destination (the class emits no traffic at this hop).
-  std::function<std::optional<PacketHeader>(ParticipantId sender,
-                                            PacketHeader payload)>
-      forward;
+  /// rewrite, BorderRouter::frame).
+  std::function<Framed(ParticipantId sender, PacketHeader payload)> forward;
 
   /// Owner participant of a physical switch port; nullopt when unclaimed.
   std::function<std::optional<ParticipantId>(PortId)> owner_of;

@@ -4,10 +4,13 @@
 /// should have reached the same state (a recovered one and a never-crashed
 /// twin, a session drop and the withdrawals it stands for) to byte
 /// equality: every border router's FIB as one CRC-32C, the flow table in
-/// match order, and the ARP answer behind every FIB next hop.
+/// match order, the ARP answer behind every FIB next hop, and the whole
+/// ARP table.
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "persist/crc32c.hpp"
 #include "sdx/runtime.hpp"
@@ -85,6 +88,18 @@ inline std::string arp_dump(SdxRuntime& rt) {
           });
     }
   }
+  return out;
+}
+
+/// Every ARP binding, bound or not to a FIB next hop, in address order.
+inline std::string arp_table_dump(SdxRuntime& rt) {
+  std::vector<std::pair<std::uint32_t, std::string>> rows;
+  rt.fabric().arp().for_each([&](net::Ipv4Address ip, net::MacAddress mac) {
+    rows.emplace_back(ip.value(), ip.to_string() + " " + mac.to_string());
+  });
+  std::sort(rows.begin(), rows.end());
+  std::string out;
+  for (const auto& row : rows) out += row.second + "\n";
   return out;
 }
 

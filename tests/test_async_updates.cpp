@@ -26,8 +26,8 @@ class AsyncUpdatesFixture : public ::testing::Test {
 
   /// The fixture topology, reproducible into a second runtime for golden
   /// comparisons: A applies an outbound policy toward B and C, B and C
-  /// announce.
-  void build(SdxRuntime& r) {
+  /// announce. Without \p install the caller installs after its own churn.
+  void build(SdxRuntime& r, bool install = true) {
     auto pa = r.add_participant("A", 65001);
     auto pb = r.add_participant("B", 65002);
     auto pc = r.add_participant("C", 65003);
@@ -36,7 +36,7 @@ class AsyncUpdatesFixture : public ::testing::Test {
     r.announce(pb, Ipv4Prefix::parse("100.1.0.0/16"), net::AsPath{65002, 7});
     r.announce(pb, Ipv4Prefix::parse("100.2.0.0/16"), net::AsPath{65002, 7});
     r.announce(pc, Ipv4Prefix::parse("100.9.0.0/16"), net::AsPath{65003});
-    r.install();
+    if (install) r.install();
   }
 
   std::uint64_t counter(SdxRuntime& r, const char* name) {
@@ -210,12 +210,44 @@ TEST_F(AsyncUpdatesFixture, SessionDownEqualsWithdrawalsThenRecompile) {
     EXPECT_EQ(test::flow_table_dump(drop), test::flow_table_dump(twin));
     EXPECT_EQ(test::fib_crc(drop), test::fib_crc(twin));
     EXPECT_EQ(test::arp_dump(drop), test::arp_dump(twin));
-    // The twin's inline fast passes also leave bindings that no FIB points
-    // at any more; the drop makes none.
-    EXPECT_LE(drop.fabric().arp().size(), twin.fabric().arp().size());
+    // The twin's inline fast passes bound VNHs that its recompile dropped.
+    EXPECT_EQ(drop.fabric().arp().size(), twin.fabric().arp().size());
+    EXPECT_EQ(test::arp_table_dump(drop), test::arp_table_dump(twin));
     EXPECT_EQ(drop.pending_updates(), 0u);
     EXPECT_EQ(twin.pending_updates(), 0u);
   }
+}
+
+TEST_F(AsyncUpdatesFixture, RecompileDropsSupersededFastPathBindings) {
+  const auto p1 = Ipv4Prefix::parse("100.1.0.0/16");
+  const auto p2 = Ipv4Prefix::parse("100.2.0.0/16");
+  const auto p3 = Ipv4Prefix::parse("100.3.0.0/16");
+  // C takes over B's prefixes one flush at a time, then B wins the first
+  // back: each flush binds fresh VNHs, and p1's first binding is superseded
+  // by its second before the recompile.
+  const auto churn = [&](SdxRuntime& r, bool flush) {
+    r.announce(c, p1, net::AsPath{65003});
+    if (flush) r.flush();
+    r.announce(c, p2, net::AsPath{65003});
+    r.announce(c, p3, net::AsPath{65003});
+    if (flush) r.flush();
+    r.withdraw(c, p1);
+    if (flush) r.flush();
+  };
+  rt.enable_batching({0, 0});
+  churn(rt, true);
+  const std::size_t churned = rt.fabric().arp().size();
+  rt.background_recompile();
+
+  SdxRuntime twin;  // the same RIB and policies, installed once
+  build(twin, false);
+  churn(twin, false);
+  twin.install();
+
+  EXPECT_EQ(test::flow_table_dump(rt), test::flow_table_dump(twin));
+  EXPECT_EQ(test::fib_crc(rt), test::fib_crc(twin));
+  EXPECT_EQ(test::arp_table_dump(rt), test::arp_table_dump(twin));
+  EXPECT_LT(rt.fabric().arp().size(), churned);
 }
 
 // --- asynchronous optimal recompilation -------------------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "dataplane/fabric.hpp"
+#include "netbase/rng.hpp"
 #include "policy/compile.hpp"
 
 namespace sdx::dp {
@@ -330,6 +331,217 @@ TEST_F(BorderRouterFixture, AcceptsOwnMacAndBroadcastOnly) {
       PacketBuilder().dst_mac(MacAddress::broadcast()).build()));
   EXPECT_FALSE(router.accepts(
       PacketBuilder().dst_mac(MacAddress(0x42)).build()));
+}
+
+/// Routers over one shared FIB index with randomized FIBs: a /0 default,
+/// prefixes of every length nested over one address, random prefixes and
+/// /32 host routes, and next hops of which some have no ARP binding.
+/// Router 0 holds 10.1.0.0/16 but not the 10.1.2.0/24 that router 1 holds.
+/// Next hop h resolves, when bound, to vmac(h).
+struct SharedFibRouters {
+  static constexpr std::size_t kRouters = 4;
+
+  static MacAddress vmac(std::uint32_t h) {
+    return MacAddress(0x02'00'00'00'01'00ull + h);
+  }
+
+  SharedFibRouters(std::uint64_t seed, ArpResponder& arp_table)
+      : rng(seed), arp(arp_table) {
+    for (std::uint32_t i = 0; i < kRouters; ++i) {
+      routers.emplace_back(65001 + i, i + 1,
+                           MacAddress(0x00'16'3E'00'00'10ull + i),
+                           Ipv4Address(0x0A000001u + i), fib);
+    }
+    for (std::uint32_t h = 0; h < 8; ++h) {
+      next_hops.emplace_back(0xAC100001u + h);
+      if (h < 6) arp.bind(next_hops.back(), vmac(h));
+    }
+    pool.push_back(Ipv4Prefix::parse("0.0.0.0/0"));
+    for (int len = 1; len <= 32; ++len) {
+      pool.emplace_back(Ipv4Address(0xC0A80A05u), len);
+    }
+    for (int i = 0; i < 200; ++i) {
+      const int len = i % 4 == 0 ? 32 : static_cast<int>(rng.range(8, 31));
+      pool.emplace_back(Ipv4Address(static_cast<std::uint32_t>(rng())), len);
+    }
+    for (std::size_t r = 0; r < kRouters; ++r) {
+      for (const auto& p : pool) {
+        if (rng.below(3) != 0) announce(r, p);
+      }
+    }
+    announce(0, Ipv4Prefix::parse("10.1.0.0/16"));
+    announce(1, Ipv4Prefix::parse("10.1.2.0/24"));
+    pool.push_back(Ipv4Prefix::parse("10.1.2.0/24"));
+  }
+
+  void announce(std::size_t r, Ipv4Prefix p) {
+    bgp::UpdateMessage msg;
+    msg.attrs.emplace();
+    msg.attrs->as_path = net::AsPath{65100};
+    msg.attrs->next_hop = next_hops[rng.below(next_hops.size())];
+    msg.nlri = {p};
+    routers[r].process_update(msg);
+  }
+
+  /// A burst of \p n payloads: most inside a pool prefix, some anywhere.
+  std::vector<net::PacketHeader> burst(std::size_t n) {
+    std::vector<net::PacketHeader> out;
+    while (out.size() < n) {
+      const Ipv4Prefix q = pool[rng.below(pool.size())];
+      const auto r = static_cast<std::uint32_t>(rng());
+      const std::uint32_t dst =
+          rng.below(5) == 0 ? r : q.network().value() | (r & ~q.mask());
+      out.push_back(PacketBuilder()
+                        .dst_ip(Ipv4Address(dst))
+                        .dst_port(static_cast<std::uint16_t>(rng.below(1024)))
+                        .build());
+    }
+    return out;
+  }
+
+  net::SplitMix64 rng;
+  std::shared_ptr<bgp::FibIndex> fib = std::make_shared<bgp::FibIndex>();
+  std::vector<BorderRouter> routers;
+  std::vector<Ipv4Address> next_hops;
+  std::vector<Ipv4Prefix> pool;
+  ArpResponder& arp;
+};
+
+TEST(BorderRouterBurst, FramesAndCountsLikeOneForwardPerPayload) {
+  ArpResponder arp;
+  SharedFibRouters net(97, arp);
+  for (const std::size_t n : {0u, 1u, 64u, 65u, 200u}) {
+    for (const BorderRouter& router : net.routers) {
+      SCOPED_TRACE("burst of " + std::to_string(n) + " from AS" +
+                   std::to_string(router.asn()));
+      const auto payloads = net.burst(n);
+
+      std::vector<net::PacketHeader> want;
+      std::vector<std::uint32_t> want_origin;
+      const auto fwd0 = router.forwarded(), hole0 = router.blackholed();
+      const auto q0 = net.arp.queries(), m0 = net.arp.misses();
+      for (std::size_t i = 0; i < n; ++i) {
+        if (auto frame = router.forward(payloads[i], net.arp)) {
+          want.push_back(*frame);
+          want_origin.push_back(static_cast<std::uint32_t>(i));
+        }
+      }
+      const auto fwd1 = router.forwarded(), hole1 = router.blackholed();
+      const auto q1 = net.arp.queries(), m1 = net.arp.misses();
+
+      std::vector<net::PacketHeader> got;
+      std::vector<std::uint32_t> got_origin;
+      router.forward(payloads, net.arp, got, got_origin);
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(got_origin, want_origin);
+      EXPECT_EQ(router.forwarded() - fwd1, fwd1 - fwd0);
+      EXPECT_EQ(router.blackholed() - hole1, hole1 - hole0);
+      EXPECT_EQ(net.arp.queries() - q1, q1 - q0);
+      EXPECT_EQ(net.arp.misses() - m1, m1 - m0);
+      if (n >= 64) {
+        // The FIBs leave some payloads unrouted and some unresolved.
+        EXPECT_GT(hole1 - hole0, 0u);
+        EXPECT_GT(m1 - m0, 0u);
+        EXPECT_GT(fwd1 - fwd0, 0u);
+      }
+    }
+  }
+}
+
+TEST(FabricTest, SendBatchDeliversAndCountsLikeOneSendPerPayload) {
+  Fabric fabric;
+  SharedFibRouters net(98, fabric.arp());
+  for (BorderRouter& r : net.routers) fabric.attach(r);
+  // By tag: delivered and accepted at port 2 (dropped as a hairpin when
+  // port 2 sends), delivered to port 2 untagged (not accepted), copied to
+  // ports 3 and 4, sent to an unattached port, dropped, and one bound tag
+  // with no rule (a table miss).
+  auto& table = fabric.sdx_switch().table();
+  const auto on = [](std::uint32_t h) {
+    return FlowMatch::on(Field::kDstMac, SharedFibRouters::vmac(h).bits());
+  };
+  const auto to = [&](std::size_t r) {
+    return ActionSeq::set(Field::kDstMac, net.routers[r].mac().bits())
+        .then_set(Field::kPort, net.routers[r].port());
+  };
+  const auto install = [&](std::uint32_t h, std::vector<ActionSeq> actions) {
+    FlowRule r = rule(5, on(h), 0);
+    r.actions = std::move(actions);
+    table.install(std::move(r));
+  };
+  install(0, {to(1)});
+  table.install(rule(5, on(1), 2));
+  install(2, {to(2), to(3)});
+  table.install(rule(5, on(3), 9));
+  install(4, {});
+
+  struct Counts {
+    std::vector<std::uint64_t> rx, tx;
+    std::uint64_t dropped, matched, missed, queries, misses;
+    bool operator==(const Counts&) const = default;
+  };
+  const auto counts = [&] {
+    Counts c;
+    for (net::PortId port = 1; port <= 9; ++port) {
+      c.rx.push_back(fabric.sdx_switch().rx_packets(port));
+      c.tx.push_back(fabric.sdx_switch().tx_packets(port));
+    }
+    c.dropped = fabric.sdx_switch().dropped();
+    c.matched = table.total_matched();
+    c.missed = table.total_missed();
+    c.queries = fabric.arp().queries();
+    c.misses = fabric.arp().misses();
+    return c;
+  };
+  const auto delta = [](const Counts& a, const Counts& b) {
+    Counts d = b;
+    for (std::size_t i = 0; i < d.rx.size(); ++i) {
+      d.rx[i] -= a.rx[i];
+      d.tx[i] -= a.tx[i];
+    }
+    d.dropped -= a.dropped;
+    d.matched -= a.matched;
+    d.missed -= a.missed;
+    d.queries -= a.queries;
+    d.misses -= a.misses;
+    return d;
+  };
+  const auto same = [](const Fabric::Delivery& a, const Fabric::Delivery& b) {
+    return a.port == b.port && a.frame == b.frame && a.receiver == b.receiver &&
+           a.accepted == b.accepted;
+  };
+
+  std::size_t delivered = 0, accepted_copies = 0;
+  for (const std::size_t n : {0u, 1u, 64u, 65u, 200u}) {
+    for (const BorderRouter& src : net.routers) {
+      SCOPED_TRACE("burst of " + std::to_string(n) + " from AS" +
+                   std::to_string(src.asn()));
+      const auto payloads = net.burst(n);
+      const Counts c0 = counts();
+      std::vector<std::vector<Fabric::Delivery>> want;
+      for (const auto& p : payloads) want.push_back(fabric.send(src, p));
+      const Counts c1 = counts();
+      const auto got = fabric.send_batch(src, payloads);
+      const Counts c2 = counts();
+
+      ASSERT_EQ(got.packets(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto of = got.of(i);
+        ASSERT_EQ(of.size(), want[i].size()) << "payload " << i;
+        for (std::size_t j = 0; j < of.size(); ++j) {
+          EXPECT_TRUE(same(of[j], want[i][j])) << "payload " << i;
+          accepted_copies += of[j].accepted;
+        }
+        delivered += !of.empty();
+      }
+      EXPECT_TRUE(delta(c1, c2) == delta(c0, c1));
+    }
+  }
+  EXPECT_GT(delivered, 0u);
+  EXPECT_GT(accepted_copies, 0u);
+  EXPECT_GT(fabric.sdx_switch().dropped(), 0u);
+  EXPECT_GT(table.total_missed(), 0u);
+  EXPECT_GT(fabric.arp().misses(), 0u);
 }
 
 TEST(FabricTest, AttachRejectsPortCollision) {

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -328,6 +330,67 @@ TEST(PrefixTrie, ModelFuzzWithHeapOwningValues) {
   model_fuzz_insert_erase_lookup<std::string>(2719, [](std::uint64_t r) {
     return std::string(24 + r % 40, static_cast<char>('a' + r % 26));
   });
+}
+
+/// The lockstep covering walk against a linear scan: for every address of
+/// a burst, exactly the stored values whose prefixes cover it, shortest
+/// first, with prefixes of every length 0-32 nested over two addresses and
+/// bursts on both sides of the walk's 64-address chunk.
+TEST(PrefixTrie, BurstCoveringWalkMatchesLinearScanAtEveryLength) {
+  SplitMix64 rng(31337);
+  std::vector<Ipv4Prefix> pool;
+  for (const std::uint32_t base : {0x0A010203u, 0xC0A80A01u}) {
+    for (int len = 0; len <= 32; ++len) {
+      pool.emplace_back(Ipv4Address(base), len);
+    }
+  }
+  for (int i = 0; i < 60; ++i) {
+    pool.emplace_back(Ipv4Address(static_cast<std::uint32_t>(rng())),
+                      static_cast<int>(rng.range(0, 32)));
+  }
+  PrefixTrie<int> trie;
+  std::map<Ipv4Prefix, int> model;
+  for (int step = 0; step < 300; ++step) {
+    const Ipv4Prefix p = pool[rng.below(pool.size())];
+    if (rng.below(3) == 0) {
+      trie.erase(p);
+      model.erase(p);
+    } else {
+      const int v = static_cast<int>(rng.below(1000));
+      trie.insert(p, v);
+      model.insert_or_assign(p, v);
+    }
+    const std::size_t sizes[] = {0, 1, 2, 63, 64, 65, 130};
+    const std::size_t n = sizes[step % std::size(sizes)];
+    std::vector<Ipv4Address> burst;
+    while (burst.size() < n) {
+      // Inside a pool prefix (held or not), or anywhere.
+      const Ipv4Prefix q = pool[rng.below(pool.size())];
+      const auto r = static_cast<std::uint32_t>(rng());
+      burst.emplace_back(rng.below(4) == 0
+                             ? r
+                             : q.network().value() | (r & ~q.mask()));
+    }
+    std::vector<std::vector<int>> walked(n);
+    trie.for_each_covering(
+        std::span<const Ipv4Address>(burst),
+        [&](std::size_t i, int v) { walked[i].push_back(v); });
+    for (std::size_t i = 0; i < n; ++i) {
+      // One covering prefix per length, so ordering by length is total.
+      std::vector<std::pair<int, int>> by_length;
+      for (const auto& [mp, v] : model) {
+        if (mp.contains(burst[i])) by_length.emplace_back(mp.length(), v);
+      }
+      std::sort(by_length.begin(), by_length.end());
+      std::vector<int> scanned;
+      for (const auto& [len, v] : by_length) scanned.push_back(v);
+      ASSERT_EQ(walked[i], scanned)
+          << "step " << step << " addr " << burst[i].to_string();
+      std::vector<int> single;
+      trie.for_each_covering(burst[i], [&](int v) { single.push_back(v); });
+      ASSERT_EQ(single, scanned) << "step " << step;
+    }
+  }
 }
 
 TEST(PrefixTrie, ErasedSlotsAreRecycled) {
