@@ -2,18 +2,22 @@
 /// the SDX pipeline is built from: predicate compilation (including the
 /// linear-size BGP prefix-list path), parallel/sequential classifier
 /// composition, pull-back, flow-table lookup (including a single call
-/// against a burst of one), and border-router FIB re-advertisement and
-/// forwarding over one shared FIB index.
+/// against a burst of one), border-router FIB re-advertisement and
+/// forwarding over one shared FIB index, and the route server's
+/// per-receiver decision (announce/withdraw diffs and the fast path's
+/// default vector).
 
 #include <benchmark/benchmark.h>
 
 #include <span>
 #include <vector>
 
+#include "bgp/route_server.hpp"
 #include "dataplane/border_router.hpp"
 #include "dataplane/flow_table.hpp"
 #include "netbase/rng.hpp"
 #include "policy/compile.hpp"
+#include "sdx/compiler.hpp"
 
 namespace {
 
@@ -418,6 +422,95 @@ void BM_RouterForwardBurst(benchmark::State& state) {
                           static_cast<std::int64_t>(kBurst));
 }
 BENCHMARK(BM_RouterForwardBurst);
+
+constexpr std::size_t kAdvertisers = 3;
+
+/// A route server with kRouters peers where every one of kRouterPrefixes
+/// /24s has kAdvertisers candidates of different path lengths, as in a
+/// large exchange's RIB.
+bgp::Route server_route(net::Ipv4Prefix prefix, bgp::ParticipantId from,
+                        std::size_t extra_hops) {
+  std::vector<net::Asn> hops{65000 + from};
+  for (std::size_t k = 0; k < extra_hops; ++k) {
+    hops.push_back(static_cast<net::Asn>(64000 + k));
+  }
+  bgp::Route r;
+  r.prefix = prefix;
+  r.attrs.as_path = net::AsPath(std::move(hops));
+  r.attrs.communities = {bgp::make_community(65001, 100)};
+  r.attrs.next_hop = net::Ipv4Address(0xAC100000u + from);
+  r.learned_from = from;
+  r.peer_router_id = r.attrs.next_hop;
+  return r;
+}
+
+bgp::ParticipantId advertiser_of(std::size_t prefix, std::size_t k) {
+  return static_cast<bgp::ParticipantId>(1 + (prefix * 7 + k * 31) % kRouters);
+}
+
+bgp::RouteServer populated_server(
+    const std::vector<net::Ipv4Prefix>& prefixes) {
+  bgp::RouteServer server;
+  for (std::size_t i = 0; i < kRouters; ++i) {
+    const auto id = static_cast<bgp::ParticipantId>(i + 1);
+    server.add_peer({id, 65000 + id, net::Ipv4Address(0xAC100000u + id)});
+  }
+  for (std::size_t i = 0; i < prefixes.size(); ++i) {
+    for (std::size_t k = 0; k < kAdvertisers; ++k) {
+      server.announce(server_route(prefixes[i], advertiser_of(i, k), k));
+    }
+  }
+  return server;
+}
+
+/// The route server's decision for one update (paper §4.3): an advertiser
+/// re-announces a random prefix with a fresh AS path and a higher
+/// local-pref (it becomes every other peer's best), then withdraws it
+/// (every other peer falls back). Each step diffs every peer's best before
+/// and after, so each reports ~99 best changes. Items are updates.
+void BM_RouteServerAnnounce(benchmark::State& state) {
+  const auto prefixes = prefix_list(kRouterPrefixes);
+  auto server = populated_server(prefixes);
+  net::SplitMix64 rng(13);
+  std::size_t changes = 0;
+  for (auto _ : state) {
+    const std::size_t i = rng.below(kRouterPrefixes);
+    const auto from = advertiser_of(i, kAdvertisers - 1);
+    auto route = server_route(prefixes[i], from, 0);
+    route.attrs.as_path = net::AsPath{
+        65000 + from, static_cast<net::Asn>(rng.range(100, 60000))};
+    route.attrs.local_pref = 200;
+    changes += server.announce(std::move(route)).size();
+    changes += server.withdraw(from, prefixes[i]).size();
+  }
+  benchmark::DoNotOptimize(changes);
+  state.counters["changes_per_update"] = benchmark::Counter(
+      static_cast<double>(changes) / (2.0 * state.iterations()));
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_RouteServerAnnounce);
+
+/// The fast path's default vector (SdxCompiler::defaults_for): every
+/// participant's best advertiser for one random prefix of the same RIB.
+void BM_DefaultsFor(benchmark::State& state) {
+  const auto prefixes = prefix_list(kRouterPrefixes);
+  const auto server = populated_server(prefixes);
+  std::vector<core::Participant> participants(kRouters);
+  core::PortMap ports;
+  for (std::size_t i = 0; i < kRouters; ++i) {
+    participants[i].id = static_cast<bgp::ParticipantId>(i + 1);
+    participants[i].asn = 65000 + participants[i].id;
+    ports.register_participant(participants[i].id, {});
+  }
+  const core::SdxCompiler compiler(participants, ports, server);
+  net::SplitMix64 rng(17);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        compiler.defaults_for(prefixes[rng.below(kRouterPrefixes)]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DefaultsFor);
 
 }  // namespace
 

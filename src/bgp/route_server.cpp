@@ -37,52 +37,31 @@ const RouteServer::Peer* RouteServer::peer(ParticipantId id) const {
   return it == peer_index_.end() ? nullptr : &peers_[it->second];
 }
 
+template <typename Mutate>
 std::vector<RouteServer::BestChange> RouteServer::apply_and_diff(
-    Ipv4Prefix prefix, ParticipantId mutator,
-    const std::function<void()>& mutate) {
+    Ipv4Prefix prefix, ParticipantId mutator, Mutate&& mutate) {
   // A prefix holds at most one candidate per advertiser, so each
   // participant's best before the mutation is named by its advertiser. The
-  // mutation only removes or replaces the mutator's candidate: any other
-  // old best is still in the list afterwards, unchanged, and the one route
-  // to copy out first is the mutator's.
+  // mutation only adds, removes or replaces the mutator's candidate: a best
+  // from the same advertiser afterwards is the same route, unless that
+  // advertiser is the mutator and its route changed.
   std::vector<std::optional<ParticipantId>> old_from(peers_.size());
-  std::optional<Route> replaced;
-  if (auto it = rib_.find(prefix); it != rib_.end()) {
-    for (std::size_t i = 0; i < peers_.size(); ++i) {
-      if (const Route* r = best_for(it->second, peers_[i])) {
-        old_from[i] = r->learned_from;
-        if (r->learned_from == mutator && !replaced) replaced = *r;
-      }
-    }
-  }
+  for_each_best(candidates(prefix), [&old_from](std::size_t i,
+                                                const Route* best) {
+    if (best != nullptr) old_from[i] = best->learned_from;
+  });
 
-  mutate();
+  const bool mutator_kept = mutate();
 
   std::vector<BestChange> changes;
-  const std::vector<Route>* ranked = nullptr;
-  if (auto it = rib_.find(prefix); it != rib_.end()) ranked = &it->second;
-  const auto candidate_of = [ranked](ParticipantId from) -> const Route& {
-    return *std::find_if(ranked->begin(), ranked->end(),
-                         [from](const Route& r) {
-                           return r.learned_from == from;
-                         });
-  };
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    const Route* now =
-        ranked != nullptr ? best_for(*ranked, peers_[i]) : nullptr;
+  for_each_best(candidates(prefix), [&](std::size_t i, const Route* best) {
     const auto was = old_from[i];
-    if (!was && now == nullptr) continue;
-    if (was && now != nullptr && now->learned_from == *was &&
-        (*was != mutator || *now == *replaced)) {
-      continue;
-    }
-    BestChange c;
-    c.participant = peers_[i].id;
-    c.prefix = prefix;
-    if (was) c.old_best = *was == mutator ? *replaced : candidate_of(*was);
-    if (now != nullptr) c.new_best = *now;
-    changes.push_back(std::move(c));
-  }
+    const auto now = best != nullptr
+                         ? std::optional<ParticipantId>(best->learned_from)
+                         : std::nullopt;
+    if (was == now && (!was || *was != mutator || mutator_kept)) return;
+    changes.push_back(BestChange{peers_[i].id, prefix, was, now});
+  });
   return changes;
 }
 
@@ -95,8 +74,11 @@ std::vector<RouteServer::BestChange> RouteServer::announce(Route route) {
   auto changes =
       apply_and_diff(prefix, route.learned_from, [this, &route, prefix]() {
         auto& ranked = rib_[prefix];
-        std::erase_if(ranked, [&route](const Route& r) {
-          return r.learned_from == route.learned_from;
+        bool kept = false;
+        std::erase_if(ranked, [&route, &kept](const Route& r) {
+          if (r.learned_from != route.learned_from) return false;
+          kept = r == route;
+          return true;
         });
         // Insert keeping the vector ranked best-first.
         auto pos = std::find_if(ranked.begin(), ranked.end(),
@@ -105,6 +87,7 @@ std::vector<RouteServer::BestChange> RouteServer::announce(Route route) {
                                 });
         adv_[route.learned_from].insert(prefix);
         ranked.insert(pos, std::move(route));
+        return kept;
       });
   ++version_;
   if (announcements_ != nullptr) {
@@ -123,12 +106,13 @@ std::vector<RouteServer::BestChange> RouteServer::withdraw(
   }
   auto changes = apply_and_diff(prefix, from, [this, from, prefix]() {
     auto it = rib_.find(prefix);
-    if (it == rib_.end()) return;
+    if (it == rib_.end()) return false;
     std::erase_if(it->second, [from](const Route& r) {
       return r.learned_from == from;
     });
     if (it->second.empty()) rib_.erase(it);
     if (auto a = adv_.find(from); a != adv_.end()) a->second.erase(prefix);
+    return false;
   });
   ++version_;
   if (withdrawals_ != nullptr) {
@@ -155,10 +139,12 @@ std::unordered_map<Ipv4Prefix, ParticipantId> RouteServer::best_nexthops(
 
 std::optional<Route> RouteServer::best_route_lpm(
     ParticipantId for_participant, Ipv4Address addr) const {
+  const Peer* to = peer(for_participant);
+  if (to == nullptr) return std::nullopt;
   for (int len = 32; len >= 0; --len) {
-    const Ipv4Prefix candidate(addr, len);
-    if (!rib_.contains(candidate)) continue;
-    if (auto best = best_route(for_participant, candidate)) return best;
+    auto it = rib_.find(Ipv4Prefix(addr, len));
+    if (it == rib_.end()) continue;
+    if (const Route* best = best_for(it->second, *to)) return *best;
   }
   return std::nullopt;
 }
@@ -233,9 +219,9 @@ std::vector<Ipv4Prefix> RouteServer::filter_prefixes(
     ParticipantId viewer,
     const std::function<bool(const Route&)>& pred) const {
   std::vector<Ipv4Prefix> out;
+  const Peer* to = peer(viewer);
+  if (to == nullptr) return out;
   for (const auto& [prefix, ranked] : rib_) {
-    const Peer* to = peer(viewer);
-    if (to == nullptr) break;
     const Route* best = best_for(ranked, *to);
     if (best != nullptr && pred(*best)) out.push_back(prefix);
   }

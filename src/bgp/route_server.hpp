@@ -38,12 +38,16 @@ class RouteServer {
   };
 
   /// A change in some participant's best route for a prefix — the event
-  /// granularity at which the SDX recompiles (paper §4.3.2).
+  /// granularity at which the SDX recompiles (paper §4.3.2). The old and
+  /// new best are named by their advertiser (a prefix holds at most one
+  /// candidate per advertiser; std::nullopt: no eligible route). Both can
+  /// name the same advertiser when that advertiser replaced its route with
+  /// a different one; candidates() holds the new route.
   struct BestChange {
     ParticipantId participant = 0;
     Ipv4Prefix prefix;
-    std::optional<Route> old_best;
-    std::optional<Route> new_best;
+    std::optional<ParticipantId> old_from;
+    std::optional<ParticipantId> new_from;
   };
 
   explicit RouteServer(DecisionConfig cfg = {}) : cfg_(cfg) {}
@@ -133,16 +137,18 @@ class RouteServer {
   /// Candidate routes for a prefix, best first (nullptr when unknown).
   const std::vector<Route>* candidates(Ipv4Prefix prefix) const;
 
-  /// The best of \p ranked (a prefix's candidates()) that the server may
-  /// export to \p to, by pointer into \p ranked (nullptr when none is
-  /// eligible): best_route() without the copy, for callers that pick the
-  /// best of one prefix for many receivers.
-  const Route* best_for(const std::vector<Route>& ranked,
-                        const Peer& to) const {
-    for (const Route& r : ranked) {
-      if (eligible(r, to)) return &r;
+  /// Every receiver's best route for one prefix in one pass: calls
+  /// \p fn(i, best) for each position i of peers(), in order, where best
+  /// points into \p ranked (the prefix's candidates(); nullptr when it has
+  /// none) or is nullptr when nothing there may be exported to peers()[i].
+  /// best_route() for all peers at once, without a copy or a peer lookup
+  /// per receiver — the one per-receiver decision behind the update diff,
+  /// the fast path's default vectors and re-advertisement.
+  template <typename Fn>
+  void for_each_best(const std::vector<Route>* ranked, Fn&& fn) const {
+    for (std::size_t i = 0; i < peers_.size(); ++i) {
+      fn(i, ranked == nullptr ? nullptr : best_for(*ranked, peers_[i]));
     }
-    return nullptr;
   }
 
   std::size_t prefix_count() const { return rib_.size(); }
@@ -172,12 +178,24 @@ class RouteServer {
     return true;
   }
 
+  /// The best of \p ranked that the server may export to \p to, by
+  /// pointer into \p ranked (nullptr when none is eligible).
+  const Route* best_for(const std::vector<Route>& ranked,
+                        const Peer& to) const {
+    for (const Route& r : ranked) {
+      if (eligible(r, to)) return &r;
+    }
+    return nullptr;
+  }
+
   /// Runs \p mutate, which adds, replaces or removes \p mutator's
-  /// candidate for \p prefix, and reports every participant whose best
-  /// route for it changed.
+  /// candidate for \p prefix and returns true only when it replaced that
+  /// candidate with an equal route, and reports every participant whose
+  /// best route for it changed.
+  template <typename Mutate>
   std::vector<BestChange> apply_and_diff(Ipv4Prefix prefix,
                                          ParticipantId mutator,
-                                         const std::function<void()>& mutate);
+                                         Mutate&& mutate);
 
   DecisionConfig cfg_;
   std::uint64_t version_ = 0;

@@ -205,6 +205,11 @@ SdxCompiler::SdxCompiler(const std::vector<Participant>& participants,
   for (std::size_t i = 0; i < participants_.size(); ++i) {
     slot_of_[participants_[i].id] = i;
   }
+  slot_of_peer_.reserve(server_.peers().size());
+  for (const auto& peer : server_.peers()) {
+    const auto slot = slot_of_.find(peer.id);
+    slot_of_peer_.push_back(slot == slot_of_.end() ? kNoSlot : slot->second);
+  }
 }
 
 std::vector<Ipv4Prefix> SdxCompiler::clause_reach(
@@ -241,11 +246,14 @@ std::vector<Ipv4Prefix> SdxCompiler::clause_reach(
 
 DefaultVector SdxCompiler::defaults_for(Ipv4Prefix prefix) const {
   DefaultVector out(participants_.size());
-  for (std::size_t i = 0; i < participants_.size(); ++i) {
-    if (auto best = server_.best_route(participants_[i].id, prefix)) {
-      out[i] = best->learned_from;
+  const auto* ranked = server_.candidates(prefix);
+  if (ranked == nullptr) return out;
+  server_.for_each_best(ranked, [&](std::size_t peer, const bgp::Route* best) {
+    if (best != nullptr && peer < slot_of_peer_.size() &&
+        slot_of_peer_[peer] != kNoSlot) {
+      out[slot_of_peer_[peer]] = best->learned_from;
     }
-  }
+  });
   return out;
 }
 

@@ -381,6 +381,10 @@ class SdxCompiler {
   CompileOptions options_;
   telemetry::Telemetry* telemetry_ = nullptr;
   std::unordered_map<ParticipantId, std::size_t> slot_of_;
+  /// The participant slot of each route-server peer, by the peer's
+  /// position in server_.peers() (kNoSlot: not a participant here).
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> slot_of_peer_;
 };
 
 }  // namespace sdx::core

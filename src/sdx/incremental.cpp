@@ -83,6 +83,7 @@ IncrementalEngine::PartitionUpdate IncrementalEngine::recompile_partition(
   update.affected.assign(affected.begin(), affected.end());
   std::sort(update.affected.begin(), update.affected.end());
   update.bindings = part.bindings;
+  update.replaced = std::move(current_->partitions[slot].bindings);
   part.seconds = seconds_since(t0);
   update.seconds = part.seconds;
 

@@ -86,6 +86,7 @@ class IncrementalEngine {
     std::size_t slot = 0;
     double seconds = 0;
     std::vector<VnhBinding> bindings;
+    std::vector<VnhBinding> replaced;  ///< the swapped-out partition's
     std::vector<Ipv4Prefix> affected;  ///< sorted (deterministic order)
   };
 

@@ -521,6 +521,9 @@ void SdxRuntime::recompile_participant_partition(ParticipantId id) {
     table.install_classifier(part.rules, partition_bases_.at(update.slot),
                              partition_cookie(update.slot));
   }
+  // The swapped-out partition's bindings stop answering (no other state
+  // holds their VNHs); any the new partition keeps, it binds again below.
+  for (const auto& b : update.replaced) fabric_.arp().unbind(b.vnh);
   for (const auto& b : update.bindings) {
     fabric_.arp().bind(b.vnh, b.vmac);
   }
@@ -664,12 +667,12 @@ void SdxRuntime::readvertise(Ipv4Prefix prefix) {
   if (ranked != nullptr || fib_->find(prefix) != nullptr) {
     fib_slot = fib_->acquire(prefix);
   }
-  for (std::size_t slot = 0; slot < participants_.size(); ++slot) {
+  // Route-server peers are registered in participant order, so a peer's
+  // position is its participant slot.
+  server_.for_each_best(ranked, [&](std::size_t slot,
+                                    const bgp::Route* best) {
     const auto& p = participants_[slot];
-    if (p.is_remote()) continue;
-    const bgp::Route* best =
-        ranked == nullptr ? nullptr
-                          : server_.best_for(*ranked, *server_.peer(p.id));
+    if (p.is_remote()) return;
     // Per-receiver next hop: the fast-path (or pairwise group) binding is
     // receiver-independent; a partitioned artifact advertises each receiver
     // the binding of *its own* partition group — the tag encodes the
@@ -719,7 +722,7 @@ void SdxRuntime::readvertise(Ipv4Prefix prefix) {
       // Secondary routers of multi-port participants share the view.
       first = 1;
     }
-    if (!fib_slot) continue;
+    if (!fib_slot) return;
     for (std::size_t k = first; k < routers.size(); ++k) {
       auto& router = routers_[routers[k]];
       if (best == nullptr) {
@@ -729,7 +732,7 @@ void SdxRuntime::readvertise(Ipv4Prefix prefix) {
       if (!g->attrs) g->attrs = fib_->attrs().make(attributes());
       router.announce_at(*fib_slot, *g->attrs);
     }
-  }
+  });
   for (const auto& g : groups) {
     if (g.attrs) fib_->attrs().release(*g.attrs);
   }

@@ -652,8 +652,8 @@ TEST_F(RouteServerFixture, AnnounceEmitsChangeEventsOnlyOnRealChanges) {
   // Participants 2 and 3 gain a best route; participant 1 does not (own).
   ASSERT_EQ(changes.size(), 2u);
   for (const auto& c : changes) {
-    EXPECT_FALSE(c.old_best.has_value());
-    ASSERT_TRUE(c.new_best.has_value());
+    EXPECT_FALSE(c.old_from.has_value());
+    EXPECT_EQ(c.new_from, std::optional<ParticipantId>(1));
     EXPECT_EQ(c.prefix, p);
   }
   // Re-announcing the identical route is a no-op.
@@ -663,7 +663,8 @@ TEST_F(RouteServerFixture, AnnounceEmitsChangeEventsOnlyOnRealChanges) {
   changes = server.announce(make_route("30.0.0.0/8", {65002, 8, 7}, 2));
   ASSERT_EQ(changes.size(), 1u);
   EXPECT_EQ(changes[0].participant, 1u);
-  EXPECT_EQ(changes[0].new_best->learned_from, 2u);
+  EXPECT_EQ(changes[0].old_from, std::optional<ParticipantId>());
+  EXPECT_EQ(changes[0].new_from, std::optional<ParticipantId>(2));
 }
 
 TEST_F(RouteServerFixture, WithdrawFallsBackToNextBest) {

@@ -2,8 +2,10 @@
 /// reference model (flat maps, best recomputed from scratch with the same
 /// decision function) is driven with the same random announce/withdraw
 /// sequence, and every observable — per-participant best routes, export
-/// eligibility, reach sets, change events (which participants, and their
-/// old and new best routes) — must agree at every step.
+/// eligibility, reach sets, change events (which participants, and the
+/// advertisers of their old and new best routes) — must agree at every
+/// step. The same model, driven through an SdxRuntime, also checks the
+/// fast path's default vectors and the best-route churn counter.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,8 @@
 
 #include "bgp/route_server.hpp"
 #include "netbase/rng.hpp"
+#include "sdx/compiler.hpp"
+#include "sdx/runtime.hpp"
 
 namespace sdx::bgp {
 namespace {
@@ -149,8 +153,10 @@ TEST_P(RouteServerModel, AgreesWithNaiveReferenceUnderFuzz) {
       model.withdraw(who, prefix);
     }
 
-    // Change events must fire exactly when a best route changes, once per
-    // participant, and carry the model's best before and after.
+    // Change events must fire exactly when a best route changes (any
+    // attribute, not just its advertiser), once per participant, and name
+    // the advertisers of the model's best before and after; the new best
+    // they name is the model's route.
     for (const auto& p : model.peers()) {
       const auto after = model.best_route(p.id, prefix);
       const auto n = std::count_if(
@@ -162,11 +168,24 @@ TEST_P(RouteServerModel, AgreesWithNaiveReferenceUnderFuzz) {
           << "step " << step << " peer " << p.id << " " << what;
       ASSERT_LE(n, 1) << "step " << step << " peer " << p.id << " " << what;
     }
+    const auto advertiser = [](const std::optional<Route>& r) {
+      return r ? std::optional<ParticipantId>(r->learned_from) : std::nullopt;
+    };
     for (const auto& c : changes) {
+      const auto after = model.best_route(c.participant, prefix);
       EXPECT_EQ(c.prefix, prefix) << "step " << step << " " << what;
-      EXPECT_EQ(c.old_best, before[c.participant])
+      EXPECT_EQ(c.old_from, advertiser(before[c.participant]))
           << "step " << step << " peer " << c.participant << " " << what;
-      EXPECT_EQ(c.new_best, model.best_route(c.participant, prefix))
+      EXPECT_EQ(c.new_from, advertiser(after))
+          << "step " << step << " peer " << c.participant << " " << what;
+      if (!c.new_from) continue;
+      const auto* ranked = real.candidates(prefix);
+      ASSERT_NE(ranked, nullptr) << "step " << step << " " << what;
+      const auto named = std::find_if(
+          ranked->begin(), ranked->end(),
+          [&c](const Route& r) { return r.learned_from == *c.new_from; });
+      ASSERT_NE(named, ranked->end()) << "step " << step << " " << what;
+      EXPECT_EQ(*named, *after)
           << "step " << step << " peer " << c.participant << " " << what;
     }
 
@@ -214,6 +233,176 @@ TEST_P(RouteServerModel, AgreesWithNaiveReferenceUnderFuzz) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RouteServerModel,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// --- through the SDX runtime -------------------------------------------------
+
+/// An exchange of five local participants and one remote one (AS 65006),
+/// all registered with the runtime's route server and mirrored into
+/// \p model, plus one outbound clause so the fast path has work.
+std::vector<ParticipantId> build_exchange(core::SdxRuntime& rt,
+                                          ModelServer& model) {
+  std::vector<ParticipantId> ids;
+  for (int i = 1; i <= 5; ++i) {
+    ids.push_back(rt.add_participant("P" + std::to_string(i),
+                                     static_cast<Asn>(65000 + i)));
+  }
+  ids.push_back(rt.add_remote_participant("R", 65006));
+  rt.set_outbound(ids[0], {core::OutboundClause{
+                              core::ClauseMatch{}.dst_port(80), ids[1]}});
+  for (const auto& p : rt.route_server().peers()) model.add_peer(p);
+  return ids;
+}
+
+/// A random announcement of \p prefix by \p from: paths that sometimes
+/// carry another participant's ASN (a loop for that receiver), and the
+/// NO_EXPORT, NO_ADVERTISE and "0:<asn>" communities.
+struct RandomAnnouncement {
+  net::AsPath path;
+  std::vector<Community> communities;
+};
+
+RandomAnnouncement random_announcement(SplitMix64& rng, Asn from_asn,
+                                       std::size_t peers) {
+  std::vector<Asn> hops{from_asn};
+  for (std::size_t k = 0, e = rng.below(3); k < e; ++k) {
+    hops.push_back(rng.chance(0.3)
+                       ? static_cast<Asn>(65001 + rng.below(peers))
+                       : static_cast<Asn>(rng.range(100, 60000)));
+  }
+  RandomAnnouncement a{net::AsPath(std::move(hops)), {}};
+  if (rng.chance(0.1)) a.communities.push_back(kNoExport);
+  if (rng.chance(0.1)) a.communities.push_back(kNoAdvertise);
+  if (rng.chance(0.2)) {
+    a.communities.push_back(make_community(
+        0, static_cast<std::uint16_t>(65001 + rng.below(peers))));
+  }
+  return a;
+}
+
+/// The route the runtime builds for an announcement, for the model.
+Route route_of(const core::SdxRuntime& rt, ParticipantId from,
+               Ipv4Prefix prefix, const RandomAnnouncement& a) {
+  const auto& p = rt.participant(from);
+  Route r;
+  r.prefix = prefix;
+  r.attrs.as_path = a.path;
+  r.attrs.communities = a.communities;
+  r.attrs.next_hop =
+      p.is_remote() ? Ipv4Address{} : p.primary_port().router_ip;
+  r.learned_from = from;
+  r.peer_router_id = rt.route_server().peer(from)->router_id;
+  return r;
+}
+
+class RuntimeRouteServerModel
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+// The fast path's default vector is best_route()'s advertiser for every
+// participant, in participant-slot order, whatever order the compiler's
+// participant list takes.
+TEST_P(RuntimeRouteServerModel, DefaultsForEqualsBestRoutePerParticipant) {
+  SplitMix64 rng(GetParam() * 0x9E3779B97F4A7C15ull);
+  core::SdxRuntime rt;
+  ModelServer model;
+  const auto ids = build_exchange(rt, model);
+  std::vector<Ipv4Prefix> universe;
+  for (std::uint32_t i = 0; i < 12; ++i) {
+    universe.push_back(Ipv4Prefix(Ipv4Address((20u + i) << 24), 8));
+  }
+  const Ipv4Prefix never(Ipv4Address(99u << 24), 8);  // no candidate, ever
+  for (int step = 0; step < 150; ++step) {
+    const auto prefix = universe[rng.below(universe.size())];
+    const auto who = ids[rng.below(ids.size())];
+    if (rng.chance(0.75)) {
+      auto a = random_announcement(rng, rt.participant(who).asn, ids.size());
+      rt.announce(who, prefix, a.path, a.communities);
+    } else {
+      rt.withdraw(who, prefix);
+    }
+  }
+  std::vector<core::Participant> reversed(rt.participants().rbegin(),
+                                          rt.participants().rend());
+  const core::SdxCompiler in_order(rt.participants(), rt.ports(),
+                                   rt.route_server());
+  const core::SdxCompiler out_of_order(reversed, rt.ports(),
+                                       rt.route_server());
+  universe.push_back(never);
+  std::size_t held = 0;
+  for (auto prefix : universe) {
+    for (const auto* compiler : {&in_order, &out_of_order}) {
+      const auto defaults = compiler->defaults_for(prefix);
+      const auto& list = compiler->participants();
+      ASSERT_EQ(defaults.size(), list.size());
+      for (std::size_t i = 0; i < list.size(); ++i) {
+        const auto best = rt.route_server().best_route(list[i].id, prefix);
+        const auto want = best ? std::optional<ParticipantId>(
+                                     best->learned_from)
+                               : std::nullopt;
+        EXPECT_EQ(defaults[i], want)
+            << prefix.to_string() << " for " << list[i].name;
+        held += want.has_value();
+      }
+    }
+  }
+  EXPECT_EQ(rt.route_server().candidates(never), nullptr);
+  EXPECT_GT(held, 0u);
+}
+
+// sdx_route_server_best_changes_total counts exactly the per-participant
+// best-route changes the naive model derives, update by update, through
+// the installed runtime's fast path and session drops.
+TEST_P(RuntimeRouteServerModel, BestChangeCounterMatchesTheModel) {
+  SplitMix64 rng(GetParam() * 0xD1B54A32D192ED03ull);
+  core::SdxRuntime rt;
+  ModelServer model;
+  const auto ids = build_exchange(rt, model);
+  std::vector<Ipv4Prefix> universe;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    universe.push_back(Ipv4Prefix(Ipv4Address((30u + i) << 24), 8));
+  }
+  auto& counter = rt.telemetry().metrics.counter(
+      "sdx_route_server_best_changes_total");
+  std::uint64_t expected = 0;
+  const auto apply = [&](const auto& mutate, Ipv4Prefix prefix) {
+    std::map<ParticipantId, std::optional<Route>> before;
+    for (const auto& p : model.peers()) {
+      before[p.id] = model.best_route(p.id, prefix);
+    }
+    mutate();
+    for (const auto& p : model.peers()) {
+      expected += before[p.id] != model.best_route(p.id, prefix);
+    }
+  };
+  for (int step = 0; step < 300; ++step) {
+    if (step == 40) rt.install();
+    const auto prefix = universe[rng.below(universe.size())];
+    const auto who = ids[rng.below(ids.size())];
+    std::string what;
+    if (rng.chance(0.65)) {
+      auto a = random_announcement(rng, rt.participant(who).asn, ids.size());
+      const Route r = route_of(rt, who, prefix, a);
+      what = "announce " + r.to_string();
+      rt.announce(who, prefix, a.path, a.communities);
+      apply([&] { model.announce(r); }, prefix);
+    } else if (rng.chance(0.95)) {
+      what = "withdraw " + prefix.to_string() + " by " + std::to_string(who);
+      rt.withdraw(who, prefix);
+      apply([&] { model.withdraw(who, prefix); }, prefix);
+    } else {
+      what = "session down " + std::to_string(who);
+      const auto advertised = rt.route_server().advertised_by(who);
+      rt.session_down(who);
+      for (auto p : advertised) {
+        apply([&] { model.withdraw(who, p); }, p);
+      }
+    }
+    ASSERT_EQ(counter.value(), expected) << "step " << step << " " << what;
+  }
+  EXPECT_GT(expected, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RuntimeRouteServerModel,
+                         ::testing::Values(1, 2, 3, 4));
 
 }  // namespace
 }  // namespace sdx::bgp

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <sstream>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "dataplane/fabric.hpp"
+#include "deployment_state.hpp"
 #include "sdx/runtime.hpp"
 #include "sdx/vmac_layout.hpp"
 #include "sdx/vnh_allocator.hpp"
@@ -472,6 +474,55 @@ TEST(PartitionedRuntime, InPlaceRecompileEqualsAFreshCompileOfTheSlot) {
   };
   EXPECT_NE(by_group(want).find("group"), std::string::npos);
   EXPECT_EQ(by_group(got), by_group(want));
+}
+
+/// The ARP table with each VMAC tag reduced to its attribute and next-hop
+/// fields, sorted: an in-place partition recompile continues the VNH
+/// allocator's watermark, so its VNHs and group ids differ from a full
+/// recompile's while everything a tag encodes about forwarding agrees.
+std::vector<std::string> arp_shape(SdxRuntime& r) {
+  const VmacLayout layout;
+  std::vector<std::string> out;
+  r.fabric().arp().for_each([&](net::Ipv4Address ip, MacAddress mac) {
+    if (mac.bits() >> 40 == 0x02) {
+      out.push_back("tag attrs=" + std::to_string(layout.attrs_of(mac)) +
+                    " nexthop=" + std::to_string(layout.nexthop_of(mac)));
+    } else {
+      out.push_back(ip.to_string() + " " + mac.to_string());
+    }
+  });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(PartitionedRuntime, InPlaceRecompileKeepsArpBounded) {
+  SdxRuntime rt({}, partitioned_options());
+  build_exchange(rt);
+  const std::size_t installed = rt.fabric().arp().size();
+  const std::string installed_dump = test::arp_table_dump(rt);
+  const std::vector<OutboundClause> steering{
+      OutboundClause{ClauseMatch{}.dst_port(80), 2},
+      OutboundClause{ClauseMatch{}.dst_port(443), 3}};
+  for (int i = 0; i < 5; ++i) {
+    rt.set_outbound(1, steering);
+    ASSERT_EQ(rt.fabric().arp().size(), installed) << "recompile " << i;
+  }
+  // A's partition was swapped five times: its fresh bindings answer and
+  // none of the superseded ones does.
+  EXPECT_NE(test::arp_table_dump(rt), installed_dump);
+  for (const auto& b : rt.compiled().partitions[0].bindings) {
+    const MacAddress* mac = rt.fabric().arp().lookup(b.vnh);
+    ASSERT_NE(mac, nullptr) << b.vnh.to_string();
+    EXPECT_EQ(*mac, b.vmac);
+  }
+  SdxRuntime twin({}, partitioned_options());
+  build_exchange(twin);
+  twin.set_outbound(1, steering);
+  twin.background_recompile();
+  EXPECT_EQ(arp_shape(rt), arp_shape(twin));
+  // The next full swap leaves exactly what the twin's does.
+  rt.background_recompile();
+  EXPECT_EQ(test::arp_table_dump(rt), test::arp_table_dump(twin));
 }
 
 TEST(PartitionedRuntime, WarmRestartRoundTripsPartitionedArtifact) {
