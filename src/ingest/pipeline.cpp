@@ -86,7 +86,7 @@ std::size_t IngestPipeline::drain() {
   queue_.drain(options_.drain_batch, batch_);
   if (!batch_.empty()) {
     for (auto& u : batch_) apply(u);
-    if (rt_.batching()) rt_.flush();
+    rt_.flush();
     const auto now = std::chrono::steady_clock::now();
     for (const auto& u : batch_) {
       install_latency_->observe(

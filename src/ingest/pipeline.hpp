@@ -69,7 +69,7 @@ class IngestPipeline {
   bool running() const { return thread_.joinable(); }
 
   /// Control thread: one DRR drain of up to drain_batch updates, applied
-  /// through the runtime (announce/withdraw + flush when batching).
+  /// through the runtime (announce/withdraw, then one flush).
   /// Returns the number of updates applied; 0 means the queue was empty.
   std::size_t drain();
 

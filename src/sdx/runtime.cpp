@@ -104,16 +104,14 @@ ParticipantId SdxRuntime::add_participant(const std::string& name,
   Participant& stored = participants_.back();
   port_map_.register_participant(stored.id, stored.port_ids());
   server_.add_peer({stored.id, asn, stored.primary_port().router_ip});
+  auto& routers = router_index_.emplace_back();
   for (const auto& port : stored.ports) {
     routers_.emplace_back(asn, port.id, port.router_mac, port.router_ip,
                           fib_);
-    router_index_[stored.id].push_back(routers_.size() - 1);
+    routers.push_back(routers_.size() - 1);
     fabric_.attach(routers_.back());
   }
-  if (frontend_) {
-    frontend_->connect(stored.id,
-                       routers_[router_index_.at(stored.id).front()]);
-  }
+  if (frontend_) frontend_->connect(stored.id, routers_[routers.front()]);
   if (journal_recording_) {
     persist::WalRecord rec;
     rec.type = persist::WalRecordType::kAddParticipant;
@@ -138,6 +136,7 @@ ParticipantId SdxRuntime::add_remote_participant(const std::string& name,
   participants_.push_back(std::move(p));
   Participant& stored = participants_.back();
   port_map_.register_participant(stored.id, {});
+  router_index_.emplace_back();
   server_.add_peer(
       {stored.id, asn,
        net::Ipv4Address(net::Ipv4Address::parse("192.0.2.0").value() +
@@ -260,11 +259,7 @@ void SdxRuntime::announce(ParticipantId from, Ipv4Prefix prefix,
   route.learned_from = from;
   route.peer_router_id = server_.peer(from)->router_id;
   server_.announce(std::move(route));
-  if (installed()) {
-    note_post_install_update(prefix);
-  } else {
-    readvertise(prefix);
-  }
+  if (installed()) note_post_install_update(prefix);
 }
 
 std::size_t SdxRuntime::session_down(ParticipantId id) {
@@ -285,10 +280,7 @@ std::size_t SdxRuntime::session_down(ParticipantId id) {
   // reach sets simply become empty, exactly as with any withdrawal.
   const auto advertised = server_.advertised_by(id);
   for (auto prefix : advertised) server_.withdraw(id, prefix);
-  if (!installed()) {
-    for (auto prefix : advertised) readvertise(prefix);
-    return advertised.size();
-  }
+  if (!installed()) return advertised.size();
   // Policies changed, so the two-stage fast path is not enough: queue the
   // withdrawals and rebuild. The rebuild absorbs the whole queue and
   // re-advertises it, so no fast pass runs for a route that is gone.
@@ -308,11 +300,7 @@ void SdxRuntime::withdraw(ParticipantId from, Ipv4Prefix prefix) {
     journal_->append(rec);
   }
   server_.withdraw(from, prefix);
-  if (installed()) {
-    note_post_install_update(prefix);
-  } else {
-    readvertise(prefix);
-  }
+  if (installed()) note_post_install_update(prefix);
 }
 
 const CompiledSdx& SdxRuntime::install_compiled(
@@ -366,16 +354,18 @@ const CompiledSdx& SdxRuntime::install_compiled(
   // The new base covers every pending dirty prefix and the per-update log;
   // anything that raced past an asynchronous snapshot re-applies through
   // one batched fast pass on top of it (note_post_install_update recorded
-  // both). Pending prefixes that left the RIB entirely still need their
-  // (deferred) withdrawal re-advertised — the all_prefixes() walk only
-  // sees prefixes the RIB still holds.
+  // both). The all_prefixes() walk re-advertises every prefix the RIB
+  // holds, pending ones included; a pending prefix that left the RIB
+  // entirely still needs its (deferred) withdrawal re-advertised.
   std::vector<Ipv4Prefix> pending = std::move(dirty_order_);
   dirty_order_.clear();
   dirty_set_.clear();
   pending_clock_ = 0;
   update_log_.clear();
   for (auto prefix : server_.all_prefixes()) readvertise(prefix);
-  for (auto prefix : pending) readvertise(prefix);
+  for (auto prefix : pending) {
+    if (server_.candidates(prefix) == nullptr) readvertise(prefix);
+  }
   install_batch(raced);
   run_safety_stage(nullptr);
   return compiled;
@@ -571,7 +561,7 @@ void SdxRuntime::use_wire_distribution() {
     if (p.is_remote()) continue;
     // One session per participant, terminated at its primary router; the
     // router applies the updates to the shared participant RIB view.
-    frontend_->connect(p.id, routers_[router_index_.at(p.id).front()]);
+    frontend_->connect(p.id, routers_[router_index_[p.id - 1].front()]);
   }
 }
 
@@ -598,8 +588,7 @@ std::vector<ParticipantId> SdxRuntime::advance_clock(double seconds) {
     // its routes and drop its policies rather than advertising stale state.
     for (auto id : dropped) session_down(id);
   }
-  if (batching_ && !dirty_order_.empty() &&
-      batch_options_.max_delay_seconds > 0) {
+  if (!dirty_order_.empty() && batch_options_.max_delay_seconds > 0) {
     pending_clock_ += seconds;
     if (pending_clock_ >= batch_options_.max_delay_seconds) flush();
   }
@@ -607,17 +596,11 @@ std::vector<ParticipantId> SdxRuntime::advance_clock(double seconds) {
 }
 
 void SdxRuntime::enable_batching(BatchOptions options) {
-  batching_ = true;
   batch_options_ = options;
   if (batch_options_.max_pending != 0 &&
       dirty_order_.size() >= batch_options_.max_pending) {
     flush();
   }
-}
-
-void SdxRuntime::disable_batching() {
-  flush();
-  batching_ = false;
 }
 
 std::size_t SdxRuntime::flush() {
@@ -650,7 +633,7 @@ std::string SdxRuntime::dump_trace() const {
 
 void SdxRuntime::readvertise(Ipv4Prefix prefix) {
   const auto global = current_binding(prefix);
-  const bool partitioned = installed() && compiled().partitioned;
+  const bool partitioned = compiled().partitioned;
   const std::vector<bgp::Route>* ranked = server_.candidates(prefix);
   struct Group {
     const bgp::Route* best;  ///< nullptr: the group withdraws the prefix
@@ -705,7 +688,7 @@ void SdxRuntime::readvertise(Ipv4Prefix prefix) {
       attrs.next_hop = g->next_hop;
       return attrs;
     };
-    const auto& routers = router_index_[p.id];
+    const auto& routers = router_index_[slot];
     std::size_t first = 0;
     if (frontend_ && frontend_->established(p.id)) {
       if (!g->msg) {
@@ -742,19 +725,15 @@ void SdxRuntime::readvertise(Ipv4Prefix prefix) {
 void SdxRuntime::note_post_install_update(Ipv4Prefix prefix) {
   // Raced-delta bookkeeping first: while an asynchronous recompile flies,
   // every touched prefix must be re-applied on top of its result, whether
-  // the update runs inline or waits in a batch.
+  // its flush runs now or later.
   if (job_ && raced_set_.insert(prefix).second) {
     raced_order_.push_back(prefix);
   }
-  if (batching_) {
-    if (dirty_set_.insert(prefix).second) dirty_order_.push_back(prefix);
-    if (batch_options_.max_pending != 0 &&
-        dirty_order_.size() >= batch_options_.max_pending) {
-      flush();
-    }
-    return;
+  if (dirty_set_.insert(prefix).second) dirty_order_.push_back(prefix);
+  if (batch_options_.max_pending != 0 &&
+      dirty_order_.size() >= batch_options_.max_pending) {
+    flush();
   }
-  install_batch({prefix});
 }
 
 void SdxRuntime::install_batch(const std::vector<Ipv4Prefix>& prefixes) {
@@ -826,7 +805,7 @@ std::uint64_t SdxRuntime::checkpoint() {
   telemetry::Span span = telemetry_.tracer.span("checkpoint");
   // Flush any pending batch first: a checkpoint must capture an
   // externally-consistent state, not one with updates parked in a queue.
-  if (batching_) flush();
+  flush();
   persist::CheckpointState st;
   st.participants = participants_;
   st.routes = server_.dump_routes();
@@ -974,16 +953,13 @@ SdxRuntime::RecoveryReport SdxRuntime::recover(
     report.checkpoint_lsn = journal->checkpoint()->lsn;
     restore_checkpoint(*journal->checkpoint(), report);
   }
-  // Replay the tail. Once the replayed timeline passes install(), updates
-  // run through the batched fast path — one coalesced pass instead of one
-  // restricted compilation per record.
-  bool batched = false;
+  // Replay the tail with flushes held back: once the replayed timeline
+  // passes install(), its updates queue and run as one coalesced pass
+  // instead of one restricted compilation per record.
+  const BatchOptions policy = batch_options_;
+  batch_options_ = BatchOptions{0, 0};
   bool policy_replayed = false;
   for (const auto& rec : journal->tail()) {
-    if (!batched && installed()) {
-      enable_batching(BatchOptions{0, 0});
-      batched = true;
-    }
     if (installed() &&
         (rec.type == persist::WalRecordType::kSetOutbound ||
          rec.type == persist::WalRecordType::kSetInbound)) {
@@ -992,7 +968,8 @@ SdxRuntime::RecoveryReport SdxRuntime::recover(
     replay_record(rec);
     ++report.replayed;
   }
-  if (batched) disable_batching();
+  batch_options_ = policy;
+  flush();
   // Pairwise mode defers a post-install policy change to the next recompile,
   // and the recompile the live runtime eventually ran is not a WAL record —
   // replay would otherwise resurrect the stale tables. One coalesced rebuild
@@ -1022,7 +999,7 @@ SdxRuntime::RecoveryReport SdxRuntime::recover(
 
 dp::BorderRouter& SdxRuntime::router(ParticipantId id,
                                      std::size_t port_index) {
-  return routers_.at(router_index_.at(id).at(port_index));
+  return routers_.at(router_index_.at(id - 1).at(port_index));
 }
 
 std::vector<dp::Fabric::Delivery> SdxRuntime::send(ParticipantId from,

@@ -7,19 +7,22 @@
 /// Lifecycle:
 ///   1. add_participant() / add_remote_participant(), set policies;
 ///   2. announce() routes (participants' border routers feed the route
-///      server);
+///      server). Until install() these change only the route server: no
+///      router hears of them yet;
 ///   3. install() — full compilation, flow-rule installation, ARP/VNH
-///      bindings and BGP re-advertisement to every participant router;
+///      bindings and BGP re-advertisement of every prefix to every
+///      participant router;
 ///   4. further announce()/withdraw() calls run the §4.3.2 fast path
-///      automatically (higher-priority rules + re-advertisement), logging
-///      per-update cost. There is one fast stage: an inline update is a
-///      batch of one, installed immediately. With enable_batching() updates
-///      enqueue instead and a flush() (explicit, size- or clock-triggered)
-///      installs the whole burst as one batch; background_recompile()
-///      coalesces synchronously, while start_background_recompile() runs
-///      the optimal pipeline off-thread against a versioned snapshot and
-///      swaps the result in atomically. A session_down() queues its
-///      withdrawals and lets a synchronous recompile absorb the queue.
+///      (higher-priority rules + re-advertisement), logging per-update cost.
+///      There is one fast stage, and one road to it: every update enters
+///      the dirty queue, and a flush() (explicit, size- or clock-triggered)
+///      installs the queue as one batch. The starting flush policy flushes
+///      at one pending prefix, so an inline update is a flush of one;
+///      enable_batching() widens it. background_recompile() coalesces
+///      synchronously, while start_background_recompile() runs the optimal
+///      pipeline off-thread against a versioned snapshot and swaps the
+///      result in atomically. A session_down() queues its withdrawals and
+///      lets a synchronous recompile absorb the queue.
 ///   5. send() pushes packets through the emulated data plane end to end.
 ///
 /// There is one full deploy, install_compiled(): install(),
@@ -89,9 +92,10 @@ class SdxRuntime {
   /// Participant \p from announces \p prefix. The AS path defaults to the
   /// participant's own ASN (an originated route); longer paths model
   /// transit; communities drive the route server's export policy (RFC 1997
-  /// NO_EXPORT/NO_ADVERTISE, "0:<asn>" per-peer blocking). After install(),
-  /// the fast path runs (or the prefix is enqueued under batching) and the
-  /// report is logged.
+  /// NO_EXPORT/NO_ADVERTISE, "0:<asn>" per-peer blocking). Before install()
+  /// only the route server changes; install() advertises the result. After
+  /// install(), the prefix enters the dirty queue and the flush policy
+  /// decides when the fast path runs (at once, by default).
   void announce(ParticipantId from, Ipv4Prefix prefix,
                 std::optional<net::AsPath> path = std::nullopt,
                 std::vector<bgp::Community> communities = {});
@@ -100,10 +104,11 @@ class SdxRuntime {
   /// A participant's BGP session drops (maintenance, failure, departure):
   /// every route it advertised is withdrawn and its policies are removed
   /// (they may reference routes that no longer exist). Its ports remain in
-  /// the topology, and re-announcing later brings it back. After
-  /// install(), the withdrawals join the dirty queue and the full
-  /// recompilation that follows absorbs the whole queue: no fast-path pass
-  /// runs for them. Returns the number of prefixes withdrawn.
+  /// the topology, and re-announcing later brings it back. Before install()
+  /// only the route server changes. After install(), the withdrawals join
+  /// the dirty queue and the full recompilation that follows absorbs the
+  /// whole queue: no fast-path pass runs for them. Returns the number of
+  /// prefixes withdrawn.
   std::size_t session_down(ParticipantId id);
 
   bgp::RouteServer& route_server() { return server_; }
@@ -112,7 +117,7 @@ class SdxRuntime {
   /// Switches re-advertisement to the wire path: every UPDATE toward a
   /// border router is framed, travels through a pair of RFC 4271 sessions
   /// (BgpFrontend) and lands in the router's RIB via the decoder — instead
-  /// of the default in-process delivery. Call before the first announce().
+  /// of the default in-process delivery. Call before install().
   /// Behaviour must be identical either way (property-tested).
   void use_wire_distribution();
   bool wire_distribution() const { return frontend_ != nullptr; }
@@ -205,18 +210,15 @@ class SdxRuntime {
     double max_delay_seconds = 0.05;
   };
 
-  /// Switches announce()/withdraw() after install() from an immediate
-  /// batch of one per update to enqueueing: a burst of N updates then costs
-  /// one batched pass (shared clause scan and stage-2 memo, one VNH sweep,
-  /// one composition walk, de-duplicated installation) instead of N
-  /// batches of one. Updates are *visible* only after the flush.
+  /// Sets the flush policy for updates after install(). Every update
+  /// enqueues; the runtime starts at {1, 0}, so each update flushes at once
+  /// as a batch of one. A wider policy makes a burst of N updates one
+  /// batched pass (shared clause scan and stage-2 memo, one VNH sweep, one
+  /// composition walk, de-duplicated installation) instead of N batches of
+  /// one; updates are then *visible* only after the flush. Flushes at once
+  /// when the queue already meets the new max_pending.
   void enable_batching(BatchOptions options);
   void enable_batching() { enable_batching(BatchOptions{}); }
-
-  /// Flushes any pending updates, then returns to batches of one.
-  void disable_batching();
-
-  bool batching() const { return batching_; }
 
   /// Distinct prefixes waiting for the next flush.
   std::size_t pending_updates() const { return dirty_order_.size(); }
@@ -289,7 +291,7 @@ class SdxRuntime {
 
   /// The runtime's measurement plane. Every layer reports here: route
   /// server (RIB size, churn), compiler (per-stage spans + histograms),
-  /// §4.3.2 fast path (inline and batched), background-recompile swaps,
+  /// §4.3.2 fast path (every flush), background-recompile swaps,
   /// BGP frontend (updates, bytes, session drops), ARP responder and
   /// fabric flow table.
   telemetry::Telemetry& telemetry() { return telemetry_; }
@@ -347,11 +349,10 @@ class SdxRuntime {
 
   /// Turns on the safety stage: a full check after every deploy (install,
   /// synchronous or asynchronous recompile) and an incremental re-check of
-  /// only the dirty prefixes after inline fast-path updates, batched
-  /// flushes and partition recompiles. Results land in
-  /// last_safety_report() and telemetry (`sdx_verify_seconds`,
-  /// `sdx_verify_violations_total{kind=...}`, ...). Runs immediately when
-  /// already installed.
+  /// only the dirty prefixes after every flush and partition recompile.
+  /// Results land in last_safety_report() and telemetry
+  /// (`sdx_verify_seconds`, `sdx_verify_violations_total{kind=...}`, ...).
+  /// Runs immediately when already installed.
   void enable_verification();
   bool verification_enabled() const { return checker_ != nullptr; }
 
@@ -405,8 +406,9 @@ class SdxRuntime {
   /// (warm restart) supplies the persisted remote and fast-path bindings
   /// and the fast-path residue rules instead of fresh allocations. Then:
   /// base tables, ARP (every VNH of the replaced state unbound, the new
-  /// state's bound), re-advertisement of every prefix and of the pending
-  /// batch it absorbs, a cleared update log, and the full safety stage.
+  /// state's bound), re-advertisement of every prefix and of the absorbed
+  /// pending prefixes that left the RIB, a cleared update log, and the full
+  /// safety stage.
   const CompiledSdx& install_compiled(
       std::optional<CompiledSdx> adopted = std::nullopt,
       const persist::CheckpointState* restored = nullptr);
@@ -428,12 +430,12 @@ class SdxRuntime {
   /// Binds every live VNH: compiled (pairwise or per-partition), remote
   /// participant and fast-path bindings.
   void bind_arp(const CompiledSdx& compiled);
-  /// Post-install update routing: raced-delta tracking, then either an
-  /// immediate batch of one or the dirty queue (batching).
+  /// Post-install update routing: raced-delta tracking, then the dirty
+  /// queue, flushed when it reaches the policy's max_pending.
   void note_post_install_update(Ipv4Prefix prefix);
   /// One batched fast pass over \p prefixes: compile, install, re-advertise,
-  /// log. The single fast-path install: inline updates (a batch of one),
-  /// flush() and the post-swap raced-delta re-application all run here.
+  /// log. The single fast-path install: flush() and the post-swap
+  /// raced-delta re-application run here.
   void install_batch(const std::vector<Ipv4Prefix>& prefixes);
   /// Runs the enabled safety stage: full when \p dirty is null, else an
   /// incremental re-check of exactly those prefixes. No-op unless
@@ -495,7 +497,9 @@ class SdxRuntime {
   /// Routers keyed in participant slot order, one per physical port; deque
   /// keeps addresses stable for fabric attachment.
   std::deque<dp::BorderRouter> routers_;
-  std::unordered_map<ParticipantId, std::vector<std::size_t>> router_index_;
+  /// Indices into routers_ by participant slot (id - 1); empty for remote
+  /// participants.
+  std::vector<std::vector<std::size_t>> router_index_;
   std::unique_ptr<IncrementalEngine> engine_;
   std::unique_ptr<BgpFrontend> frontend_;
   /// Last frontend reconnect count synced into the ingest counter.
@@ -507,9 +511,9 @@ class SdxRuntime {
   /// toward prefixes only a remote participant announces.
   std::unordered_map<ParticipantId, VnhBinding> remote_bindings_;
 
-  // Burst batching state (control thread only).
-  bool batching_ = false;
-  BatchOptions batch_options_;
+  // Burst batching state (control thread only). The starting policy
+  // flushes every update on arrival: an inline update is a flush of one.
+  BatchOptions batch_options_{/*max_pending=*/1, /*max_delay_seconds=*/0};
   std::vector<Ipv4Prefix> dirty_order_;  ///< arrival order, deduplicated
   std::unordered_set<Ipv4Prefix> dirty_set_;
   double pending_clock_ = 0;  ///< advance_clock() time since first dirty

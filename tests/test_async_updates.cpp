@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
+#include <vector>
 
 #include "deployment_state.hpp"
 #include "netbase/parallel.hpp"
@@ -104,9 +106,13 @@ TEST_F(AsyncUpdatesFixture, BatchSharesCompositionsAcrossEqualSignatures) {
   // The identical burst, batched. p1 and p2 share their restricted
   // signature (same clause hits, same default vector), so the mini-FEC
   // folds them into one group: one composition walk, not two.
+  // (The inline updates above were two flushes of one each.)
   rt.background_recompile();
   rt.enable_batching({0, 0});
   const auto batched_before = counter(rt, "sdx_fast_path_compositions_total");
+  const auto flushes_before = counter(rt, "sdx_fast_path_batches_total");
+  const auto flushed_before =
+      counter(rt, "sdx_fast_path_batched_updates_total");
   rt.announce(b, p1, net::AsPath{65002, 7});
   rt.announce(b, p2, net::AsPath{65002, 7});
   EXPECT_EQ(rt.flush(), 2u);
@@ -114,8 +120,10 @@ TEST_F(AsyncUpdatesFixture, BatchSharesCompositionsAcrossEqualSignatures) {
       counter(rt, "sdx_fast_path_compositions_total") - batched_before;
   EXPECT_LT(batched_cost, inline_cost);
   EXPECT_EQ(batched_cost * 2, inline_cost);  // exactly one shared walk
-  EXPECT_EQ(counter(rt, "sdx_fast_path_batches_total"), 1u);
-  EXPECT_EQ(counter(rt, "sdx_fast_path_batched_updates_total"), 2u);
+  EXPECT_EQ(counter(rt, "sdx_fast_path_batches_total") - flushes_before, 1u);
+  EXPECT_EQ(
+      counter(rt, "sdx_fast_path_batched_updates_total") - flushed_before,
+      2u);
 
   // Shared signature ⇒ shared binding.
   ASSERT_TRUE(rt.current_binding(p1).has_value());
@@ -145,17 +153,85 @@ TEST_F(AsyncUpdatesFixture, ClockTriggeredFlush) {
   EXPECT_EQ(counter(rt, "sdx_fast_path_batches_total"), 1u);
 }
 
-TEST_F(AsyncUpdatesFixture, DisableBatchingFlushesAndReturnsInline) {
+TEST_F(AsyncUpdatesFixture, FlushPolicyOfOneFlushesAndReturnsInline) {
   rt.enable_batching({0, 0});
   rt.announce(c, Ipv4Prefix::parse("100.1.0.0/16"), net::AsPath{65003});
   EXPECT_EQ(rt.pending_updates(), 1u);
-  rt.disable_batching();
-  EXPECT_FALSE(rt.batching());
+  rt.enable_batching({1, 0});
   EXPECT_EQ(rt.pending_updates(), 0u);
   // Subsequent updates run inline again.
   rt.announce(c, Ipv4Prefix::parse("100.2.0.0/16"), net::AsPath{65003});
   EXPECT_EQ(rt.pending_updates(), 0u);
   EXPECT_EQ(egress(rt, a, "100.2.1.1", 53), rt.participant(c).ports[0].id);
+}
+
+TEST_F(AsyncUpdatesFixture, InlineUpdatesEqualExplicitFlushesOfOne) {
+  // The default runtime flushes each update on arrival; the twin queues
+  // every update and flushes it by hand. An inline update is a flush of
+  // one, so both must deploy byte-identical tables, FIBs and ARP answers.
+  SdxRuntime twin;
+  build(twin);
+  twin.enable_batching({0, 0});
+  const auto p1 = Ipv4Prefix::parse("100.1.0.0/16");
+  const auto p2 = Ipv4Prefix::parse("100.2.0.0/16");
+  const auto p3 = Ipv4Prefix::parse("100.3.0.0/16");
+  const std::vector<std::function<void(SdxRuntime&)>> churn = {
+      [&](SdxRuntime& r) { r.announce(c, p1, net::AsPath{65003}); },
+      [&](SdxRuntime& r) { r.announce(c, p3, net::AsPath{65003}); },
+      [&](SdxRuntime& r) { r.withdraw(b, p2); },
+      [&](SdxRuntime& r) { r.announce(b, p3, net::AsPath{65002}); },
+      [&](SdxRuntime& r) { r.withdraw(c, p1); },
+      [&](SdxRuntime& r) { r.announce(b, p2, net::AsPath{65002, 7, 7}); },
+  };
+  for (const auto& update : churn) {
+    update(rt);
+    EXPECT_EQ(rt.pending_updates(), 0u);
+    update(twin);
+    ASSERT_EQ(twin.pending_updates(), 1u);
+    EXPECT_EQ(twin.flush(), 1u);
+  }
+  EXPECT_EQ(test::flow_table_dump(rt), test::flow_table_dump(twin));
+  EXPECT_EQ(test::fib_crc(rt), test::fib_crc(twin));
+  EXPECT_EQ(test::arp_dump(rt), test::arp_dump(twin));
+  // Both counted one flush of one per update.
+  for (const char* name :
+       {"sdx_fast_path_batches_total", "sdx_fast_path_batched_updates_total",
+        "sdx_fast_path_updates_total"}) {
+    EXPECT_EQ(counter(rt, name), churn.size()) << name;
+    EXPECT_EQ(counter(twin, name), churn.size()) << name;
+  }
+}
+
+TEST_F(AsyncUpdatesFixture, RecompileAdvertisesAPendingPrefixOnce) {
+  // The swap re-advertises every RIB prefix; of the pending prefixes it
+  // absorbs, only one that left the RIB needs a second pass.
+  SdxRuntime wire;
+  build(wire, /*install=*/false);
+  wire.use_wire_distribution();
+  wire.install();
+  wire.enable_batching({0, 0});
+  const std::size_t physical = wire.participants().size();
+
+  // Pending, and still in the RIB: one UPDATE per prefix per participant.
+  wire.announce(c, Ipv4Prefix::parse("100.1.0.0/16"), net::AsPath{65003});
+  ASSERT_EQ(wire.pending_updates(), 1u);
+  auto before = counter(wire, "sdx_frontend_updates_total");
+  wire.background_recompile();
+  EXPECT_EQ(counter(wire, "sdx_frontend_updates_total") - before,
+            wire.route_server().prefix_count() * physical);
+
+  // Pending, and gone from the RIB: its withdrawal still goes out once.
+  wire.withdraw(c, Ipv4Prefix::parse("100.9.0.0/16"));
+  ASSERT_EQ(wire.pending_updates(), 1u);
+  before = counter(wire, "sdx_frontend_updates_total");
+  wire.background_recompile();
+  EXPECT_EQ(counter(wire, "sdx_frontend_updates_total") - before,
+            (wire.route_server().prefix_count() + 1) * physical);
+  for (const auto& p : wire.participants()) {
+    EXPECT_EQ(wire.router(p.id).rib().find(
+                  Ipv4Prefix::parse("100.9.0.0/16")),
+              nullptr);
+  }
 }
 
 TEST_F(AsyncUpdatesFixture, SessionDownPurgesPendingBatch) {
@@ -362,7 +438,7 @@ TEST_F(AsyncUpdatesFixture, UpdateLogIsBoundedRing) {
   EXPECT_EQ(rt.update_log().back().prefix, prefixes.back());
 
   // One more inline update still holds the ring at capacity.
-  rt.disable_batching();
+  rt.enable_batching({1, 0});
   rt.announce(c, prefixes[0], net::AsPath{65003, 7});
   ASSERT_EQ(rt.update_log().size(), kCap);
   EXPECT_EQ(rt.update_log().front().prefix, prefixes[3]);

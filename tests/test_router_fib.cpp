@@ -43,7 +43,10 @@ ixp::GeneratedIxp make_ixp() {
   return ixp;
 }
 
-enum class Mode { kPairwise, kPartitioned, kWire };
+/// kWireAtInstall switches to wire distribution after the announcements
+/// but before install(): routers hear of nothing until install(), so it
+/// must reach exactly what kWire reaches.
+enum class Mode { kPairwise, kPartitioned, kWire, kWireAtInstall };
 
 void churn(SdxRuntime& rt, const ixp::GeneratedIxp& ixp,
            std::size_t updates, std::uint64_t seed);
@@ -77,6 +80,7 @@ std::unique_ptr<SdxRuntime> build(const ixp::GeneratedIxp& ixp, Mode mode,
   for (std::size_t i = 0; i < ixp.prefixes.size(); i += 20) {
     rt->announce(remote, ixp.prefixes[i], net::AsPath{64900});
   }
+  if (mode == Mode::kWireAtInstall) rt->use_wire_distribution();
   rt->install();
   rt->enable_batching({/*max_pending=*/0, /*max_delay_seconds=*/0});
   churn(*rt, ixp, updates, seed);
@@ -129,6 +133,7 @@ TEST(RouterFibGolden, InstallPlusChurnIsPinnedInEveryMode) {
       {"pairwise", Mode::kPairwise, 2377141613u, 4470},
       {"partitioned", Mode::kPartitioned, 2409890099u, 4470},
       {"wire", Mode::kWire, 2377141613u, 4470},
+      {"wire-at-install", Mode::kWireAtInstall, 2377141613u, 4470},
   };
   for (const Case& c : cases) {
     auto rt = build(ixp, c.mode, 600, 31);

@@ -65,19 +65,25 @@ TEST(RuntimeLifecycle, ReinstallAfterPolicyChangeIsConsistent) {
   EXPECT_EQ(rt.send(a, web)[0].port, rt.participant(c).ports[0].id);
 }
 
-TEST(RuntimeLifecycle, AnnouncementsBeforeInstallStillPopulateFibs) {
+TEST(RuntimeLifecycle, AnnouncementsBeforeInstallReachRoutersAtInstall) {
   SdxRuntime rt;
   auto a = rt.add_participant("A", 65001);
   auto b = rt.add_participant("B", 65002);
-  rt.announce(b, Ipv4Prefix::parse("100.1.0.0/16"));
-  // The routers already learned routes pre-install (real next hops).
-  EXPECT_EQ(rt.router(a).rib().size(), 1u);
-  // But the fabric has no rules yet, so traffic dies in the switch.
+  const auto prefix = Ipv4Prefix::parse("100.1.0.0/16");
+  rt.announce(b, prefix);
+  // Before install() an announcement changes only the route server: the
+  // routers hold nothing yet, so traffic has no route.
+  EXPECT_EQ(rt.route_server().prefix_count(), 1u);
+  EXPECT_EQ(rt.router(a).rib().size(), 0u);
   EXPECT_TRUE(
       rt.send(a, PacketBuilder().dst_ip("100.1.1.1").build()).empty());
+  // install() advertises the whole RIB, and traffic flows.
   rt.install();
-  EXPECT_FALSE(
-      rt.send(a, PacketBuilder().dst_ip("100.1.1.1").build()).empty());
+  EXPECT_EQ(rt.router(a).rib().size(), 1u);
+  EXPECT_NE(rt.router(a).rib().find(prefix), nullptr);
+  const auto out = rt.send(a, PacketBuilder().dst_ip("100.1.1.1").build());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].port, rt.participant(b).ports[0].id);
 }
 
 TEST(RuntimeLifecycle, ArpCarriesVnhBindingsAfterInstall) {

@@ -89,10 +89,10 @@ TEST(RuntimeTelemetry, InstallPlusFastPathSurfacesEverySeries) {
             std::string::npos);
   EXPECT_NE(dump.find("sdx_fast_path_seconds_count 2"), std::string::npos);
 
-  // Frontend: pre-install readvertisements (2 announces × 3 peers),
-  // install's readvertisement (1 prefix × 3) and two fast-path
-  // readvertisements (2 × 3) all crossed the wire.
-  EXPECT_NE(dump.find("sdx_frontend_updates_total 15"), std::string::npos);
+  // Frontend: pre-install announcements change only the route server, so
+  // install's readvertisement (1 prefix × 3 peers) and two fast-path
+  // readvertisements (2 × 3) are what crossed the wire.
+  EXPECT_NE(dump.find("sdx_frontend_updates_total 9"), std::string::npos);
   EXPECT_GT(rt.telemetry().metrics.counter("sdx_frontend_bytes_total").value(),
             0u);
   EXPECT_NE(dump.find("sdx_frontend_session_drops_total 0"),
