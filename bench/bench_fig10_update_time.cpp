@@ -130,12 +130,13 @@ int main() {
     engine.full_recompile(vnh);
 
     // --- async-recompile: batches of one racing a background compile -----
-    // Snapshot the compiler inputs (as SdxRuntime::start_background_
-    // recompile does) and run the full pipeline on a pool worker while the
-    // control loop keeps absorbing updates through the fast path.
+    // Copy the compiler inputs and run the full pipeline on a pool worker
+    // while the control loop keeps absorbing updates through the fast path.
+    // (The workload's route server has no telemetry attached, so the copy
+    // is plain state.)
     auto snap_participants = ixp.participants;
     auto snap_ports = ixp.ports;
-    auto snap_server = ixp.server.snapshot();
+    auto snap_server = ixp.server;
     net::ThreadPool async_pool(2);
     core::VnhAllocator snap_vnh;
     core::CompiledSdx background;

@@ -89,7 +89,6 @@ std::vector<RouteServer::BestChange> RouteServer::announce(Route route) {
         ranked.insert(pos, std::move(route));
         return kept;
       });
-  ++version_;
   if (announcements_ != nullptr) {
     announcements_->inc();
     best_changes_->inc(changes.size());
@@ -114,7 +113,6 @@ std::vector<RouteServer::BestChange> RouteServer::withdraw(
     if (auto a = adv_.find(from); a != adv_.end()) a->second.erase(prefix);
     return false;
   });
-  ++version_;
   if (withdrawals_ != nullptr) {
     withdrawals_->inc();
     best_changes_->inc(changes.size());

@@ -73,21 +73,6 @@ class RouteServer {
   /// Processes a withdrawal of \p prefix by \p from.
   std::vector<BestChange> withdraw(ParticipantId from, Ipv4Prefix prefix);
 
-  /// Monotonic RIB version: bumped on every processed announce/withdraw.
-  /// A copy of the server carries the version it was taken at, so an
-  /// off-thread consumer (the asynchronous background recompilation) can
-  /// later tell whether updates raced past its snapshot.
-  std::uint64_t version() const { return version_; }
-
-  /// Versioned snapshot for off-thread readers: a full copy with telemetry
-  /// detached (the copy is read-only state, not a live measurement source).
-  /// `snapshot().version()` identifies the RIB epoch it captures.
-  RouteServer snapshot() const {
-    RouteServer copy = *this;
-    copy.set_telemetry(nullptr);
-    return copy;
-  }
-
   /// The best route the server advertises to \p for_participant for
   /// \p prefix (std::nullopt when it has no eligible candidate).
   std::optional<Route> best_route(ParticipantId for_participant,
@@ -198,7 +183,6 @@ class RouteServer {
                                          Mutate&& mutate);
 
   DecisionConfig cfg_;
-  std::uint64_t version_ = 0;
   std::vector<Peer> peers_;
   telemetry::Counter* announcements_ = nullptr;
   telemetry::Counter* withdrawals_ = nullptr;

@@ -21,8 +21,8 @@
 ///     need. tests/test_telemetry.cpp holds this contract under TSan.
 ///
 /// Besides the fork/join loops the pool accepts one-off background tasks
-/// (`submit`) — the execution vehicle of the runtime's asynchronous
-/// background recompilation. Tasks and loops share the workers: a worker
+/// (`submit`) — what the Figure 10 bench's async-recompile series runs its
+/// off-thread compile on. Tasks and loops share the workers: a worker
 /// busy on a task simply doesn't claim loop chunks (the caller always
 /// participates, so loops still complete).
 ///

@@ -175,7 +175,7 @@ struct CompiledSdx {
   /// and order), VNH/VMAC bindings, FEC groups and clause reach sets, the
   /// VMAC layout and per-partition structure — everything except
   /// timings/stats. Two compilations are byte-identical iff their
-  /// fingerprints compare equal; the async-vs-sync and threads-1-vs-N
+  /// fingerprints compare equal; the warm-restart and threads-1-vs-N
   /// golden tests pivot on this.
   std::string fingerprint() const;
 };

@@ -11,7 +11,7 @@
 /// stage-2 classifiers and hands them back for installation at a higher
 /// priority. The optimal recompilation (compute the true minimum disjoint
 /// sets, rebuild the whole table) runs in the background between update
-/// bursts — full_recompile(), or adopt() when the pipeline ran off-thread.
+/// bursts — full_recompile(), or adopt() when a warm restart restores it.
 ///
 /// fast_update_batch() is the one fast stage, and a single update is a
 /// batch of one. A burst shares the clause scan, groups prefixes with
@@ -40,8 +40,8 @@ class IncrementalEngine {
   const CompiledSdx& full_recompile(VnhAllocator& vnh);
 
   /// Installs an externally-compiled result as the engine's current state,
-  /// exactly as if full_recompile() had produced it — the swap half of the
-  /// asynchronous background recompilation's double buffer.
+  /// exactly as if full_recompile() had produced it — how a warm restart
+  /// takes over a checkpoint's compiled tables without compiling.
   const CompiledSdx& adopt(CompiledSdx compiled);
 
   /// Attaches the measurement plane to the underlying compiler (see

@@ -53,15 +53,6 @@ SdxRuntime::SdxRuntime(bgp::DecisionConfig decision, CompileOptions options)
   batch_size_ = &reg.histogram(
       "sdx_fast_path_batch_size", "dirty prefixes per batched flush",
       {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096});
-  async_recompiles_ = &reg.counter(
-      "sdx_recompile_async_total",
-      "asynchronous background recompilations started");
-  stale_recompiles_ = &reg.counter(
-      "sdx_recompile_stale_total",
-      "asynchronous recompilations discarded as stale");
-  swap_seconds_ = &reg.histogram(
-      "sdx_recompile_swap_seconds",
-      "control-thread latency of swapping in a finished recompilation");
   frontend_updates_ = &reg.counter("sdx_frontend_updates_total",
                                    "UPDATE messages distributed on the wire");
   frontend_bytes_ = &reg.counter("sdx_frontend_bytes_total",
@@ -74,6 +65,9 @@ SdxRuntime::SdxRuntime(bgp::DecisionConfig decision, CompileOptions options)
   partitions_recompiled_ = &reg.counter(
       "sdx_partitions_recompiled_total",
       "participant partitions recompiled in place by policy changes");
+  telemetry_.tracer.set_drop_counter(&reg.counter(
+      "sdx_trace_spans_dropped_total",
+      "trace spans evicted to keep the span tracer bounded"));
 }
 
 ParticipantId SdxRuntime::add_participant(const std::string& name,
@@ -153,17 +147,18 @@ ParticipantId SdxRuntime::add_remote_participant(const std::string& name,
 }
 
 Participant& SdxRuntime::participant(ParticipantId id) {
-  for (auto& p : participants_) {
-    if (p.id == id) return p;
-  }
-  throw std::out_of_range("unknown participant " + std::to_string(id));
+  return const_cast<Participant&>(std::as_const(*this).participant(id));
 }
 
 const Participant& SdxRuntime::participant(ParticipantId id) const {
-  for (const auto& p : participants_) {
-    if (p.id == id) return p;
+  // Ids are slot + 1 (add_participant, add_remote_participant). Id 0 wraps
+  // to the largest slot index, so the one bounds check rejects it with
+  // every other unknown id.
+  const std::size_t slot = static_cast<std::size_t>(id) - 1;
+  if (slot >= participants_.size()) {
+    throw std::out_of_range("unknown participant " + std::to_string(id));
   }
-  throw std::out_of_range("unknown participant " + std::to_string(id));
+  return participants_[slot];
 }
 
 Participant* SdxRuntime::find(const std::string& name) {
@@ -177,7 +172,6 @@ void SdxRuntime::set_outbound(ParticipantId id,
                               std::vector<OutboundClause> clauses) {
   participant(id).outbound = std::move(clauses);
   validate_participant(participant(id), participants_);
-  ++policy_epoch_;
   if (journal_recording_) {
     persist::WalRecord rec;
     rec.type = persist::WalRecordType::kSetOutbound;
@@ -198,7 +192,6 @@ void SdxRuntime::set_inbound(ParticipantId id,
                              std::vector<InboundClause> clauses) {
   participant(id).inbound = std::move(clauses);
   validate_participant(participant(id), participants_);
-  ++policy_epoch_;
   if (journal_recording_) {
     persist::WalRecord rec;
     rec.type = persist::WalRecordType::kSetInbound;
@@ -275,7 +268,6 @@ std::size_t SdxRuntime::session_down(ParticipantId id) {
   // session_down() wholesale.
   p.outbound.clear();
   p.inbound.clear();
-  ++policy_epoch_;
   // Other participants' clauses toward a dead peer stay installed — their
   // reach sets simply become empty, exactly as with any withdrawal.
   const auto advertised = server_.advertised_by(id);
@@ -304,20 +296,9 @@ void SdxRuntime::withdraw(ParticipantId from, Ipv4Prefix prefix) {
 }
 
 const CompiledSdx& SdxRuntime::install_compiled(
-    std::optional<CompiledSdx> adopted,
     const persist::CheckpointState* restored) {
-  std::vector<Ipv4Prefix> raced = std::move(raced_order_);
-  raced_order_.clear();
-  raced_set_.clear();
-  if (!adopted) {
-    // A live compile reads the current RIB, so it covers every raced delta
-    // and outruns any in-flight asynchronous job: mark the job superseded
-    // so its (older) result is discarded at poll time.
-    if (job_) job_->superseded = true;
-    raced.clear();
-  }
-  const CompiledSdx& compiled = adopted
-                                    ? engine_->adopt(std::move(*adopted))
+  const CompiledSdx& compiled = restored != nullptr
+                                    ? engine_->adopt(restored->compiled)
                                     : engine_->full_recompile(vnh_);
   install_base_tables(compiled);
   remote_bindings_.clear();
@@ -351,12 +332,10 @@ const CompiledSdx& SdxRuntime::install_compiled(
   // what the new state binds.
   fabric_.arp().unbind_within(vnh_.pool());
   bind_arp(compiled);
-  // The new base covers every pending dirty prefix and the per-update log;
-  // anything that raced past an asynchronous snapshot re-applies through
-  // one batched fast pass on top of it (note_post_install_update recorded
-  // both). The all_prefixes() walk re-advertises every prefix the RIB
-  // holds, pending ones included; a pending prefix that left the RIB
-  // entirely still needs its (deferred) withdrawal re-advertised.
+  // The new base covers every pending dirty prefix and the per-update log.
+  // The all_prefixes() walk re-advertises every prefix the RIB holds,
+  // pending ones included; a pending prefix that left the RIB entirely
+  // still needs its (deferred) withdrawal re-advertised.
   std::vector<Ipv4Prefix> pending = std::move(dirty_order_);
   dirty_order_.clear();
   dirty_set_.clear();
@@ -366,7 +345,6 @@ const CompiledSdx& SdxRuntime::install_compiled(
   for (auto prefix : pending) {
     if (server_.candidates(prefix) == nullptr) readvertise(prefix);
   }
-  install_batch(raced);
   run_safety_stage(nullptr);
   return compiled;
 }
@@ -393,80 +371,6 @@ const CompiledSdx& SdxRuntime::background_recompile() {
   }
   telemetry::Span span = telemetry_.tracer.span("background_recompile");
   return install_compiled();
-}
-
-bool SdxRuntime::start_background_recompile() {
-  if (!installed()) {
-    throw std::logic_error("install() before start_background_recompile()");
-  }
-  if (job_) return false;
-  // Size 2: one pool worker owns the job (size 1 would run submit() inline
-  // on the control thread, which is exactly what "asynchronous" must not
-  // do). The compiler spreads its parallel stages at options_.threads width
-  // over its own pool, so this one stays small.
-  if (!async_pool_) async_pool_ = std::make_unique<net::ThreadPool>(2);
-  auto job = std::make_unique<RecompileJob>();
-  job->participants = participants_;
-  job->ports = port_map_;
-  job->server = server_.snapshot();
-  job->policy_epoch = policy_epoch_;
-  // The worker's allocator must share the live pool and VMAC layout, or an
-  // async compile would silently encode under the default layout.
-  job->vnh = VnhAllocator(vnh_.pool(), vnh_.layout());
-  raced_order_.clear();
-  raced_set_.clear();
-  // The worker sees only the job's own snapshots (and the thread-safe
-  // telemetry bundle) — never live runtime state. The raw pointer is
-  // stable: the job is heap-held and outlives `done` by construction.
-  RecompileJob* raw = job.get();
-  const CompileOptions opts = options_;
-  telemetry::Telemetry* telemetry = &telemetry_;
-  job->done = async_pool_->submit([raw, opts, telemetry] {
-    SdxCompiler compiler(raw->participants, raw->ports, raw->server, opts);
-    compiler.set_telemetry(telemetry);
-    raw->result = compiler.compile(raw->vnh);
-  });
-  job_ = std::move(job);
-  async_recompiles_->inc();
-  return true;
-}
-
-bool SdxRuntime::poll_background_recompile() {
-  if (!job_) return false;
-  if (job_->done.wait_for(std::chrono::seconds(0)) !=
-      std::future_status::ready) {
-    return false;
-  }
-  std::unique_ptr<RecompileJob> job = std::move(job_);
-  job->done.get();  // surfaces a worker exception, if any
-  if (job->superseded) {
-    stale_recompiles_->inc();
-    return false;
-  }
-  if (job->policy_epoch != policy_epoch_) {
-    // Policies changed mid-flight: the result answers yesterday's question.
-    // Discard it and recompile against the current policy state.
-    stale_recompiles_->inc();
-    start_background_recompile();
-    return false;
-  }
-  // Double-buffer swap on the control thread: adopt the worker's compiled
-  // state and allocator — the same allocator sequence keeps async
-  // byte-identical to sync.
-  telemetry::Span span = telemetry_.tracer.span("recompile_swap");
-  const auto t0 = std::chrono::steady_clock::now();
-  vnh_ = std::move(job->vnh);
-  install_compiled(std::move(job->result));
-  swap_seconds_->observe(seconds_since(t0));
-  return true;
-}
-
-const CompiledSdx& SdxRuntime::wait_background_recompile() {
-  while (job_) {
-    job_->done.wait();
-    poll_background_recompile();
-  }
-  return compiled();
 }
 
 void SdxRuntime::install_base_tables(const CompiledSdx& compiled) {
@@ -612,7 +516,32 @@ std::size_t SdxRuntime::flush() {
   batch_flushes_->inc();
   batch_updates_->inc(prefixes.size());
   batch_size_->observe(static_cast<double>(prefixes.size()));
-  install_batch(prefixes);
+  telemetry::Span span = telemetry_.tracer.span("fast_update");
+  auto batch = engine_->fast_update_batch(prefixes, vnh_);
+  fast_updates_->inc(batch.items.size());
+  fast_rules_->inc(batch.additional_rules);
+  fast_compositions_->inc(batch.compositions);
+  const double amortized =
+      batch.items.empty() ? 0.0 : batch.seconds / batch.items.size();
+  if (!batch.rules.empty()) {
+    // One combined classifier, one cookie: the whole flush installs (and
+    // can later be dropped) as a unit.
+    policy::Classifier extra(std::move(batch.rules));
+    fabric_.sdx_switch().table().install_classifier(extra, kFastPriority,
+                                                    next_cookie_++);
+  }
+  for (const auto& item : batch.items) {
+    if (item.binding) {
+      fast_bindings_[item.prefix] = *item.binding;
+      fabric_.arp().bind(item.binding->vnh, item.binding->vmac);
+    }
+    fast_seconds_->observe(amortized);
+    readvertise(item.prefix);
+    if (update_log_.size() == kUpdateLogCapacity) update_log_.pop_front();
+    update_log_.push_back(
+        UpdateReport{item.prefix, item.additional_rules, amortized});
+  }
+  run_safety_stage(&prefixes);
   return prefixes.size();
 }
 
@@ -723,47 +652,11 @@ void SdxRuntime::readvertise(Ipv4Prefix prefix) {
 }
 
 void SdxRuntime::note_post_install_update(Ipv4Prefix prefix) {
-  // Raced-delta bookkeeping first: while an asynchronous recompile flies,
-  // every touched prefix must be re-applied on top of its result, whether
-  // its flush runs now or later.
-  if (job_ && raced_set_.insert(prefix).second) {
-    raced_order_.push_back(prefix);
-  }
   if (dirty_set_.insert(prefix).second) dirty_order_.push_back(prefix);
   if (batch_options_.max_pending != 0 &&
       dirty_order_.size() >= batch_options_.max_pending) {
     flush();
   }
-}
-
-void SdxRuntime::install_batch(const std::vector<Ipv4Prefix>& prefixes) {
-  if (prefixes.empty()) return;
-  telemetry::Span span = telemetry_.tracer.span("fast_update");
-  auto batch = engine_->fast_update_batch(prefixes, vnh_);
-  fast_updates_->inc(batch.items.size());
-  fast_rules_->inc(batch.additional_rules);
-  fast_compositions_->inc(batch.compositions);
-  const double amortized =
-      batch.items.empty() ? 0.0 : batch.seconds / batch.items.size();
-  if (!batch.rules.empty()) {
-    // One combined classifier, one cookie: the whole flush installs (and
-    // can later be dropped) as a unit.
-    policy::Classifier extra(std::move(batch.rules));
-    fabric_.sdx_switch().table().install_classifier(extra, kFastPriority,
-                                                    next_cookie_++);
-  }
-  for (const auto& item : batch.items) {
-    if (item.binding) {
-      fast_bindings_[item.prefix] = *item.binding;
-      fabric_.arp().bind(item.binding->vnh, item.binding->vmac);
-    }
-    fast_seconds_->observe(amortized);
-    readvertise(item.prefix);
-    if (update_log_.size() == kUpdateLogCapacity) update_log_.pop_front();
-    update_log_.push_back(
-        UpdateReport{item.prefix, item.additional_rules, amortized});
-  }
-  run_safety_stage(&prefixes);
 }
 
 void SdxRuntime::wire_journal_hooks() {
@@ -877,22 +770,21 @@ void SdxRuntime::restore_checkpoint(const persist::CheckpointState& st,
   engine_ = std::make_unique<IncrementalEngine>(
       SdxCompiler(participants_, port_map_, server_, options_));
   engine_->set_telemetry(&telemetry_);
-  CompiledSdx compiled = st.compiled;
   // Warm restart requires (a) the artifact to be provably intact
   // (fingerprint match — the fingerprint embeds the VMAC layout it was
   // compiled under) and (b) the artifact to match *this* runtime's
   // configured layout and mode: a persisted artifact is self-consistent
   // under its own layout, so a configuration change would otherwise adopt
   // tables encoded with stale bit positions.
-  if (compiled.fingerprint() == st.fingerprint &&
-      compiled.layout == options_.vmac_layout &&
-      compiled.partitioned == options_.partitioned) {
+  if (st.compiled.fingerprint() == st.fingerprint &&
+      st.compiled.layout == options_.vmac_layout &&
+      st.compiled.partitioned == options_.partitioned) {
     // Warm restart: the decoded artifact is provably what a fresh compile
     // would produce — adopt it without compiling and reuse every persisted
     // VNH/VMAC binding, keeping border-router ARP caches valid.
     report.warm = true;
     vnh_.restore(st.vnh_allocated);
-    install_compiled(std::move(compiled), &st);
+    install_compiled(&st);
   } else {
     // Fingerprint mismatch (different compile options, code drift, or a
     // corrupted artifact that still decoded): fall back to a cold install.

@@ -18,24 +18,21 @@
 ///      the dirty queue, and a flush() (explicit, size- or clock-triggered)
 ///      installs the queue as one batch. The starting flush policy flushes
 ///      at one pending prefix, so an inline update is a flush of one;
-///      enable_batching() widens it. background_recompile() coalesces
-///      synchronously, while start_background_recompile() runs the optimal
-///      pipeline off-thread against a versioned snapshot and swaps the
-///      result in atomically. A session_down() queues its withdrawals and
-///      lets a synchronous recompile absorb the queue.
+///      enable_batching() widens it. background_recompile() rebuilds the
+///      optimal tables between bursts, on the control thread, and absorbs
+///      the queue. A session_down() queues its withdrawals and lets that
+///      recompile absorb them.
 ///   5. send() pushes packets through the emulated data plane end to end.
 ///
 /// There is one full deploy, install_compiled(): install(),
-/// background_recompile(), the asynchronous swap and a warm recover() all
-/// end in it, and differ only in where the compiled state and the VNH
-/// allocator come from — a live compile, the worker's job, or a decoded
-/// checkpoint. It installs the base tables, binds ARP, re-advertises every
-/// prefix, re-applies raced deltas and runs the full safety stage.
+/// background_recompile() and a warm recover() all end in it, and differ
+/// only in where the compiled state comes from — a live compile or a
+/// decoded checkpoint. It installs the base tables, binds ARP,
+/// re-advertises every prefix and runs the full safety stage.
 
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -45,7 +42,6 @@
 #include "bgp/route_server.hpp"
 #include "bgp/rpki.hpp"
 #include "dataplane/fabric.hpp"
-#include "netbase/parallel.hpp"
 #include "persist/journal.hpp"
 #include "sdx/bgp_frontend.hpp"
 #include "sdx/compiler.hpp"
@@ -161,43 +157,10 @@ class SdxRuntime {
   bool installed() const { return engine_ && engine_->has_compiled(); }
   const CompiledSdx& compiled() const { return engine_->current(); }
 
-  /// Runs the background (optimal) recompilation synchronously: rebuilds
-  /// the minimal table and drops the accumulated fast-path rules. Any
-  /// in-flight asynchronous recompile is superseded (its result will be
-  /// discarded and counted stale).
+  /// Runs the background (optimal) recompilation on the control thread:
+  /// rebuilds the minimal table from the live RIB and policies, absorbs the
+  /// dirty queue and drops the accumulated fast-path rules.
   const CompiledSdx& background_recompile();
-
-  // --- asynchronous optimal recompilation ----------------------------------
-  //
-  // The paper's §4.3.2 background stage, actually in the background: the
-  // control loop keeps absorbing updates through the fast path while the
-  // full pipeline runs on a worker thread over a versioned snapshot of the
-  // RIB and policy state. Completion is applied on the control thread
-  // (poll/wait): the compiled tables swap in atomically, superseded
-  // fast-path rules drop, and updates that raced past the snapshot are
-  // re-applied through one batched fast pass on top of the new base. If the
-  // *policies* changed mid-flight the result is unusable — it is discarded
-  // (counted in `sdx_recompile_stale_total`) and the recompile restarts.
-
-  /// Snapshots the current RIB/policy state and starts the full pipeline on
-  /// a pool worker. Returns false (and does nothing) when a job is already
-  /// in flight. Throws std::logic_error before install().
-  bool start_background_recompile();
-
-  /// True while an asynchronous recompile is pending (running or finished
-  /// but not yet swapped in).
-  bool recompile_in_flight() const { return job_ != nullptr; }
-
-  /// Non-blocking completion check: swaps the finished result in and
-  /// returns true; returns false when no job is pending, it is still
-  /// running, or it completed stale (stale results restart automatically
-  /// unless superseded by a synchronous recompile).
-  bool poll_background_recompile();
-
-  /// Blocks until the pending recompile (and any automatic restart) has
-  /// been swapped in — or returns immediately when none is pending. Returns
-  /// the current compiled state either way.
-  const CompiledSdx& wait_background_recompile();
 
   // --- burst batching (§4.3.2 "between update bursts") ----------------------
 
@@ -291,7 +254,7 @@ class SdxRuntime {
 
   /// The runtime's measurement plane. Every layer reports here: route
   /// server (RIB size, churn), compiler (per-stage spans + histograms),
-  /// §4.3.2 fast path (every flush), background-recompile swaps,
+  /// §4.3.2 fast path (every flush), partition recompiles,
   /// BGP frontend (updates, bytes, session drops), ARP responder and
   /// fabric flow table.
   telemetry::Telemetry& telemetry() { return telemetry_; }
@@ -348,7 +311,7 @@ class SdxRuntime {
   verify::DeploymentView deployment_view() const;
 
   /// Turns on the safety stage: a full check after every deploy (install,
-  /// synchronous or asynchronous recompile) and an incremental re-check of
+  /// recompile, warm restart) and an incremental re-check of
   /// only the dirty prefixes after every flush and partition recompile.
   /// Results land in last_safety_report() and telemetry
   /// (`sdx_verify_seconds`, `sdx_verify_violations_total{kind=...}`, ...).
@@ -383,34 +346,15 @@ class SdxRuntime {
     return kPartitionCookieBase + slot;
   }
 
-  /// One asynchronous recompilation: self-contained snapshots of the
-  /// compiler inputs (so the worker never touches live runtime state), the
-  /// double-buffered result, and the epochs that decide staleness at swap
-  /// time. Heap-held so its address is stable for the worker.
-  struct RecompileJob {
-    std::vector<Participant> participants;
-    PortMap ports;
-    bgp::RouteServer server;  ///< versioned snapshot (telemetry detached)
-    std::uint64_t policy_epoch = 0;
-    VnhAllocator vnh;         ///< worker-owned; swapped into vnh_ on finish
-    CompiledSdx result;       ///< written by the worker, read after `done`
-    std::future<void> done;
-    bool superseded = false;  ///< a synchronous recompile outran this job
-  };
-
-  /// The one full deploy. Without \p adopted it compiles the live RIB and
-  /// policies here, which supersedes any in-flight asynchronous recompile
-  /// and covers every raced delta; otherwise it adopts a state compiled
-  /// elsewhere (the worker's job, a decoded checkpoint) and re-applies the
-  /// raced deltas through one batched fast pass on top of it. \p restored
-  /// (warm restart) supplies the persisted remote and fast-path bindings
-  /// and the fast-path residue rules instead of fresh allocations. Then:
-  /// base tables, ARP (every VNH of the replaced state unbound, the new
-  /// state's bound), re-advertisement of every prefix and of the absorbed
-  /// pending prefixes that left the RIB, a cleared update log, and the full
-  /// safety stage.
+  /// The one full deploy. Without \p restored it compiles the live RIB and
+  /// policies here; with it (warm restart) it adopts the checkpoint's
+  /// compiled state and reuses its persisted remote and fast-path bindings
+  /// and fast-path residue rules instead of fresh allocations. Then: base
+  /// tables, ARP (every VNH of the replaced state unbound, the new state's
+  /// bound), re-advertisement of every prefix and of the absorbed pending
+  /// prefixes that left the RIB, a cleared update log, and the full safety
+  /// stage.
   const CompiledSdx& install_compiled(
-      std::optional<CompiledSdx> adopted = std::nullopt,
       const persist::CheckpointState* restored = nullptr);
   /// Clears the flow table and installs the compiled base state: the whole
   /// fabric under kBaseCookie (pairwise), or the shared band plus one
@@ -430,13 +374,9 @@ class SdxRuntime {
   /// Binds every live VNH: compiled (pairwise or per-partition), remote
   /// participant and fast-path bindings.
   void bind_arp(const CompiledSdx& compiled);
-  /// Post-install update routing: raced-delta tracking, then the dirty
-  /// queue, flushed when it reaches the policy's max_pending.
+  /// Post-install update routing: the dirty queue, flushed when it reaches
+  /// the policy's max_pending.
   void note_post_install_update(Ipv4Prefix prefix);
-  /// One batched fast pass over \p prefixes: compile, install, re-advertise,
-  /// log. The single fast-path install: flush() and the post-swap
-  /// raced-delta re-application run here.
-  void install_batch(const std::vector<Ipv4Prefix>& prefixes);
   /// Runs the enabled safety stage: full when \p dirty is null, else an
   /// incremental re-check of exactly those prefixes. No-op unless
   /// verification is enabled and the runtime is installed.
@@ -466,9 +406,6 @@ class SdxRuntime {
   telemetry::Counter* batch_flushes_ = nullptr;
   telemetry::Counter* batch_updates_ = nullptr;
   telemetry::Histogram* batch_size_ = nullptr;
-  telemetry::Counter* async_recompiles_ = nullptr;
-  telemetry::Counter* stale_recompiles_ = nullptr;
-  telemetry::Histogram* swap_seconds_ = nullptr;
   telemetry::Counter* frontend_updates_ = nullptr;
   telemetry::Counter* frontend_bytes_ = nullptr;
   telemetry::Counter* frontend_drops_ = nullptr;
@@ -511,19 +448,12 @@ class SdxRuntime {
   /// toward prefixes only a remote participant announces.
   std::unordered_map<ParticipantId, VnhBinding> remote_bindings_;
 
-  // Burst batching state (control thread only). The starting policy
-  // flushes every update on arrival: an inline update is a flush of one.
+  // Burst batching state. The starting policy flushes every update on
+  // arrival: an inline update is a flush of one.
   BatchOptions batch_options_{/*max_pending=*/1, /*max_delay_seconds=*/0};
   std::vector<Ipv4Prefix> dirty_order_;  ///< arrival order, deduplicated
   std::unordered_set<Ipv4Prefix> dirty_set_;
   double pending_clock_ = 0;  ///< advance_clock() time since first dirty
-
-  // Async recompilation state. policy_epoch_ bumps on any post-install
-  // policy mutation; raced_* records prefixes updated while a job flies.
-  std::uint64_t policy_epoch_ = 0;
-  std::vector<Ipv4Prefix> raced_order_;
-  std::unordered_set<Ipv4Prefix> raced_set_;
-  std::unique_ptr<RecompileJob> job_;
 
   /// Partitioned mode: priority base of each partition's band in the flow
   /// table, fixed at base-table installation. A partition that grows past
@@ -544,10 +474,6 @@ class SdxRuntime {
   /// operations whose effects a single record already covers).
   std::unique_ptr<persist::Journal> journal_;
   bool journal_recording_ = false;
-
-  /// Declared last: destroyed first, joining any worker still compiling
-  /// before the job buffers and telemetry above go away.
-  std::unique_ptr<net::ThreadPool> async_pool_;
 };
 
 }  // namespace sdx::core

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <utility>
 
+#include "telemetry/metrics.hpp"
+
 namespace sdx::telemetry {
 
 Span::Span(SpanTracer* tracer, std::string name)
@@ -43,12 +45,27 @@ void SpanTracer::record(const std::string& name,
   r.start_us = std::chrono::duration<double, std::micro>(start - epoch_).count();
   r.dur_us = std::chrono::duration<double, std::micro>(end - start).count();
   r.tid = it->second;
+  if (records_.size() == kCapacity) {
+    records_.pop_front();
+    ++dropped_;
+    if (drop_counter_ != nullptr) drop_counter_->inc();
+  }
   records_.push_back(std::move(r));
 }
 
 std::vector<SpanTracer::Record> SpanTracer::records() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return records_;
+  return {records_.begin(), records_.end()};
+}
+
+std::uint64_t SpanTracer::dropped() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return dropped_;
+}
+
+void SpanTracer::set_drop_counter(Counter* counter) {
+  std::lock_guard<std::mutex> lock(mu_);
+  drop_counter_ = counter;
 }
 
 std::string SpanTracer::render_chrome_json() const {
@@ -77,6 +94,7 @@ std::string SpanTracer::render_chrome_json() const {
 void SpanTracer::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   records_.clear();
+  dropped_ = 0;
   tids_.clear();
 }
 

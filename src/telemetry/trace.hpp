@@ -13,9 +13,15 @@
 /// parent/child. The compiler opens one "compile" span and a child span per
 /// pipeline stage on the calling thread; the parallel workers inside a
 /// stage are invisible here (the registry's histograms price them).
+///
+/// The tracer is bounded: it keeps the newest kCapacity completed spans and
+/// evicts the oldest beyond that, counting each eviction, so a long-lived
+/// runtime's trace memory stays flat.
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -24,6 +30,7 @@
 
 namespace sdx::telemetry {
 
+class Counter;
 class SpanTracer;
 
 /// One open span. Records itself into the tracer on destruction (or the
@@ -50,6 +57,9 @@ class Span {
 
 class SpanTracer {
  public:
+  /// Completed spans kept; older ones are evicted, oldest first.
+  static constexpr std::size_t kCapacity = 65536;
+
   SpanTracer() : epoch_(std::chrono::steady_clock::now()) {}
 
   /// Opens a span; it records when the returned value dies.
@@ -70,12 +80,20 @@ class SpanTracer {
     }
   };
 
-  /// Completed spans, in completion order.
+  /// The kept spans, oldest first, in completion order.
   std::vector<Record> records() const;
 
   /// Chrome trace-event JSON: {"traceEvents": [{"ph":"X", ...}, ...]}.
   std::string render_chrome_json() const;
 
+  /// Spans evicted to hold the bound since construction or the last clear().
+  std::uint64_t dropped() const;
+
+  /// Also counts every eviction into \p counter (nullptr detaches); a
+  /// clear() leaves the counter alone.
+  void set_drop_counter(Counter* counter);
+
+  /// Forgets every kept span and resets dropped().
   void clear();
 
  private:
@@ -86,7 +104,9 @@ class SpanTracer {
 
   std::chrono::steady_clock::time_point epoch_;
   mutable std::mutex mu_;
-  std::vector<Record> records_;
+  std::deque<Record> records_;
+  std::uint64_t dropped_ = 0;
+  Counter* drop_counter_ = nullptr;
   std::unordered_map<std::thread::id, std::uint32_t> tids_;
 };
 

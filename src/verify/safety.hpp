@@ -28,8 +28,8 @@
 /// (steering implies export implies advertisement), so the clean check is
 /// cheap. Violations arise from *stale* data-plane state — flow rules and
 /// router FIB entries compiled against a RIB that has since changed — which
-/// is exactly the window the §4.3.2 fast path and asynchronous recompiles
-/// keep open. Every violation carries a concrete counterexample packet
+/// is exactly the window the §4.3.2 fast path and batched flushes keep
+/// open. Every violation carries a concrete counterexample packet
 /// (header fields + ingress port) that replays through FlowTable::process.
 ///
 /// Layering: this library sits *below* sdx_core — it sees participants,

@@ -334,7 +334,14 @@ TEST(CompilerGolden, CompileModesAndFastPathBurstArePinned) {
 }
 
 TEST(ParallelCompileDeterminism, RuntimeThreadKnobKeepsDeployIdentical) {
-  auto build = [](unsigned threads) {
+  struct Deploy {
+    std::string fabric;
+    std::string fingerprint;
+    std::size_t table_rules = 0;
+  };
+  // With \p churn, post-install updates run through the fast path and a
+  // background_recompile() rebuilds the tables before the comparison.
+  auto build = [](unsigned threads, bool churn) {
     CompileOptions options;
     options.threads = threads;
     SdxRuntime sdx(bgp::DecisionConfig{}, options);
@@ -343,16 +350,30 @@ TEST(ParallelCompileDeterminism, RuntimeThreadKnobKeepsDeployIdentical) {
     const auto c = sdx.add_participant("C", 65003);
     sdx.set_outbound(a, {OutboundClause{ClauseMatch{}.dst_port(80), b},
                          OutboundClause{ClauseMatch{}.dst_port(443), c}});
+    const auto prefix = [](std::uint32_t i) {
+      return Ipv4Prefix(Ipv4Address((100u << 24) | (i << 16)), 16);
+    };
     for (std::uint32_t i = 0; i < 24; ++i) {
-      const Ipv4Prefix p(Ipv4Address((100u << 24) | (i << 16)), 16);
-      sdx.announce(b, p);
-      if (i % 3 != 0) sdx.announce(c, p);
+      sdx.announce(b, prefix(i));
+      if (i % 3 != 0) sdx.announce(c, prefix(i));
     }
     sdx.install();
-    return sdx.compiled().fabric.to_string();
+    if (churn) {
+      sdx.announce(c, prefix(0));
+      sdx.withdraw(c, prefix(1));
+      sdx.announce(c, prefix(30), net::AsPath{65003, 9});
+      sdx.withdraw(b, prefix(2));
+      sdx.background_recompile();
+    }
+    return Deploy{sdx.compiled().fabric.to_string(),
+                  sdx.compiled().fingerprint(),
+                  sdx.fabric().sdx_switch().table().size()};
   };
-  const std::string serial = build(1);
-  EXPECT_EQ(build(4), serial);
+  EXPECT_EQ(build(4, false).fabric, build(1, false).fabric);
+  const Deploy serial = build(1, true);
+  const Deploy wide = build(8, true);
+  EXPECT_EQ(wide.fingerprint, serial.fingerprint);
+  EXPECT_EQ(wide.table_rules, serial.table_rules);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@ TEST(RuntimeLifecycle, AccessorsRejectUnknownIds) {
   SdxRuntime rt;
   auto a = rt.add_participant("A", 65001);
   EXPECT_THROW(rt.participant(99), std::out_of_range);
+  EXPECT_THROW(rt.participant(0), std::out_of_range);
   EXPECT_THROW(rt.router(99), std::out_of_range);
   EXPECT_THROW(rt.router(a, 5), std::out_of_range);
   EXPECT_EQ(rt.find("nope"), nullptr);

@@ -198,6 +198,31 @@ TEST(Tracer, ChromeJsonHasCompleteEvents) {
             "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}");
 }
 
+TEST(Tracer, KeepsTheNewestSpansAndCountsEvictions) {
+  SpanTracer tracer;
+  Counter evicted;
+  tracer.set_drop_counter(&evicted);
+  constexpr std::size_t kCap = SpanTracer::kCapacity;
+  for (std::size_t i = 0; i < kCap + 3; ++i) {
+    Span s = tracer.span("span" + std::to_string(i));
+  }
+  auto records = tracer.records();
+  ASSERT_EQ(records.size(), kCap);
+  // The three oldest went; the rest stay in completion order.
+  EXPECT_EQ(records.front().name, "span3");
+  EXPECT_EQ(records.back().name, "span" + std::to_string(kCap + 2));
+  EXPECT_EQ(tracer.dropped(), 3u);
+  EXPECT_EQ(evicted.value(), 3u);
+  EXPECT_EQ(tracer.render_chrome_json().find("\"span2\""), std::string::npos);
+
+  // clear() resets the kept spans and dropped(); the counter keeps its
+  // total.
+  tracer.clear();
+  EXPECT_TRUE(tracer.records().empty());
+  EXPECT_EQ(tracer.dropped(), 0u);
+  EXPECT_EQ(evicted.value(), 3u);
+}
+
 TEST(Tracer, ThreadsGetDistinctStableTids) {
   SpanTracer tracer;
   net::ThreadPool pool(3);
