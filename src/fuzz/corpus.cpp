@@ -220,7 +220,6 @@ std::vector<Bytes> codec_seeds(std::uint64_t seed) {
   st.participants = {p};
   st.routes = {r};
   st.vnh_allocated = 1;
-  st.next_cookie = 2;
   st.installed = false;
   tagged(11, persist::encode_checkpoint(st));
   return out;

@@ -136,6 +136,18 @@ class PrefixTrie {
                       [&fn](std::size_t, const V& value) { fn(value); });
   }
 
+  /// fn(value) for every stored prefix that contains \p prefix (itself
+  /// included), shortest first: the covering walk of its network address,
+  /// cut at its length.
+  template <typename Fn>
+  void for_each_containing(Ipv4Prefix prefix, Fn&& fn) const {
+    const Ipv4Address addr = prefix.network();
+    walk_covering(std::span(&addr, 1),
+                  [&](std::size_t, int depth, std::uint32_t slot) {
+                    if (depth <= prefix.length()) fn(values_[slot]);
+                  });
+  }
+
   std::size_t size() const { return values_.size() - free_.size(); }
   bool empty() const { return size() == 0; }
 

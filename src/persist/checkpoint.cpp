@@ -21,7 +21,7 @@ constexpr char kMagic[8] = {'S', 'D', 'X', 'C', 'K', 'P', 'T', '1'};
 // longer loads (try_load_checkpoint rejects the version), which is the
 // intended behaviour: recovery falls back to WAL replay + cold install
 // rather than adopting tables whose VMAC encoding predates the layout.
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
 constexpr std::size_t kFileHeaderBytes = 8 + 4 + 4 + 8;
 
 [[noreturn]] void throw_errno(const std::string& what) {
@@ -215,7 +215,6 @@ std::string encode_checkpoint(const CheckpointState& state) {
   for (const auto& r : state.routes) put_route(e, r);
   e.prefix(state.vnh_pool);
   e.u64(state.vnh_allocated);
-  e.u64(state.next_cookie);
   e.boolean(state.installed);
   if (state.installed) {
     put_compiled(e, state.compiled);
@@ -225,6 +224,9 @@ std::string encode_checkpoint(const CheckpointState& state) {
       e.prefix(prefix);
       put_binding(e, binding);
     }
+    e.u32(static_cast<std::uint32_t>(state.unbound.size()));
+    for (auto prefix : state.unbound) e.prefix(prefix);
+    e.u64(state.signature_floor);
     e.u32(static_cast<std::uint32_t>(state.remote_bindings.size()));
     for (const auto& [id, binding] : state.remote_bindings) {
       e.u32(id);
@@ -254,7 +256,6 @@ CheckpointState decode_checkpoint(std::string_view payload) {
   for (std::uint32_t i = 0; i < nroutes; ++i) st.routes.push_back(get_route(d));
   st.vnh_pool = d.prefix();
   st.vnh_allocated = d.u64();
-  st.next_cookie = d.u64();
   st.installed = d.boolean();
   if (st.installed) {
     st.compiled = get_compiled(d);
@@ -265,6 +266,12 @@ CheckpointState decode_checkpoint(std::string_view payload) {
       const auto prefix = d.prefix();
       st.fast_bindings.emplace_back(prefix, get_binding(d));
     }
+    const std::uint32_t nunbound = d.count();
+    st.unbound.reserve(nunbound);
+    for (std::uint32_t i = 0; i < nunbound; ++i) {
+      st.unbound.push_back(d.prefix());
+    }
+    st.signature_floor = d.u64();
     const std::uint32_t nremote = d.count();
     st.remote_bindings.reserve(nremote);
     for (std::uint32_t i = 0; i < nremote; ++i) {

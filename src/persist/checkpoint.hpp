@@ -58,9 +58,6 @@ struct CheckpointState {
   net::Ipv4Prefix vnh_pool = net::Ipv4Prefix::parse("172.16.0.0/12");
   std::uint64_t vnh_allocated = 0;
 
-  /// Next fast-path cookie the runtime would hand out.
-  std::uint64_t next_cookie = 0;
-
   bool installed = false;
 
   // --- present only when installed ---------------------------------------
@@ -71,9 +68,19 @@ struct CheckpointState {
   /// compiled.fingerprint() at capture time; the warm-restart gate.
   std::string fingerprint;
 
-  /// Fast-path VNH bindings by prefix, sorted by prefix for a canonical
-  /// encoding.
+  /// The binding table (sdx/binding_table.hpp) as far as the compiled
+  /// groups do not imply it: every prefix held off its compiled group with
+  /// its binding — a fast-path binding, or another group's — sorted by
+  /// prefix for a canonical encoding. Restore groups them into entries by
+  /// VNH; a fast entry's band cookie derives from its VNH.
   std::vector<std::pair<net::Ipv4Prefix, core::VnhBinding>> fast_bindings;
+  /// Prefixes held with no binding (a group member flushed to an empty
+  /// signature), sorted.
+  std::vector<net::Ipv4Prefix> unbound;
+  /// VNH watermark at the last post-deploy policy change (0: none). Only
+  /// bindings allocated at or above it are in the signature index; restore
+  /// recomputes their signatures from one member each on the restored RIB.
+  std::uint64_t signature_floor = 0;
   /// Remote-participant bindings, sorted by participant id.
   std::vector<std::pair<bgp::ParticipantId, core::VnhBinding>>
       remote_bindings;

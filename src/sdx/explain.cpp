@@ -66,12 +66,7 @@ Explanation explain(const SdxRuntime& runtime, ParticipantId sender,
   if (auto best = runtime.route_server().best_route(sender, framing.route)) {
     out.route_via = best->learned_from;
   }
-  if (runtime.installed()) {
-    const auto& group_of = runtime.compiled().fecs.group_of;
-    if (auto it = group_of.find(framing.route); it != group_of.end()) {
-      out.group = it->second;
-    }
-  }
+  out.group = runtime.current_group(framing.route);
   if (!framing.framed) {
     out.kind = RuleKind::kArpFailure;
     return out;

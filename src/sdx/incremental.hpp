@@ -13,18 +13,27 @@
 /// sets, rebuild the whole table) runs in the background between update
 /// bursts — full_recompile(), or adopt() when a warm restart restores it.
 ///
-/// fast_update_batch() is the one fast stage, and a single update is a
-/// batch of one. A burst shares the clause scan, groups prefixes with
-/// identical restricted signatures (a mini-FEC over the dirty set) under
-/// one fresh binding and allocates VNHs in a single sweep. Each group's
-/// rules go through the compiler's one serial composer
-/// (SdxCompiler::compose_serial) and the engine's Stage2Memo, which lives
-/// as long as the engine and rebuilds an entry whenever its participant's
-/// inbound clauses change.
+/// The fast stage is two pieces. signature() is p's restricted signature:
+/// the clauses p falls into now and its default vector — the §4.2 FEC
+/// signature of one prefix, found by one walk of a trie of every clause's
+/// destination blocks. compose() turns a signature and a binding into
+/// rules: synthesis, then the compiler's one serial composer
+/// (SdxCompiler::compose_serial) through the engine's Stage2Memo, which
+/// lives as long as the engine and rebuilds an entry whenever its
+/// participant's inbound clauses change. The runtime interns bindings by
+/// signature and composes only a signature no live binding has (see
+/// binding_table.hpp).
+///
+/// fast_update_batch() is the paper's fresh-VNH stage built on the two
+/// pieces, and a single update is a batch of one. A burst groups prefixes
+/// with identical signatures (a mini-FEC over the dirty set) under one
+/// fresh binding and allocates VNHs in a single sweep; Figures 9 and 10
+/// measure it.
 
 #include <optional>
 #include <vector>
 
+#include "netbase/prefix_trie.hpp"
 #include "sdx/compiler.hpp"
 
 namespace sdx::core {
@@ -36,7 +45,8 @@ class IncrementalEngine {
 
   /// The background stage: full pipeline, minimal rule table. Replaces the
   /// engine's current state. Runs the compiler's parallel pipeline at
-  /// CompileOptions::threads width.
+  /// CompileOptions::threads width. Like adopt() and
+  /// recompile_partition(), it drops the clause index (policy_changed()).
   const CompiledSdx& full_recompile(VnhAllocator& vnh);
 
   /// Installs an externally-compiled result as the engine's current state,
@@ -53,6 +63,37 @@ class IncrementalEngine {
   bool has_compiled() const { return current_.has_value(); }
   const CompiledSdx& current() const { return *current_; }
   CompiledSdx& current() { return *current_; }
+
+  /// A prefix's restricted signature: the outbound clauses it falls into
+  /// now (global clause ids, slot-major, ascending) and its default vector.
+  /// Prefixes with equal signatures behave identically through the fabric
+  /// (§4.2), so one binding and one composed rule group serve them all.
+  struct Signature {
+    std::vector<std::uint32_t> clauses;
+    DefaultVector defaults;
+    bool operator==(const Signature&) const = default;
+  };
+  struct SignatureHash {
+    std::size_t operator()(const Signature& sig) const;
+  };
+
+  /// \p prefix's signature under the current policy and RIB, or
+  /// std::nullopt when the prefix needs no binding: no clause covers it and
+  /// (without VMAC grouping, or with no best route anywhere) no default
+  /// rule either — it is re-advertised with its own next hop.
+  std::optional<Signature> signature(Ipv4Prefix prefix);
+
+  /// The rules of \p sig under \p binding's VMAC: its clauses' and
+  /// defaults' stage-1 rules composed through the stage-2 memo,
+  /// de-duplicated. Adds the stage-1 rules composed to \p compositions.
+  policy::Classifier compose(const Signature& sig, const VnhBinding& binding,
+                             std::size_t& compositions);
+
+  /// Drops the clause index behind signature(); the next call rebuilds it
+  /// from the participants' current outbound clauses. Call after any
+  /// outbound policy change (full_recompile() and adopt() drop it
+  /// themselves).
+  void policy_changed() { clauses_.reset(); }
 
   /// One dirty prefix of a batched flush. Prefixes whose restricted
   /// signatures coincide share a binding (and their rules were emitted
@@ -72,9 +113,10 @@ class IncrementalEngine {
     double seconds = 0;
   };
 
-  /// The fast stage: one restricted-compilation pass over every prefix in
-  /// \p prefixes (duplicates collapse to their first occurrence). A single
-  /// updated prefix is the batch {p}.
+  /// The fresh-VNH fast stage: one restricted-compilation pass over every
+  /// prefix in \p prefixes (duplicates collapse to their first occurrence),
+  /// one fresh binding per distinct signature. A single updated prefix is
+  /// the batch {p}.
   BatchResult fast_update_batch(const std::vector<Ipv4Prefix>& prefixes,
                                 VnhAllocator& vnh);
 
@@ -105,17 +147,28 @@ class IncrementalEngine {
   const SdxCompiler& compiler() const { return compiler_; }
 
  private:
-  struct Hit {
-    const Participant* owner;
-    const OutboundClause* clause;
-    std::uint32_t id;  ///< global clause id (slot-major) — the signature key
+  /// A clause's owner and target: what signature() asks exports_to.
+  struct ClauseEnds {
+    ParticipantId owner;
+    ParticipantId to;
   };
 
-  std::vector<Hit> hits_for(Ipv4Prefix prefix) const;
+  /// Every outbound clause's ends by global id, and a trie of their
+  /// destination blocks: built on first use after a policy change. It
+  /// copies what it needs and points into no participant.
+  struct ClauseIndex {
+    std::vector<ClauseEnds> clauses;
+    /// Destination block → the ids of the clauses restricted to it.
+    net::PrefixTrie<std::vector<std::uint32_t>> blocks;
+    std::vector<std::uint32_t> unrestricted;  ///< clauses with no dst block
+  };
+
+  const ClauseIndex& clause_index();
 
   SdxCompiler compiler_;
   std::optional<CompiledSdx> current_;
   Stage2Memo stage2_;
+  std::optional<ClauseIndex> clauses_;
 };
 
 }  // namespace sdx::core

@@ -53,6 +53,9 @@ SdxRuntime::SdxRuntime(bgp::DecisionConfig decision, CompileOptions options)
   batch_size_ = &reg.histogram(
       "sdx_fast_path_batch_size", "dirty prefixes per batched flush",
       {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096});
+  fast_bindings_gauge_ = &reg.gauge(
+      "sdx_fast_path_bindings",
+      "live fast-path bindings (one per signature the base does not cover)");
   frontend_updates_ = &reg.counter("sdx_frontend_updates_total",
                                    "UPDATE messages distributed on the wire");
   frontend_bytes_ = &reg.counter("sdx_frontend_bytes_total",
@@ -170,8 +173,11 @@ Participant* SdxRuntime::find(const std::string& name) {
 
 void SdxRuntime::set_outbound(ParticipantId id,
                               std::vector<OutboundClause> clauses) {
-  participant(id).outbound = std::move(clauses);
-  validate_participant(participant(id), participants_);
+  // Validate a copy: a rejected change leaves the policy as it was.
+  Participant updated = participant(id);
+  updated.outbound = std::move(clauses);
+  validate_participant(updated, participants_);
+  participant(id).outbound = std::move(updated.outbound);
   if (journal_recording_) {
     persist::WalRecord rec;
     rec.type = persist::WalRecordType::kSetOutbound;
@@ -182,16 +188,21 @@ void SdxRuntime::set_outbound(ParticipantId id,
   // Partitioned mode: an outbound change dirties exactly one partition —
   // recompile and swap it in place instead of waiting for the next full
   // rebuild. (Pairwise mode keeps the historical contract: changes land on
-  // the next install()/recompile.)
-  if (installed() && options_.partitioned) {
+  // the next install()/recompile; until then only new bindings follow it.)
+  if (!installed()) return;
+  if (options_.partitioned) {
     recompile_participant_partition(id);
+  } else {
+    invalidate_bindings();
   }
 }
 
 void SdxRuntime::set_inbound(ParticipantId id,
                              std::vector<InboundClause> clauses) {
-  participant(id).inbound = std::move(clauses);
-  validate_participant(participant(id), participants_);
+  Participant updated = participant(id);
+  updated.inbound = std::move(clauses);
+  validate_participant(updated, participants_);
+  participant(id).inbound = std::move(updated.inbound);
   if (journal_recording_) {
     persist::WalRecord rec;
     rec.type = persist::WalRecordType::kSetInbound;
@@ -203,7 +214,12 @@ void SdxRuntime::set_inbound(ParticipantId id,
   // is composed into every partition whose clauses target it — not a
   // single-partition change, so rebuild everything. The WAL record above
   // covers the derived effects on replay (a recompile writes none).
-  if (installed() && options_.partitioned) background_recompile();
+  if (!installed()) return;
+  if (options_.partitioned) {
+    background_recompile();
+  } else {
+    invalidate_bindings();
+  }
 }
 
 void SdxRuntime::enable_rpki(bgp::RoaTable table, RpkiMode mode) {
@@ -251,8 +267,8 @@ void SdxRuntime::announce(ParticipantId from, Ipv4Prefix prefix,
                              : p.primary_port().router_ip;
   route.learned_from = from;
   route.peer_router_id = server_.peer(from)->router_id;
-  server_.announce(std::move(route));
-  if (installed()) note_post_install_update(prefix);
+  auto changes = server_.announce(std::move(route));
+  if (installed()) note_post_install_update(prefix, changes);
 }
 
 std::size_t SdxRuntime::session_down(ParticipantId id) {
@@ -276,9 +292,7 @@ std::size_t SdxRuntime::session_down(ParticipantId id) {
   // Policies changed, so the two-stage fast path is not enough: queue the
   // withdrawals and rebuild. The rebuild absorbs the whole queue and
   // re-advertises it, so no fast pass runs for a route that is gone.
-  for (auto prefix : advertised) {
-    if (dirty_set_.insert(prefix).second) dirty_order_.push_back(prefix);
-  }
+  for (auto prefix : advertised) mark_dirty(prefix);
   background_recompile();
   return advertised.size();
 }
@@ -291,8 +305,8 @@ void SdxRuntime::withdraw(ParticipantId from, Ipv4Prefix prefix) {
     rec.prefix = prefix;
     journal_->append(rec);
   }
-  server_.withdraw(from, prefix);
-  if (installed()) note_post_install_update(prefix);
+  auto changes = server_.withdraw(from, prefix);
+  if (installed()) note_post_install_update(prefix, changes);
 }
 
 const CompiledSdx& SdxRuntime::install_compiled(
@@ -302,7 +316,6 @@ const CompiledSdx& SdxRuntime::install_compiled(
                                     : engine_->full_recompile(vnh_);
   install_base_tables(compiled);
   remote_bindings_.clear();
-  fast_bindings_.clear();
   if (restored == nullptr) {
     // One binding per remote participant, advertised as the next hop of its
     // otherwise-unreachable announcements so senders can frame the traffic.
@@ -311,23 +324,13 @@ const CompiledSdx& SdxRuntime::install_compiled(
     }
   } else {
     // Warm restart: reuse every persisted binding, keeping border-router
-    // ARP caches valid, and lay the fast-path residue over the base.
+    // ARP caches valid.
     remote_bindings_.insert(restored->remote_bindings.begin(),
                             restored->remote_bindings.end());
-    fast_bindings_.insert(restored->fast_bindings.begin(),
-                          restored->fast_bindings.end());
-    auto& table = fabric_.sdx_switch().table();
-    for (const auto& extra : restored->extra_rules) {
-      dp::FlowRule rule;
-      rule.priority = extra.priority;
-      rule.match = extra.rule.match;
-      rule.actions = extra.rule.actions;
-      rule.cookie = extra.cookie;
-      table.install(std::move(rule));
-    }
   }
-  // Every VNH the replaced state bound lies in the pool: the compiled and
-  // remote bindings, and fast-path bindings, superseded ones included.
+  reset_bindings(compiled, restored);
+  // Every VNH the replaced state bound lies in the pool: the compiled,
+  // remote and fast-path bindings.
   // None of them outlives the swap, so ARP answers exactly the routers and
   // what the new state binds.
   fabric_.arp().unbind_within(vnh_.pool());
@@ -338,15 +341,74 @@ const CompiledSdx& SdxRuntime::install_compiled(
   // still needs its (deferred) withdrawal re-advertised.
   std::vector<Ipv4Prefix> pending = std::move(dirty_order_);
   dirty_order_.clear();
-  dirty_set_.clear();
+  dirty_index_.clear();
+  dirty_receivers_.clear();
   pending_clock_ = 0;
   update_log_.clear();
   for (auto prefix : server_.all_prefixes()) readvertise(prefix);
   for (auto prefix : pending) {
     if (server_.candidates(prefix) == nullptr) readvertise(prefix);
   }
+  fast_bindings_gauge_->set(static_cast<double>(bindings_.fast_entries()));
   run_safety_stage(nullptr);
   return compiled;
+}
+
+void SdxRuntime::reset_bindings(const CompiledSdx& compiled,
+                                const persist::CheckpointState* restored) {
+  bindings_.reset(compiled.partitioned ? nullptr : &compiled.fecs,
+                  compiled.bindings);
+  signature_floor_ = 0;
+  if (restored == nullptr) return;
+  // Warm restart: every persisted binding names its entry by VNH. A VNH no
+  // base entry has is a fast-path binding; its band comes back as residue
+  // rules, under the cookie its VNH derives.
+  std::unordered_map<std::uint32_t, std::uint32_t> entry_of_vnh;
+  for (std::uint32_t id = 0; !bindings_.is_fast(id); ++id) {
+    entry_of_vnh.emplace(bindings_.entry(id).binding.vnh.value(), id);
+  }
+  std::vector<std::pair<std::uint32_t, Ipv4Prefix>> fast;  ///< id, a member
+  for (const auto& [prefix, binding] : restored->fast_bindings) {
+    auto [it, fresh] =
+        entry_of_vnh.try_emplace(binding.vnh.value(), BindingTable::kNone);
+    if (fresh) {
+      it->second = bindings_.add(binding, fast_cookie(binding));
+      fast.emplace_back(it->second, prefix);
+    }
+    bindings_.assign(prefix, it->second);
+  }
+  for (auto prefix : restored->unbound) {
+    bindings_.assign(prefix, BindingTable::kNone);
+  }
+  // The signature index: every binding allocated at or above the floor,
+  // base entries included only when no policy changed since the deploy.
+  // The checkpoint flushed first, so any member's signature on the
+  // restored RIB is its binding's.
+  signature_floor_ = restored->signature_floor;
+  if (signature_floor_ != 0) bindings_.invalidate();
+  const std::uint32_t pool = vnh_.pool().network().value();
+  for (const auto& [id, member] : fast) {
+    const VnhBinding& b = bindings_.entry(id).binding;
+    if (b.vnh.value() - pool < signature_floor_) continue;
+    if (auto sig = engine_->signature(member)) {
+      bindings_.index(id, std::move(*sig));
+    }
+  }
+  auto& table = fabric_.sdx_switch().table();
+  for (const auto& extra : restored->extra_rules) {
+    dp::FlowRule rule;
+    rule.priority = extra.priority;
+    rule.match = extra.rule.match;
+    rule.actions = extra.rule.actions;
+    rule.cookie = extra.cookie;
+    table.install(std::move(rule));
+  }
+}
+
+void SdxRuntime::invalidate_bindings() {
+  bindings_.invalidate();
+  signature_floor_ = vnh_.allocated();
+  engine_->policy_changed();
 }
 
 const CompiledSdx& SdxRuntime::install() {
@@ -423,6 +485,17 @@ void SdxRuntime::recompile_participant_partition(ParticipantId id) {
   }
   for (auto prefix : update.affected) readvertise(prefix);
   run_safety_stage(&update.affected);
+  // Every fast-path binding was composed under the old clauses: flush each
+  // fast-bound prefix against the emptied signature index, which moves it
+  // to a binding composed under the new ones (and retires the old).
+  invalidate_bindings();
+  std::vector<Ipv4Prefix> bound;
+  bindings_.for_each_held([&bound](Ipv4Prefix prefix, std::uint32_t id) {
+    if (id != BindingTable::kNone) bound.push_back(prefix);
+  });
+  std::sort(bound.begin(), bound.end());
+  for (auto prefix : bound) mark_dirty(prefix);
+  flush();
 }
 
 void SdxRuntime::bind_arp(const CompiledSdx& compiled) {
@@ -437,18 +510,23 @@ void SdxRuntime::bind_arp(const CompiledSdx& compiled) {
   for (const auto& [id, b] : remote_bindings_) {
     fabric_.arp().bind(b.vnh, b.vmac);
   }
-  for (const auto& [prefix, b] : fast_bindings_) {
-    fabric_.arp().bind(b.vnh, b.vmac);
-  }
+  bindings_.for_each_fast([this](const BindingTable::Entry& e) {
+    fabric_.arp().bind(e.binding.vnh, e.binding.vmac);
+  });
 }
 
 std::optional<VnhBinding> SdxRuntime::current_binding(
     Ipv4Prefix prefix) const {
-  if (auto it = fast_bindings_.find(prefix); it != fast_bindings_.end()) {
-    return it->second;
-  }
-  if (installed()) return compiled().binding_for(prefix);
-  return std::nullopt;
+  if (!installed()) return std::nullopt;
+  return bindings_.binding_of(prefix);
+}
+
+std::optional<std::uint32_t> SdxRuntime::current_group(
+    Ipv4Prefix prefix) const {
+  if (!installed()) return std::nullopt;
+  const std::uint32_t id = bindings_.entry_of(prefix);
+  if (id == BindingTable::kNone || bindings_.is_fast(id)) return std::nullopt;
+  return id;  // base entries are the compiled groups, in group order
 }
 
 std::optional<VnhBinding> SdxRuntime::remote_binding(
@@ -511,35 +589,76 @@ std::size_t SdxRuntime::flush() {
   pending_clock_ = 0;
   if (dirty_order_.empty()) return 0;
   std::vector<Ipv4Prefix> prefixes = std::move(dirty_order_);
+  std::vector<std::uint64_t> receivers = std::move(dirty_receivers_);
   dirty_order_.clear();
-  dirty_set_.clear();
+  dirty_index_.clear();
+  dirty_receivers_.clear();
   batch_flushes_->inc();
   batch_updates_->inc(prefixes.size());
   batch_size_->observe(static_cast<double>(prefixes.size()));
   telemetry::Span span = telemetry_.tracer.span("fast_update");
-  auto batch = engine_->fast_update_batch(prefixes, vnh_);
-  fast_updates_->inc(batch.items.size());
-  fast_rules_->inc(batch.additional_rules);
-  fast_compositions_->inc(batch.compositions);
-  const double amortized =
-      batch.items.empty() ? 0.0 : batch.seconds / batch.items.size();
-  if (!batch.rules.empty()) {
-    // One combined classifier, one cookie: the whole flush installs (and
-    // can later be dropped) as a unit.
-    policy::Classifier extra(std::move(batch.rules));
-    fabric_.sdx_switch().table().install_classifier(extra, kFastPriority,
-                                                    next_cookie_++);
+  auto& table = fabric_.sdx_switch().table();
+  double engine_seconds = 0;  ///< signatures and compositions
+  std::size_t compositions = 0;
+  std::vector<std::size_t> added(prefixes.size(), 0);
+  std::vector<char> rebound(prefixes.size(), 0);
+  std::vector<std::uint32_t> emptied;
+  for (std::size_t i = 0; i < prefixes.size(); ++i) {
+    auto t0 = std::chrono::steady_clock::now();
+    std::optional<BindingTable::Signature> sig =
+        engine_->signature(prefixes[i]);
+    engine_seconds += seconds_since(t0);
+    std::uint32_t to = BindingTable::kNone;
+    if (sig) {
+      to = bindings_.find(*sig);
+      if (to == BindingTable::kNone) {
+        // A signature no live binding has: the one case that costs a VNH,
+        // a composition, a band and an ARP entry.
+        const VnhBinding binding = vnh_.allocate();
+        t0 = std::chrono::steady_clock::now();
+        const policy::Classifier rules =
+            engine_->compose(*sig, binding, compositions);
+        engine_seconds += seconds_since(t0);
+        added[i] = rules.size();
+        table.install_classifier(rules, kFastPriority, fast_cookie(binding));
+        fabric_.arp().bind(binding.vnh, binding.vmac);
+        to = bindings_.add(binding, fast_cookie(binding));
+        bindings_.index(to, std::move(*sig));
+      }
+    }
+    if (to == bindings_.entry_of(prefixes[i])) continue;
+    rebound[i] = 1;
+    const std::uint32_t left = bindings_.assign(prefixes[i], to);
+    if (left != BindingTable::kNone) emptied.push_back(left);
   }
-  for (const auto& item : batch.items) {
-    if (item.binding) {
-      fast_bindings_[item.prefix] = *item.binding;
-      fabric_.arp().bind(item.binding->vnh, item.binding->vmac);
+  // Retire what this flush left empty only now, so a prefix moving into an
+  // entry another one left in the same flush keeps it alive.
+  for (auto id : emptied) {
+    const BindingTable::Entry& e = bindings_.entry(id);
+    if (e.cookie == 0 || e.members != 0) continue;  // retired, or rejoined
+    table.remove_by_cookie(e.cookie);
+    fabric_.arp().unbind(e.binding.vnh);
+    bindings_.retire(id);
+  }
+  std::size_t additional = 0;
+  for (auto n : added) additional += n;
+  fast_updates_->inc(prefixes.size());
+  fast_rules_->inc(additional);
+  fast_compositions_->inc(compositions);
+  fast_bindings_gauge_->set(static_cast<double>(bindings_.fast_entries()));
+  const double amortized = engine_seconds / prefixes.size();
+  const std::size_t words = receiver_words();
+  for (std::size_t i = 0; i < prefixes.size(); ++i) {
+    const std::uint64_t* mask = receivers.data() + i * words;
+    if (rebound[i]) {
+      readvertise(prefixes[i]);
+    } else if (std::any_of(mask, mask + words,
+                           [](std::uint64_t w) { return w != 0; })) {
+      readvertise(prefixes[i], mask);
     }
     fast_seconds_->observe(amortized);
-    readvertise(item.prefix);
     if (update_log_.size() == kUpdateLogCapacity) update_log_.pop_front();
-    update_log_.push_back(
-        UpdateReport{item.prefix, item.additional_rules, amortized});
+    update_log_.push_back(UpdateReport{prefixes[i], added[i], amortized});
   }
   run_safety_stage(&prefixes);
   return prefixes.size();
@@ -560,7 +679,8 @@ std::string SdxRuntime::dump_trace() const {
   return telemetry_.tracer.render_chrome_json();
 }
 
-void SdxRuntime::readvertise(Ipv4Prefix prefix) {
+void SdxRuntime::readvertise(Ipv4Prefix prefix,
+                             const std::uint64_t* receivers) {
   const auto global = current_binding(prefix);
   const bool partitioned = compiled().partitioned;
   const std::vector<bgp::Route>* ranked = server_.candidates(prefix);
@@ -585,6 +705,10 @@ void SdxRuntime::readvertise(Ipv4Prefix prefix) {
                                     const bgp::Route* best) {
     const auto& p = participants_[slot];
     if (p.is_remote()) return;
+    if (receivers != nullptr &&
+        ((receivers[slot / 64] >> (slot % 64)) & 1) == 0) {
+      return;
+    }
     // Per-receiver next hop: the fast-path (or pairwise group) binding is
     // receiver-independent; a partitioned artifact advertises each receiver
     // the binding of *its own* partition group — the tag encodes the
@@ -651,8 +775,25 @@ void SdxRuntime::readvertise(Ipv4Prefix prefix) {
   if (fib_slot) fib_->release(*fib_slot);
 }
 
-void SdxRuntime::note_post_install_update(Ipv4Prefix prefix) {
-  if (dirty_set_.insert(prefix).second) dirty_order_.push_back(prefix);
+std::uint64_t* SdxRuntime::mark_dirty(Ipv4Prefix prefix) {
+  const std::size_t words = receiver_words();
+  auto [it, fresh] = dirty_index_.try_emplace(prefix, dirty_order_.size());
+  if (fresh) {
+    dirty_order_.push_back(prefix);
+    dirty_receivers_.resize(dirty_receivers_.size() + words, 0);
+  }
+  return dirty_receivers_.data() + it->second * words;
+}
+
+void SdxRuntime::note_post_install_update(
+    Ipv4Prefix prefix,
+    const std::vector<bgp::RouteServer::BestChange>& changes) {
+  std::uint64_t* mask = mark_dirty(prefix);
+  // Route-server peers are participants in slot order: id - 1 is the slot.
+  for (const auto& change : changes) {
+    const std::size_t slot = change.participant - 1;
+    mask[slot / 64] |= std::uint64_t{1} << (slot % 64);
+  }
   if (batch_options_.max_pending != 0 &&
       dirty_order_.size() >= batch_options_.max_pending) {
     flush();
@@ -704,15 +845,22 @@ std::uint64_t SdxRuntime::checkpoint() {
   st.routes = server_.dump_routes();
   st.vnh_pool = vnh_.pool();
   st.vnh_allocated = vnh_.allocated();
-  st.next_cookie = next_cookie_;
   st.installed = installed();
   if (st.installed) {
     st.compiled = engine_->current();
     st.compiled.stats = CompileStats{};  // timings are not state
     st.fingerprint = engine_->current().fingerprint();
-    st.fast_bindings.assign(fast_bindings_.begin(), fast_bindings_.end());
+    bindings_.for_each_held([&st, this](Ipv4Prefix prefix, std::uint32_t id) {
+      if (id == BindingTable::kNone) {
+        st.unbound.push_back(prefix);
+      } else {
+        st.fast_bindings.emplace_back(prefix, bindings_.entry(id).binding);
+      }
+    });
     std::sort(st.fast_bindings.begin(), st.fast_bindings.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::sort(st.unbound.begin(), st.unbound.end());
+    st.signature_floor = signature_floor_;
     st.remote_bindings.assign(remote_bindings_.begin(),
                               remote_bindings_.end());
     std::sort(st.remote_bindings.begin(), st.remote_bindings.end(),
@@ -759,7 +907,6 @@ void SdxRuntime::restore_checkpoint(const persist::CheckpointState& st,
   server_.set_telemetry(nullptr);
   for (const auto& r : st.routes) server_.announce(r);
   server_.set_telemetry(&telemetry_.metrics);
-  next_cookie_ = st.next_cookie;
   vnh_ = VnhAllocator(st.vnh_pool, options_.vmac_layout);
   if (!st.installed) {
     vnh_.restore(st.vnh_allocated);
@@ -1008,12 +1155,12 @@ void SdxRuntime::enable_verification() {
 verify::SafetyReport SdxRuntime::artifact_audit() const {
   // The static audit compares the compiled artifact against the current
   // RIB, so it is only meaningful while the artifact IS the deployment.
-  // Outstanding fast-path bindings mean newer rules shadow stale artifact
-  // rules; auditing the artifact then reports phantom export mismatches
+  // A prefix held off its compiled group means newer rules shadow stale
+  // artifact rules; auditing the artifact then reports phantom export mismatches
   // the live table cannot exhibit. The graph walk always checks the live
   // table, so safety coverage is unaffected — only the rule-level audit
   // waits for the next full recompile.
-  if (!fast_bindings_.empty()) return {};
+  if (bindings_.diverged()) return {};
   return audit(compiled(), participants_, port_map_, server_);
 }
 

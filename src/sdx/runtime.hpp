@@ -12,13 +12,20 @@
 ///   3. install() — full compilation, flow-rule installation, ARP/VNH
 ///      bindings and BGP re-advertisement of every prefix to every
 ///      participant router;
-///   4. further announce()/withdraw() calls run the §4.3.2 fast path
-///      (higher-priority rules + re-advertisement), logging per-update cost.
-///      There is one fast stage, and one road to it: every update enters
-///      the dirty queue, and a flush() (explicit, size- or clock-triggered)
-///      installs the queue as one batch. The starting flush policy flushes
-///      at one pending prefix, so an inline update is a flush of one;
-///      enable_batching() widens it. background_recompile() rebuilds the
+///   4. further announce()/withdraw() calls run the §4.3.2 fast path,
+///      logging per-update cost. There is one fast stage, and one road to
+///      it: every update enters the dirty queue with the receivers whose
+///      best route it changed, and a flush() (explicit, size- or
+///      clock-triggered) runs the queue as one batch. The starting flush
+///      policy flushes at one pending prefix, so an inline update is a
+///      flush of one; enable_batching() widens it. A flush rebinds a prefix
+///      only when its forwarding changed: bindings are interned by
+///      restricted signature (binding_table.hpp), so a prefix whose
+///      signature is unchanged keeps its binding, one whose signature
+///      another live binding has joins it, and only a new signature costs a
+///      VNH, composed higher-priority rules and an ARP entry. A rebound
+///      prefix is re-advertised to every router; any other dirty prefix
+///      only to its changed receivers. background_recompile() rebuilds the
 ///      optimal tables between bursts, on the control thread, and absorbs
 ///      the queue. A session_down() queues its withdrawals and lets that
 ///      recompile absorb them.
@@ -44,6 +51,7 @@
 #include "dataplane/fabric.hpp"
 #include "persist/journal.hpp"
 #include "sdx/bgp_frontend.hpp"
+#include "sdx/binding_table.hpp"
 #include "sdx/compiler.hpp"
 #include "sdx/incremental.hpp"
 #include "sdx/participant.hpp"
@@ -79,6 +87,11 @@ class SdxRuntime {
   const PortMap& ports() const { return port_map_; }
 
   // --- policies (recompiled on the next install()) -------------------------
+  //
+  // After install(), a change also retires every fast-path binding from the
+  // signature index, so no later update joins rules composed under the old
+  // policy; in partitioned mode an outbound change recompiles its
+  // partition in place and rebinds every fast-bound prefix at once.
 
   void set_outbound(ParticipantId id, std::vector<OutboundClause> clauses);
   void set_inbound(ParticipantId id, std::vector<InboundClause> clauses);
@@ -186,13 +199,21 @@ class SdxRuntime {
   /// Distinct prefixes waiting for the next flush.
   std::size_t pending_updates() const { return dirty_order_.size(); }
 
-  /// Runs one batched fast-path pass over the dirty set: rules install at
-  /// high priority under one cookie, each prefix re-advertises once.
-  /// Returns the number of prefixes flushed (0 when idle).
+  /// Runs one batched fast-path pass over the dirty set. Each prefix is
+  /// classified by its restricted signature: unchanged (nothing to
+  /// install), equal to a live binding's (the prefix joins it) or new (one
+  /// VNH, one composition installed at high priority under a cookie
+  /// derived from the VNH, one ARP entry). A binding whose last prefix
+  /// left retires with its rules and ARP entry. A rebound prefix is
+  /// re-advertised to every router, any other to the receivers whose best
+  /// route changed since the last flush. Returns the number of prefixes
+  /// flushed (0 when idle).
   std::size_t flush();
 
   struct UpdateReport {
     Ipv4Prefix prefix;
+    /// Rules of the binding this prefix's flush made for it (0 when it
+    /// kept or joined one).
     std::size_t additional_rules = 0;
     double fast_seconds = 0;
   };
@@ -222,7 +243,8 @@ class SdxRuntime {
   const persist::Journal* journal() const { return journal_.get(); }
 
   /// Serializes the full runtime state (RIB, participants, policies,
-  /// VNH/VMAC allocator, installed tables + fingerprint, fast-path residue)
+  /// VNH/VMAC allocator, installed tables + fingerprint, binding table and
+  /// fast-path residue)
   /// as an atomically-written checkpoint, rotating the WAL to a fresh
   /// segment anchored at the checkpoint's LSN. A pending batch is flushed
   /// first so the snapshot is externally consistent. Returns the checkpoint
@@ -276,13 +298,18 @@ class SdxRuntime {
   const dp::Fabric& fabric() const { return fabric_; }
   dp::BorderRouter& router(ParticipantId id, std::size_t port_index = 0);
 
-  /// The receiver-independent (VNH, VMAC) binding for \p prefix: the
-  /// fast-path binding when one is live, else the pairwise compiled group
-  /// binding; std::nullopt otherwise. It does not cover the next hop of a
+  /// The receiver-independent (VNH, VMAC) binding for \p prefix, from the
+  /// binding table: the fast-path binding it joined, else its pairwise
+  /// compiled group's; std::nullopt otherwise. It does not cover the next hop of a
   /// remote participant's announcements (see remote_binding()) nor the
   /// per-receiver bindings of a partitioned deployment
   /// (CompiledSdx::partition_binding_for()).
   std::optional<VnhBinding> current_binding(Ipv4Prefix prefix) const;
+
+  /// The pairwise compiled FEC group whose binding \p prefix holds, from
+  /// the binding table: a flush may move a prefix into another group, or
+  /// off every group onto a fast-path binding (std::nullopt).
+  std::optional<std::uint32_t> current_group(Ipv4Prefix prefix) const;
 
   /// The next-hop binding assigned to a remote participant's own
   /// announcements (std::nullopt for physical participants).
@@ -337,10 +364,14 @@ class SdxRuntime {
   static constexpr std::uint32_t kBasePriority = 1000;
   static constexpr std::uint32_t kFastPriority = 1u << 24;
   static constexpr std::uint64_t kBaseCookie = 1;
+  /// A fast-path binding's band installs under kFastCookieBase plus its
+  /// VNH's offset in the pool (fast_cookie()), so the cookie needs no
+  /// counter and survives a warm restart.
+  static constexpr std::uint64_t kFastCookieBase = kBaseCookie + 1;
   /// Partitioned mode: partition slot s installs under cookie
   /// kPartitionCookieBase + s, so one partition's band can be removed and
-  /// replaced in place. Far above the fast-path cookie counter's reach, so
-  /// the two spaces can never collide.
+  /// replaced in place. Above every pool offset, so the two spaces can
+  /// never collide.
   static constexpr std::uint64_t kPartitionCookieBase = 1ull << 32;
   static constexpr std::uint64_t partition_cookie(std::size_t slot) {
     return kPartitionCookieBase + slot;
@@ -363,27 +394,50 @@ class SdxRuntime {
   void install_base_tables(const CompiledSdx& compiled);
   /// Partitioned mode, outbound policy change after install(): recompile
   /// only \p id's partition, swap its flow-table band under its cookie,
-  /// ARP-bind the fresh bindings and re-advertise the affected prefixes.
+  /// ARP-bind the fresh bindings, re-advertise the affected prefixes, then
+  /// rebind every fast-bound prefix under the new policy.
   void recompile_participant_partition(ParticipantId id);
-  /// Re-advertises \p prefix to every physical participant. Receivers
-  /// with the same best candidate and the same next hop form one update
-  /// group: one attribute set in fib_ for all its in-process routers, one
-  /// UPDATE for all its wire sessions. The prefix's FIB slot is resolved
-  /// once and every in-process router is written by slot.
-  void readvertise(Ipv4Prefix prefix);
+  /// A policy change after install(): no binding composed under the old
+  /// policy may be joined or kept by a later flush (see BindingTable).
+  void invalidate_bindings();
+  /// The band cookie of the fast-path binding \p b.
+  std::uint64_t fast_cookie(const VnhBinding& b) const {
+    return kFastCookieBase + (b.vnh.value() - vnh_.pool().network().value());
+  }
+  /// Rebuilds the binding table for the deployed \p compiled state: its
+  /// pairwise groups as base entries, then (warm restart) \p restored's
+  /// fast-path bindings and their residue bands.
+  void reset_bindings(const CompiledSdx& compiled,
+                      const persist::CheckpointState* restored);
+  /// Re-advertises \p prefix to every physical participant, or only to
+  /// the participant slots set in the mask \p receivers. Receivers with
+  /// the same best candidate and the same next hop form one update group:
+  /// one attribute set in fib_ for all its in-process routers, one UPDATE
+  /// for all its wire sessions. The prefix's FIB slot is resolved once and
+  /// every in-process router is written by slot.
+  void readvertise(Ipv4Prefix prefix,
+                   const std::uint64_t* receivers = nullptr);
   /// Binds every live VNH: compiled (pairwise or per-partition), remote
   /// participant and fast-path bindings.
   void bind_arp(const CompiledSdx& compiled);
-  /// Post-install update routing: the dirty queue, flushed when it reaches
-  /// the policy's max_pending.
-  void note_post_install_update(Ipv4Prefix prefix);
+  /// Queues \p prefix (once, in arrival order) and returns its receiver
+  /// mask: receiver_words() words, one bit per participant slot.
+  std::uint64_t* mark_dirty(Ipv4Prefix prefix);
+  std::size_t receiver_words() const {
+    return (participants_.size() + 63) / 64;
+  }
+  /// Post-install update routing: the dirty queue with the receivers in
+  /// \p changes, flushed when it reaches the policy's max_pending.
+  void note_post_install_update(
+      Ipv4Prefix prefix,
+      const std::vector<bgp::RouteServer::BestChange>& changes);
   /// Runs the enabled safety stage: full when \p dirty is null, else an
   /// incremental re-check of exactly those prefixes. No-op unless
   /// verification is enabled and the runtime is installed.
   void run_safety_stage(const std::vector<Ipv4Prefix>* dirty);
   /// The rule-level audit of the compiled artifact, or an empty report
-  /// while fast-path bindings shadow it (the artifact is then not the
-  /// deployment). Both full checks fold this in.
+  /// while the binding table holds a prefix off its compiled group (the
+  /// artifact is then not the deployment). Both full checks fold this in.
   verify::SafetyReport artifact_audit() const;
   /// Registers the journal's telemetry series on the runtime registry.
   void wire_journal_hooks();
@@ -406,6 +460,7 @@ class SdxRuntime {
   telemetry::Counter* batch_flushes_ = nullptr;
   telemetry::Counter* batch_updates_ = nullptr;
   telemetry::Histogram* batch_size_ = nullptr;
+  telemetry::Gauge* fast_bindings_gauge_ = nullptr;
   telemetry::Counter* frontend_updates_ = nullptr;
   telemetry::Counter* frontend_bytes_ = nullptr;
   telemetry::Counter* frontend_drops_ = nullptr;
@@ -442,8 +497,14 @@ class SdxRuntime {
   /// Last frontend reconnect count synced into the ingest counter.
   std::uint64_t synced_frontend_reconnects_ = 0;
   std::deque<UpdateReport> update_log_;
-  /// Fast-path bindings installed since the last full compile.
-  std::unordered_map<Ipv4Prefix, VnhBinding> fast_bindings_;
+  /// Every live binding by signature, and each prefix's (see
+  /// binding_table.hpp).
+  BindingTable bindings_;
+  /// VNH watermark at the last policy change since the deploy (0: none):
+  /// the fast-path bindings allocated below it are out of the signature
+  /// index. VNHs are never reused between deploys, so a checkpoint carries
+  /// the index as this one number.
+  std::uint64_t signature_floor_ = 0;
   /// Per-remote-participant next-hop binding so senders can frame traffic
   /// toward prefixes only a remote participant announces.
   std::unordered_map<ParticipantId, VnhBinding> remote_bindings_;
@@ -452,7 +513,10 @@ class SdxRuntime {
   // arrival: an inline update is a flush of one.
   BatchOptions batch_options_{/*max_pending=*/1, /*max_delay_seconds=*/0};
   std::vector<Ipv4Prefix> dirty_order_;  ///< arrival order, deduplicated
-  std::unordered_set<Ipv4Prefix> dirty_set_;
+  std::unordered_map<Ipv4Prefix, std::size_t> dirty_index_;  ///< position
+  /// Per dirty prefix (in dirty_order_ order), receiver_words() words: the
+  /// participant slots whose best route changed since the last flush.
+  std::vector<std::uint64_t> dirty_receivers_;
   double pending_clock_ = 0;  ///< advance_clock() time since first dirty
 
   /// Partitioned mode: priority base of each partition's band in the flow
@@ -465,7 +529,6 @@ class SdxRuntime {
   std::unique_ptr<verify::SafetyChecker> checker_;
   verify::SafetyReport last_safety_report_;
 
-  std::uint64_t next_cookie_ = kBaseCookie + 1;
   net::PortId next_port_ = 1;
   std::uint32_t next_host_ = 1;
 

@@ -93,40 +93,46 @@ TEST_F(AsyncUpdatesFixture, BatchedFlushMatchesInlineForwarding) {
 TEST_F(AsyncUpdatesFixture, BatchSharesCompositionsAcrossEqualSignatures) {
   const auto p1 = Ipv4Prefix::parse("100.1.0.0/16");
   const auto p2 = Ipv4Prefix::parse("100.2.0.0/16");
-
-  // Inline baseline: each update is its own restricted compilation.
-  const auto inline_before = counter(rt, "sdx_fast_path_compositions_total");
-  rt.announce(b, p1, net::AsPath{65002, 7});
-  rt.announce(b, p2, net::AsPath{65002, 7});
+  // C takes over both of B's prefixes. p1 and p2 then share one restricted
+  // signature (same clause hits, same default vector) that no live binding
+  // has: exactly one composition walk, whether the updates flush one at a
+  // time (p2 joins the binding p1's flush made) or as one batch (the two
+  // are one group).
+  SdxRuntime inline_rt;
+  build(inline_rt);
+  const auto inline_before =
+      counter(inline_rt, "sdx_fast_path_compositions_total");
+  inline_rt.announce(c, p1, net::AsPath{65003});
+  inline_rt.announce(c, p2, net::AsPath{65003});
   const auto inline_cost =
-      counter(rt, "sdx_fast_path_compositions_total") - inline_before;
+      counter(inline_rt, "sdx_fast_path_compositions_total") - inline_before;
   ASSERT_GT(inline_cost, 0u);
+  ASSERT_EQ(inline_rt.update_log().size(), 2u);
+  EXPECT_GT(inline_rt.update_log()[0].additional_rules, 0u);
+  EXPECT_EQ(inline_rt.update_log()[1].additional_rules, 0u);
 
-  // The identical burst, batched. p1 and p2 share their restricted
-  // signature (same clause hits, same default vector), so the mini-FEC
-  // folds them into one group: one composition walk, not two.
-  // (The inline updates above were two flushes of one each.)
-  rt.background_recompile();
   rt.enable_batching({0, 0});
   const auto batched_before = counter(rt, "sdx_fast_path_compositions_total");
   const auto flushes_before = counter(rt, "sdx_fast_path_batches_total");
   const auto flushed_before =
       counter(rt, "sdx_fast_path_batched_updates_total");
-  rt.announce(b, p1, net::AsPath{65002, 7});
-  rt.announce(b, p2, net::AsPath{65002, 7});
+  rt.announce(c, p1, net::AsPath{65003});
+  rt.announce(c, p2, net::AsPath{65003});
   EXPECT_EQ(rt.flush(), 2u);
   const auto batched_cost =
       counter(rt, "sdx_fast_path_compositions_total") - batched_before;
-  EXPECT_LT(batched_cost, inline_cost);
-  EXPECT_EQ(batched_cost * 2, inline_cost);  // exactly one shared walk
+  EXPECT_EQ(batched_cost, inline_cost);  // exactly one shared walk
   EXPECT_EQ(counter(rt, "sdx_fast_path_batches_total") - flushes_before, 1u);
   EXPECT_EQ(
       counter(rt, "sdx_fast_path_batched_updates_total") - flushed_before,
       2u);
+  EXPECT_EQ(test::flow_table_dump(rt), test::flow_table_dump(inline_rt));
+  EXPECT_EQ(test::fib_crc(rt), test::fib_crc(inline_rt));
 
   // Shared signature ⇒ shared binding.
   ASSERT_TRUE(rt.current_binding(p1).has_value());
   EXPECT_EQ(rt.current_binding(p1)->vmac, rt.current_binding(p2)->vmac);
+  EXPECT_EQ(inline_rt.current_binding(p1), inline_rt.current_binding(p2));
 }
 
 TEST_F(AsyncUpdatesFixture, SizeTriggeredAutoFlush) {
@@ -298,8 +304,9 @@ TEST_F(AsyncUpdatesFixture, RecompileDropsSupersededFastPathBindings) {
   const auto p2 = Ipv4Prefix::parse("100.2.0.0/16");
   const auto p3 = Ipv4Prefix::parse("100.3.0.0/16");
   // C takes over B's prefixes one flush at a time, then B wins the first
-  // back: each flush binds fresh VNHs, and p1's first binding is superseded
-  // by its second before the recompile.
+  // back: p1's takeover binds one fresh VNH, p2 joins it, p3 (C's alone,
+  // like 100.9/16) joins 100.9/16's compiled group, and p1's withdrawal
+  // returns it to its compiled group.
   const auto churn = [&](SdxRuntime& r, bool flush) {
     r.announce(c, p1, net::AsPath{65003});
     if (flush) r.flush();
@@ -310,8 +317,19 @@ TEST_F(AsyncUpdatesFixture, RecompileDropsSupersededFastPathBindings) {
     if (flush) r.flush();
   };
   rt.enable_batching({0, 0});
+  const std::size_t routers = 3;
+  const std::size_t groups = rt.compiled().bindings.size();
+  ASSERT_EQ(groups, 2u);  // {100.1, 100.2} and {100.9}
   churn(rt, true);
-  const std::size_t churned = rt.fabric().arp().size();
+  // Exactly one fast-path binding is live, and nothing else was bound.
+  EXPECT_EQ(rt.fabric().arp().size(), routers + groups + 1);
+  EXPECT_EQ(rt.telemetry().metrics.gauge("sdx_fast_path_bindings").value(),
+            1.0);
+  ASSERT_TRUE(rt.current_binding(p2).has_value());
+  EXPECT_NE(rt.current_binding(p2), rt.compiled().binding_for(p2));
+  EXPECT_EQ(rt.current_binding(p1), rt.compiled().binding_for(p1));
+  EXPECT_EQ(rt.current_binding(p3),
+            rt.compiled().binding_for(Ipv4Prefix::parse("100.9.0.0/16")));
   rt.background_recompile();
 
   SdxRuntime twin;  // the same RIB and policies, installed once
@@ -322,7 +340,10 @@ TEST_F(AsyncUpdatesFixture, RecompileDropsSupersededFastPathBindings) {
   EXPECT_EQ(test::flow_table_dump(rt), test::flow_table_dump(twin));
   EXPECT_EQ(test::fib_crc(rt), test::fib_crc(twin));
   EXPECT_EQ(test::arp_table_dump(rt), test::arp_table_dump(twin));
-  EXPECT_LT(rt.fabric().arp().size(), churned);
+  // The recompile drops the fast binding: {p1}, {p2} and {p3, 100.9/16}.
+  EXPECT_EQ(rt.fabric().arp().size(), routers + 3);
+  EXPECT_EQ(rt.fabric().sdx_switch().table().size(),
+            rt.compiled().fabric.size());
 }
 
 TEST_F(AsyncUpdatesFixture, PostInstallPolicyChangeLandsOnNextRecompile) {

@@ -72,6 +72,30 @@ TEST_F(ExplainFixture, PolicyClauseAttribution) {
   EXPECT_NE(e.to_string().find("rule:"), std::string::npos);
 }
 
+TEST_F(ExplainFixture, GroupFollowsTheBindingTable) {
+  // 100.4/16 arrives after install with 100.1/16's routes, so it joins
+  // 100.1/16's compiled group: its frames carry that group's VMAC, and the
+  // explanation names that group although the compiled FECs never saw it.
+  const auto group = run("100.1.1.1", 80).group;
+  ASSERT_TRUE(group.has_value());
+  rt.announce(b, Ipv4Prefix::parse("100.4.0.0/16"), net::AsPath{65002, 9});
+  rt.announce(c, Ipv4Prefix::parse("100.4.0.0/16"), net::AsPath{65003});
+  rt.flush();
+  ASSERT_FALSE(rt.compiled().fecs.group_of.contains(
+      Ipv4Prefix::parse("100.4.0.0/16")));
+  auto e = run("100.4.1.1", 80);
+  EXPECT_EQ(e.kind, RuleKind::kPolicyClause);
+  EXPECT_EQ(e.group, group);
+  EXPECT_EQ(e.frame.dst_mac(), rt.compiled().bindings[*group].vmac);
+  EXPECT_EQ(e.receiver, b);
+  // Once B withdraws, no clause covers 100.4/16 and it leaves the group.
+  rt.withdraw(b, Ipv4Prefix::parse("100.4.0.0/16"));
+  rt.flush();
+  e = run("100.4.1.1", 80);
+  EXPECT_NE(e.group, group);
+  EXPECT_EQ(e.receiver, c);
+}
+
 TEST_F(ExplainFixture, GroupDefaultAttribution) {
   auto e = run("100.1.1.1", 53);
   EXPECT_EQ(e.kind, RuleKind::kGroupDefault);

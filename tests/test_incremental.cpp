@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "sdx/incremental.hpp"
 #include "sdx/runtime.hpp"
 
@@ -12,6 +16,7 @@ namespace sdx::core {
 namespace {
 
 using net::Field;
+using net::Ipv4Address;
 using net::Ipv4Prefix;
 using net::PacketBuilder;
 
@@ -159,6 +164,84 @@ TEST(IncrementalInbound, FastPathComposesThroughTheCurrentInboundPolicy) {
   EXPECT_EQ(via_c, egress("100.9.0.1", 443));
   EXPECT_EQ(via_b, rt.participant(b).ports[1].id);
   EXPECT_EQ(via_c, rt.participant(c).ports[1].id);
+}
+
+/// The linear clause scan the signature trie replaces: every clause whose
+/// target exports \p prefix to its owner and which has no dst block or a
+/// block containing \p prefix, by global id.
+std::vector<std::uint32_t> linear_hits(const SdxRuntime& rt,
+                                       Ipv4Prefix prefix) {
+  std::vector<std::uint32_t> hits;
+  std::uint32_t id = 0;
+  for (const auto& p : rt.participants()) {
+    for (const auto& c : p.outbound) {
+      const std::uint32_t clause_id = id++;
+      if (!rt.route_server().exports_to(c.to, p.id, prefix)) continue;
+      const auto& blocks = c.match.dst_prefixes;
+      if (!blocks.empty() &&
+          std::none_of(blocks.begin(), blocks.end(),
+                       [prefix](Ipv4Prefix b) { return b.contains(prefix); })) {
+        continue;
+      }
+      hits.push_back(clause_id);
+    }
+  }
+  return hits;
+}
+
+TEST(IncrementalSignature, TrieHitsMatchTheLinearScan) {
+  // One nested chain of dst blocks around X, one clause per block, with
+  // targets alternating between B and C; an unrestricted clause; a clause
+  // listing one block twice. The second case starts the chain at /20, so
+  // the /8 and /16 prefixes are shorter than every block.
+  const Ipv4Address x = Ipv4Address::parse("100.64.37.201");
+  for (const int shortest : {0, 20}) {
+    SCOPED_TRACE("chain from /" + std::to_string(shortest));
+    SdxRuntime rt;
+    const auto a = rt.add_participant("A", 65001);
+    const auto b = rt.add_participant("B", 65002);
+    const auto c = rt.add_participant("C", 65003);
+    std::vector<OutboundClause> clauses;
+    for (int len = shortest; len <= 32; ++len) {
+      clauses.push_back(OutboundClause{
+          ClauseMatch{}.dst_port(80).dst(Ipv4Prefix(x, len)),
+          len % 2 == 0 ? b : c});
+    }
+    clauses.push_back(OutboundClause{ClauseMatch{}.dst_port(443), c});
+    clauses.push_back(OutboundClause{ClauseMatch{}
+                                         .dst_port(8080)
+                                         .dst(Ipv4Prefix(x, 24))
+                                         .dst(Ipv4Prefix(x, 24)),
+                                     b});
+    rt.set_outbound(a, clauses);
+    rt.set_outbound(b, {OutboundClause{
+                           ClauseMatch{}.dst_port(80).dst(Ipv4Prefix(x, 12)),
+                           c}});
+    // Every chain prefix from /8 down, and its sibling at each length
+    // (covered only by the shorter blocks), from B, C or both.
+    std::vector<Ipv4Prefix> prefixes;
+    for (int len = 8; len <= 32; ++len) {
+      prefixes.push_back(Ipv4Prefix(x, len));
+      prefixes.push_back(
+          Ipv4Prefix(Ipv4Address(x.value() ^ (1u << (32 - len))), len));
+    }
+    for (std::size_t i = 0; i < prefixes.size(); ++i) {
+      if (i % 3 != 1) rt.announce(b, prefixes[i]);
+      if (i % 3 != 0) rt.announce(c, prefixes[i]);
+    }
+    rt.install();
+    SdxCompiler compiler(rt.participants(), rt.ports(), rt.route_server());
+    IncrementalEngine engine(compiler);
+    for (auto prefix : prefixes) {
+      const auto sig = engine.signature(prefix);
+      ASSERT_TRUE(sig.has_value()) << prefix.to_string();
+      EXPECT_EQ(sig->clauses, linear_hits(rt, prefix)) << prefix.to_string();
+      EXPECT_EQ(sig->defaults, compiler.defaults_for(prefix));
+    }
+    // The chain is really exercised: the /32 hits every block clause whose
+    // target exports it.
+    EXPECT_GE(engine.signature(Ipv4Prefix(x, 32))->clauses.size(), 8u);
+  }
 }
 
 TEST(IncrementalNoVmac, FastPathIsIdleWithoutGrouping) {

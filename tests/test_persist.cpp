@@ -353,7 +353,6 @@ CheckpointState sample_checkpoint() {
   st.routes = {sample_route()};
   st.vnh_pool = net::Ipv4Prefix::parse("172.16.0.0/12");
   st.vnh_allocated = 3;
-  st.next_cookie = 9;
   st.installed = true;
   policy::Rule rule;
   rule.match.set(net::Field::kDstMac, net::FieldMatch::exact(0x020000000001));
@@ -374,6 +373,8 @@ CheckpointState sample_checkpoint() {
   st.fast_bindings = {{net::Ipv4Prefix::parse("100.2.0.0/16"),
                        {net::Ipv4Address::parse("172.16.0.2"),
                         net::MacAddress(0x020000000002ull)}}};
+  st.unbound = {net::Ipv4Prefix::parse("100.3.0.0/16")};
+  st.signature_floor = 9;
   st.remote_bindings = {{4,
                          {net::Ipv4Address::parse("172.16.0.3"),
                           net::MacAddress(0x020000000003ull)}}};
@@ -394,7 +395,6 @@ TEST(Checkpoint, RoundTripPreservesFingerprint) {
   ASSERT_EQ(back.routes.size(), 1u);
   EXPECT_EQ(back.routes[0], st.routes[0]);
   EXPECT_EQ(back.vnh_allocated, st.vnh_allocated);
-  EXPECT_EQ(back.next_cookie, st.next_cookie);
   EXPECT_TRUE(back.installed);
   EXPECT_EQ(back.fingerprint, st.fingerprint);
   // The decoded artifact must fingerprint identically — the warm-restart
@@ -406,6 +406,8 @@ TEST(Checkpoint, RoundTripPreservesFingerprint) {
                 net::Ipv4Prefix::parse("100.1.0.0/16")),
             0u);
   EXPECT_EQ(back.fast_bindings, st.fast_bindings);
+  EXPECT_EQ(back.unbound, st.unbound);
+  EXPECT_EQ(back.signature_floor, st.signature_floor);
   EXPECT_EQ(back.remote_bindings, st.remote_bindings);
   ASSERT_EQ(back.extra_rules.size(), 1u);
   EXPECT_EQ(back.extra_rules[0].priority, st.extra_rules[0].priority);
@@ -440,6 +442,16 @@ TEST(Checkpoint, CorruptionYieldsNullopt) {
 
   write_file(path, "not a checkpoint at all");
   EXPECT_FALSE(try_load_checkpoint(path).has_value());
+
+  // An intact file of the previous format version (the u32 after the
+  // 8-byte magic; the CRC covers only the payload) is refused too, so
+  // recovery falls back to an older checkpoint or the WAL.
+  std::string older = bytes;
+  older[8] = 2;
+  write_file(path, older);
+  EXPECT_FALSE(try_load_checkpoint(path).has_value());
+  write_file(path, bytes);
+  EXPECT_TRUE(try_load_checkpoint(path).has_value());
 }
 
 // --- journal ----------------------------------------------------------------

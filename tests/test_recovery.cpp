@@ -20,6 +20,7 @@
 
 #include "deployment_state.hpp"
 #include "ixp/update_trace.hpp"
+#include "netbase/rng.hpp"
 #include "persist/journal.hpp"
 #include "persist/wal.hpp"
 #include "sdx/runtime.hpp"
@@ -212,6 +213,73 @@ TEST_F(RecoveryFixture, RecoveredDeploymentEqualsNeverCrashedTwin) {
     EXPECT_EQ(test::flow_table_dump(rt2), test::flow_table_dump(twin));
     EXPECT_EQ(test::arp_dump(rt2), test::arp_dump(twin));
     EXPECT_EQ(rt2.fabric().arp().size(), twin.fabric().arp().size());
+  }
+}
+
+TEST_F(RecoveryFixture, WarmRestartRebuildsTheBindingTable) {
+  // Churn that makes, joins and retires fast-path bindings — in the second
+  // case around a post-install policy change, which takes every binding
+  // made before it out of the signature index — then a checkpoint and a
+  // crash. The recovered runtime must carry on exactly like the
+  // never-crashed twin: the same joins, the same fresh bindings, the same
+  // bands.
+  const auto churn = [](SdxRuntime& r, std::uint64_t seed, int updates) {
+    net::SplitMix64 rng(seed);
+    for (int i = 0; i < updates; ++i) {
+      const Ipv4Prefix prefix(
+          net::Ipv4Address((100u << 24) |
+                           (static_cast<std::uint32_t>(rng.below(8)) << 16)),
+          16);
+      const auto who = static_cast<ParticipantId>(1 + rng.below(3));
+      if (rng.chance(0.3)) {
+        r.withdraw(who, prefix);
+      } else {
+        std::vector<net::Asn> path{r.participant(who).asn};
+        for (std::size_t k = 0, n = rng.below(3); k < n; ++k) {
+          path.push_back(static_cast<net::Asn>(64512 + rng.below(3)));
+        }
+        r.announce(who, prefix, net::AsPath(std::move(path)));
+      }
+      if (rng.chance(0.3)) r.flush();
+    }
+    r.flush();
+  };
+  for (const bool policy_change : {false, true}) {
+    SCOPED_TRACE(policy_change ? "policy change" : "churn only");
+    TempDir dir;
+    SdxRuntime twin;
+    build(twin);
+    twin.attach_journal(dir.path);
+    twin.enable_batching({0, 0});
+    churn(twin, 11, 200);
+    if (policy_change) {
+      // The same clause layout with another port: every old signature is
+      // still a valid key, so only the index's state tells the rules apart.
+      twin.set_outbound(a, {OutboundClause{ClauseMatch{}.dst_port(22), b},
+                            OutboundClause{ClauseMatch{}.dst_port(443), c}});
+      churn(twin, 12, 60);
+    }
+    twin.checkpoint();
+
+    SdxRuntime rt2;
+    const auto report = rt2.recover(dir.path);
+    ASSERT_TRUE(report.warm);
+    EXPECT_EQ(report.replayed, 0u);
+    rt2.enable_batching({0, 0});
+    const auto live = [](SdxRuntime& r) {
+      return r.telemetry().metrics.gauge("sdx_fast_path_bindings").value();
+    };
+    EXPECT_GT(live(twin), 0.0);
+    EXPECT_EQ(live(rt2), live(twin));
+    EXPECT_EQ(test::flow_table_dump(rt2), test::flow_table_dump(twin));
+
+    churn(twin, 13, 200);
+    churn(rt2, 13, 200);
+    EXPECT_EQ(test::fib_crc(rt2), test::fib_crc(twin));
+    EXPECT_EQ(test::flow_table_dump(rt2), test::flow_table_dump(twin));
+    EXPECT_EQ(test::arp_table_dump(rt2), test::arp_table_dump(twin));
+    EXPECT_EQ(live(rt2), live(twin));
+    EXPECT_EQ(probes(rt2), probes(twin));
   }
 }
 

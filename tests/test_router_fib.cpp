@@ -130,10 +130,10 @@ TEST(RouterFibGolden, InstallPlusChurnIsPinnedInEveryMode) {
     std::size_t entries;
   };
   const Case cases[] = {
-      {"pairwise", Mode::kPairwise, 2377141613u, 4470},
-      {"partitioned", Mode::kPartitioned, 2409890099u, 4470},
-      {"wire", Mode::kWire, 2377141613u, 4470},
-      {"wire-at-install", Mode::kWireAtInstall, 2377141613u, 4470},
+      {"pairwise", Mode::kPairwise, 148243021u, 4470},
+      {"partitioned", Mode::kPartitioned, 982009393u, 4470},
+      {"wire", Mode::kWire, 148243021u, 4470},
+      {"wire-at-install", Mode::kWireAtInstall, 148243021u, 4470},
   };
   for (const Case& c : cases) {
     auto rt = build(ixp, c.mode, 600, 31);

@@ -325,15 +325,31 @@ TEST_F(Figure1, ReAnnouncementRestoresPolicyPath) {
 
 TEST_F(Figure1, FastPathInstallsAdditionalRules) {
   rt.install();
-  const std::size_t base_rules = rt.fabric().sdx_switch().table().size();
+  auto& table = rt.fabric().sdx_switch().table();
+  const std::size_t base_rules = table.size();
   rt.clear_update_log();
-  rt.announce(c, Ipv4Prefix::parse("100.6.0.0/16"), net::AsPath{65003, 60});
+  // 100.6/16, announced by C alone, forwards exactly like p4: it joins
+  // p4's compiled group — no VNH, no rules.
+  const auto p6 = Ipv4Prefix::parse("100.6.0.0/16");
+  rt.announce(c, p6, net::AsPath{65003, 60});
   ASSERT_EQ(rt.update_log().size(), 1u);
-  EXPECT_GT(rt.update_log()[0].additional_rules, 0u);
-  EXPECT_GT(rt.fabric().sdx_switch().table().size(), base_rules);
+  EXPECT_EQ(rt.update_log()[0].additional_rules, 0u);
+  EXPECT_EQ(table.size(), base_rules);
+  EXPECT_EQ(rt.current_binding(p6), rt.current_binding(p4));
+  EXPECT_EQ(egress_of(a, packet("96.25.160.5", p6, 443)),
+            rt.participant(c).ports[0].id);
+  // 100.7/16, announced by A alone, has a signature no compiled group has
+  // (p5 has it too, but no clause reaches p5, so p5 is ungrouped): one
+  // fresh binding and its default rules.
+  const auto p7 = Ipv4Prefix::parse("100.7.0.0/16");
+  rt.announce(a, p7, net::AsPath{65001, 70});
+  ASSERT_EQ(rt.update_log().size(), 2u);
+  EXPECT_GT(rt.update_log()[1].additional_rules, 0u);
+  EXPECT_EQ(table.size(), base_rules + rt.update_log()[1].additional_rules);
+  EXPECT_EQ(egress_of(c, packet("96.25.160.5", p7, 80)),
+            rt.participant(a).ports[0].id);
   // Background pass coalesces back to a minimal table.
   rt.background_recompile();
-  auto& table = rt.fabric().sdx_switch().table();
   EXPECT_EQ(table.size(), rt.compiled().fabric.size());
 }
 

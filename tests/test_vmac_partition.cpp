@@ -429,6 +429,42 @@ TEST(PartitionedRuntime, PolicyChangeRecompilesOnlyTheDirtyPartition) {
   EXPECT_NE(egress(80), egress(443));
 }
 
+TEST(PartitionedRuntime, PolicyChangeAfterFastPathFollowsNewPolicy) {
+  // A prefix updated before the policy change holds a fast-path binding
+  // composed under the old clauses; the in-place recompile must rebind it
+  // under the new ones, or A's traffic keeps the old steering.
+  const auto p1 = Ipv4Prefix::parse("100.1.0.0/16");
+  const std::vector<OutboundClause> policy = {
+      OutboundClause{ClauseMatch{}.dst_port(80), 3}};
+  SdxRuntime rt({}, partitioned_options());
+  build_exchange(rt);
+  rt.announce(2, p1, net::AsPath{65002, 7, 7});
+  rt.flush();
+  const auto fast = rt.current_binding(p1);
+  ASSERT_TRUE(fast.has_value());
+  rt.set_outbound(1, policy);
+  ASSERT_TRUE(rt.current_binding(p1).has_value());
+  EXPECT_NE(rt.current_binding(p1), fast);
+
+  SdxRuntime want;  // pairwise reference for the changed policy
+  build_exchange(want);
+  want.announce(2, p1, net::AsPath{65002, 7, 7});
+  want.set_outbound(1, policy);
+  want.background_recompile();
+  auto egress = [](SdxRuntime& r, std::uint16_t port) {
+    auto out = r.send(1, PacketBuilder()
+                             .dst_ip("100.1.2.3")
+                             .proto(net::kProtoTcp)
+                             .dst_port(port)
+                             .build());
+    return out.size() == 1 ? out[0].port : net::PortId{0};
+  };
+  EXPECT_EQ(egress(rt, 80), want.participant(3).ports[0].id);
+  EXPECT_EQ(egress(rt, 80), egress(want, 80));
+  EXPECT_EQ(egress(rt, 443), egress(want, 443));
+  EXPECT_EQ(probe_all(rt), probe_all(want));
+}
+
 TEST(PartitionedRuntime, InPlaceRecompileEqualsAFreshCompileOfTheSlot) {
   SdxRuntime rt({}, partitioned_options());
   build_exchange(rt);
