@@ -121,20 +121,6 @@ std::vector<RouteServer::BestChange> RouteServer::withdraw(
   return changes;
 }
 
-std::unordered_map<Ipv4Prefix, ParticipantId> RouteServer::best_nexthops(
-    ParticipantId viewer) const {
-  std::unordered_map<Ipv4Prefix, ParticipantId> out;
-  const Peer* to = peer(viewer);
-  if (to == nullptr) return out;
-  out.reserve(rib_.size());
-  for (const auto& [prefix, ranked] : rib_) {
-    if (const Route* r = best_for(ranked, *to)) {
-      out.emplace(prefix, r->learned_from);
-    }
-  }
-  return out;
-}
-
 std::optional<Route> RouteServer::best_route_lpm(
     ParticipantId for_participant, Ipv4Address addr) const {
   const Peer* to = peer(for_participant);

@@ -78,15 +78,6 @@ class RouteServer {
   std::optional<Route> best_route(ParticipantId for_participant,
                                   Ipv4Prefix prefix) const;
 
-  /// One pass over the RIB: every prefix for which \p viewer has an
-  /// eligible best route, mapped to that route's advertiser. Semantically
-  /// `best_route(viewer, p)->learned_from` for every known p, but computed
-  /// without a hash probe per prefix — the per-compile snapshot behind the
-  /// SDX compiler's default-forwarding vectors. Empty for unknown viewers
-  /// and for participants no route is exported to.
-  std::unordered_map<Ipv4Prefix, ParticipantId> best_nexthops(
-      ParticipantId viewer) const;
-
   /// Longest-prefix-match variant: the best route covering \p addr from
   /// \p for_participant's view, scanning from the most specific covering
   /// prefix outward. Used to resolve where rewritten (load-balanced)
@@ -128,7 +119,8 @@ class RouteServer {
   /// none) or is nullptr when nothing there may be exported to peers()[i].
   /// best_route() for all peers at once, without a copy or a peer lookup
   /// per receiver — the one per-receiver decision behind the update diff,
-  /// the fast path's default vectors and re-advertisement.
+  /// the default vectors of the full compile and the fast path, and
+  /// re-advertisement.
   template <typename Fn>
   void for_each_best(const std::vector<Route>* ranked, Fn&& fn) const {
     for (std::size_t i = 0; i < peers_.size(); ++i) {

@@ -49,9 +49,8 @@ void record_compile_metrics(telemetry::MetricRegistry& reg,
   static constexpr const char* kStageHelp =
       "per-stage compile wall time (seconds)";
   const std::pair<const char*, double> stages[] = {
-      {"snapshot", s.snapshot_seconds}, {"reach", s.reach_seconds},
-      {"fec_vnh", s.vnh_seconds},       {"synth", s.synth_seconds},
-      {"compose", s.compose_seconds},
+      {"reach", s.reach_seconds}, {"fec_vnh", s.vnh_seconds},
+      {"synth", s.synth_seconds}, {"compose", s.compose_seconds},
   };
   for (const auto& [stage, seconds] : stages) {
     reg.histogram("sdx_compile_stage_seconds", kStageHelp, {},
@@ -254,17 +253,6 @@ DefaultVector SdxCompiler::defaults_for(Ipv4Prefix prefix) const {
       out[slot_of_peer_[peer]] = best->learned_from;
     }
   });
-  return out;
-}
-
-DefaultVector SdxCompiler::defaults_from(const BestRouteSnapshot& snapshot,
-                                         Ipv4Prefix prefix) const {
-  DefaultVector out(participants_.size());
-  for (std::size_t i = 0; i < snapshot.size(); ++i) {
-    const auto& best = snapshot[i];
-    if (best.empty()) continue;  // empty RIB: no probe, no allocation
-    if (auto it = best.find(prefix); it != best.end()) out[i] = it->second;
-  }
   return out;
 }
 
@@ -612,20 +600,6 @@ CompiledSdx SdxCompiler::compile(VnhAllocator& vnh) const {
   stats.prefixes_total = server_.prefix_count();
   stats.threads_used = pool.size();
 
-  // 0. Per-participant best-route snapshot: one RIB pass per participant,
-  // taken concurrently. Every defaults lookup below hits the snapshot
-  // instead of probing the route server per (participant, prefix).
-  BestRouteSnapshot snapshot(participants_.size());
-  {
-    StageTimer stage(tracer, "snapshot", stats.snapshot_seconds);
-    pool.parallel_for(
-        participants_.size(), 1, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            snapshot[i] = server_.best_nexthops(participants_[i].id);
-          }
-        });
-  }
-
   // 1. Clause reach sets, in global clause order (participant slot-major).
   std::vector<ClauseReach> reaches;
   {
@@ -635,10 +609,10 @@ CompiledSdx SdxCompiler::compile(VnhAllocator& vnh) const {
   stats.clause_count = reaches.size();
 
   if (options_.partitioned) {
-    compile_partitioned(snapshot, std::move(reaches), vnh, pool, result);
+    compile_partitioned(std::move(reaches), vnh, pool, result);
   } else {
     result.reaches = std::move(reaches);
-    compile_pairwise(snapshot, vnh, pool, result);
+    compile_pairwise(vnh, pool, result);
   }
 
   stats.final_rules = result.fabric.size();
@@ -653,8 +627,7 @@ CompiledSdx SdxCompiler::compile(VnhAllocator& vnh) const {
   return result;
 }
 
-void SdxCompiler::compile_pairwise(const BestRouteSnapshot& snapshot,
-                                   VnhAllocator& vnh, net::ThreadPool& pool,
+void SdxCompiler::compile_pairwise(VnhAllocator& vnh, net::ThreadPool& pool,
                                    CompiledSdx& result) const {
   CompileStats& stats = result.stats;
 
@@ -666,9 +639,7 @@ void SdxCompiler::compile_pairwise(const BestRouteSnapshot& snapshot,
     if (options_.vmac_grouping) {
       result.fecs = compute_fecs(
           result.reaches,
-          [this, &snapshot](Ipv4Prefix prefix) {
-            return defaults_from(snapshot, prefix);
-          },
+          [this](Ipv4Prefix prefix) { return defaults_for(prefix); },
           &pool);
       result.bindings.reserve(result.fecs.groups.size());
       for (std::size_t g = 0; g < result.fecs.groups.size(); ++g) {
@@ -748,19 +719,18 @@ void SdxCompiler::compile_pairwise(const BestRouteSnapshot& snapshot,
   }
 }
 
-FecResult SdxCompiler::partition_fecs(
-    const std::vector<ClauseReach>& reaches,
-    const std::unordered_map<Ipv4Prefix, ParticipantId>& own_best) const {
+FecResult SdxCompiler::partition_fecs(const std::vector<ClauseReach>& reaches,
+                                      ParticipantId owner) const {
   // Length-1 default vector: the tag only ever steers the owner's own
   // traffic (per-receiver advertisement), so only the owner's best route
   // can split groups — two prefixes with equal clause membership but
   // different owner defaults must not share a next-hop field.
   return compute_fecs(
       reaches,
-      [&own_best](Ipv4Prefix prefix) {
+      [this, owner](Ipv4Prefix prefix) {
         DefaultVector d(1);
-        if (auto it = own_best.find(prefix); it != own_best.end()) {
-          d[0] = it->second;
+        if (auto best = server_.best_route(owner, prefix)) {
+          d[0] = best->learned_from;
         }
         return d;
       },
@@ -851,8 +821,7 @@ std::vector<Rule> SdxCompiler::shared_stage1(const VmacLayout& layout) const {
   return out;
 }
 
-void SdxCompiler::compile_partitioned(const BestRouteSnapshot& snapshot,
-                                      std::vector<ClauseReach> reaches,
+void SdxCompiler::compile_partitioned(std::vector<ClauseReach> reaches,
                                       VnhAllocator& vnh, net::ThreadPool& pool,
                                       CompiledSdx& result) const {
   CompileStats& stats = result.stats;
@@ -874,7 +843,7 @@ void SdxCompiler::compile_partitioned(const BestRouteSnapshot& snapshot,
 
   vnh.reset();
   Stage2Memo memo;
-  compile_partitions(parts, snapshot, vnh, memo, pool, stats);
+  compile_partitions(parts, vnh, memo, pool, stats);
 
   // The partition-independent band, composed through the same memo.
   std::vector<Rule> shared;
@@ -902,9 +871,8 @@ void SdxCompiler::compile_partitioned(const BestRouteSnapshot& snapshot,
 }
 
 void SdxCompiler::compile_partitions(
-    const std::vector<CompiledPartition*>& parts,
-    const BestRouteSnapshot& snapshot, VnhAllocator& vnh, Stage2Memo& memo,
-    net::ThreadPool& pool, CompileStats& stats) const {
+    const std::vector<CompiledPartition*>& parts, VnhAllocator& vnh,
+    Stage2Memo& memo, net::ThreadPool& pool, CompileStats& stats) const {
   // Runs step(i) for every partition concurrently (partitions are
   // independent), charging its wall time to that partition.
   const auto each = [&](const auto& step) {
@@ -917,9 +885,6 @@ void SdxCompiler::compile_partitions(
           }
         });
   };
-  const auto owner_slot = [&](std::size_t i) {
-    return slot_of_.at(parts[i]->owner);
-  };
 
   // FECs per partition, then one serial binding sweep in slot order: group
   // ids and VNHs come from a single counter, so the assignment is
@@ -927,8 +892,7 @@ void SdxCompiler::compile_partitions(
   {
     StageTimer stage(span_tracer(), "fec_vnh", stats.vnh_seconds);
     each([&](std::size_t i) {
-      parts[i]->fecs =
-          partition_fecs(parts[i]->reaches, snapshot[owner_slot(i)]);
+      parts[i]->fecs = partition_fecs(parts[i]->reaches, parts[i]->owner);
     });
     for (CompiledPartition* part : parts) bind_partition(*part, vnh);
   }
@@ -937,8 +901,8 @@ void SdxCompiler::compile_partitions(
   {
     StageTimer stage(span_tracer(), "synth", stats.synth_seconds);
     each([&](std::size_t i) {
-      stage1[i] = partition_stage1(participants_[owner_slot(i)], *parts[i],
-                                   vnh.layout());
+      stage1[i] = partition_stage1(participants_[slot_of_.at(parts[i]->owner)],
+                                   *parts[i], vnh.layout());
       parts[i]->stage1_rules = stage1[i].size();
     });
   }

@@ -6,11 +6,12 @@
 /// switch.
 ///
 /// Pipeline (optimized mode, the paper's production path):
-///   0. best-route snapshot — one RIB pass per participant;
 ///   1. clause reach sets   — restrict every outbound clause to the prefixes
 ///                            its target actually exported to the sender;
 ///   2. FEC computation     — Minimum Disjoint Subsets over reach sets and
-///                            per-participant defaults (fec.hpp);
+///                            per-participant defaults, read from the live
+///                            route server for each reached prefix
+///                            (defaults_for; fec.hpp);
 ///   3. VNH/VMAC assignment — one binding per group (vnh_allocator.hpp);
 ///   4. stage-1 synthesis   — outbound clause rules matching (inport, VMAC,
 ///                            other fields), remote-participant rewrite
@@ -25,7 +26,7 @@
 ///                            only with the stage-2 classifier of the one
 ///                            participant it forwards into (§4.3.1).
 ///
-/// Stages 0 and 1 are shared by the pairwise and the partitioned pipeline.
+/// Stage 1 is shared by the pairwise and the partitioned pipeline.
 /// Stage 6 is one routine, compose_rule(): the pairwise fan-out, the
 /// per-partition and shared-band composition, the incremental fast path
 /// and the in-place partition recompile all compose through it.
@@ -80,9 +81,9 @@ struct CompileOptions {
   /// every allocator). Fingerprinted and persisted: changing it forces a
   /// cold install on warm restart.
   VmacLayout vmac_layout{};
-  /// Execution width of the parallel pipeline stages (clause reach,
-  /// best-route snapshot, FEC sharding, targeted composition): 0 = one
-  /// thread per hardware thread, 1 = fully serial. The compiled output is
+  /// Execution width of the parallel pipeline stages (clause reach, FEC
+  /// sharding, targeted composition): 0 = one thread per hardware
+  /// thread, 1 = fully serial. The compiled output is
   /// byte-identical for every value — parallel stages write into
   /// index-owned slots and shard merges are canonicalized, never appended
   /// under contention.
@@ -99,7 +100,6 @@ struct CompileStats {
   std::size_t final_rules = 0;
   std::size_t pair_compositions = 0;  ///< (stage-1 rule × stage-2 rule) visits
   unsigned threads_used = 1;          ///< pool width of the parallel stages
-  double snapshot_seconds = 0;        ///< per-participant best-route snapshot
   double reach_seconds = 0;           ///< clause reach computation
   double vnh_seconds = 0;             ///< FEC + VNH assignment (paper's "VNH computation")
   double synth_seconds = 0;           ///< rule synthesis
@@ -227,7 +227,10 @@ class SdxCompiler {
                                        const OutboundClause& clause) const;
 
   /// The per-participant default next-hop vector for one prefix (the FEC
-  /// pass-2 signature component).
+  /// pass-2 signature component): one RouteServer::for_each_best pass. The
+  /// only default-vector routine — the full compile's FECs and the fast
+  /// path's signatures both read it, so a prefix whose routes did not
+  /// change keeps the defaults its compiled group was interned under.
   DefaultVector defaults_for(Ipv4Prefix prefix) const;
 
   const std::vector<Participant>& participants() const {
@@ -237,7 +240,7 @@ class SdxCompiler {
 
   /// Attaches the measurement plane (nullptr detaches). Each compile()
   /// then opens a "compile" span with one child span per pipeline stage
-  /// (snapshot/reach/fec_vnh/synth/compose), observes the same stage
+  /// (reach/fec_vnh/synth/compose), observes the same stage
   /// timings into `sdx_compile_stage_seconds{stage=...}` histograms, and
   /// bumps the deterministic work counters (`sdx_compile_runs_total`,
   /// `_rules_total`, `_pair_compositions_total`). The bundle must outlive
@@ -249,13 +252,6 @@ class SdxCompiler {
  private:
   friend class IncrementalEngine;
 
-  /// Per-participant best-route next hops, taken once per compile with one
-  /// RIB pass per participant (indexed by participant slot). Participants
-  /// with no eligible routes have an empty map and are skipped wholesale
-  /// when assembling default vectors.
-  using BestRouteSnapshot =
-      std::vector<std::unordered_map<Ipv4Prefix, ParticipantId>>;
-
   /// Work done by a composition: stage-1 rules pulled back through a
   /// stage-2 classifier, and the stage-2 rules those pull-backs visited
   /// (CompileStats::pair_compositions).
@@ -266,11 +262,6 @@ class SdxCompiler {
 
   /// The attached tracer, or nullptr (stage spans are then inert).
   telemetry::SpanTracer* span_tracer() const;
-
-  /// defaults_for() against the snapshot instead of per-(participant,
-  /// prefix) route-server probes — the compile-time hot path.
-  DefaultVector defaults_from(const BestRouteSnapshot& snapshot,
-                              Ipv4Prefix prefix) const;
 
   /// Stage 1 of both pipelines: the reach sets of every outbound clause of
   /// the participants in slots [\p first, \p last), slot-major in clause
@@ -323,16 +314,15 @@ class SdxCompiler {
                              net::ThreadPool& pool) const;
 
   /// Stages 2–6 of the pairwise pipeline over result.reaches.
-  void compile_pairwise(const BestRouteSnapshot& snapshot, VnhAllocator& vnh,
-                        net::ThreadPool& pool, CompiledSdx& result) const;
+  void compile_pairwise(VnhAllocator& vnh, net::ThreadPool& pool,
+                        CompiledSdx& result) const;
 
   // -- partitioned pipeline --------------------------------------------
 
   /// Stages 2–6 of the partitioned pipeline: distributes \p reaches to
   /// their owners' partitions, compiles every partition, then the shared
   /// band.
-  void compile_partitioned(const BestRouteSnapshot& snapshot,
-                           std::vector<ClauseReach> reaches,
+  void compile_partitioned(std::vector<ClauseReach> reaches,
                            VnhAllocator& vnh, net::ThreadPool& pool,
                            CompiledSdx& result) const;
 
@@ -342,16 +332,14 @@ class SdxCompiler {
   /// compile_partitioned runs it over every partition;
   /// IncrementalEngine::recompile_partition over one.
   void compile_partitions(const std::vector<CompiledPartition*>& parts,
-                          const BestRouteSnapshot& snapshot,
                           VnhAllocator& vnh, Stage2Memo& memo,
                           net::ThreadPool& pool, CompileStats& stats) const;
 
   /// Per-partition FECs: Minimum Disjoint Subsets over the owner's reach
-  /// sets with a length-1 default vector — the owner's own best route —
-  /// since the tag only ever steers the owner's traffic.
-  FecResult partition_fecs(
-      const std::vector<ClauseReach>& reaches,
-      const std::unordered_map<Ipv4Prefix, ParticipantId>& own_best) const;
+  /// sets with a length-1 default vector — the advertiser of \p owner's
+  /// own best route — since the tag only ever steers the owner's traffic.
+  FecResult partition_fecs(const std::vector<ClauseReach>& reaches,
+                           ParticipantId owner) const;
 
   /// Allocates one attribute-encoded binding per group of \p part: the
   /// clause-membership bitmap in the attribute field, the owner's default

@@ -140,11 +140,8 @@ IncrementalEngine::PartitionUpdate IncrementalEngine::recompile_partition(
   CompiledPartition part;
   part.owner = owner;
   part.reaches = compiler_.clause_reaches(slot, slot + 1, serial);
-  SdxCompiler::BestRouteSnapshot snapshot(compiler_.participants().size());
-  snapshot[slot] = compiler_.server_.best_nexthops(owner);
   CompileStats stats;  // stage timings of a one-slot run: not reported
-  compiler_.compile_partitions({&part}, snapshot, vnh, stage2_, serial,
-                               stats);
+  compiler_.compile_partitions({&part}, vnh, stage2_, serial, stats);
 
   PartitionUpdate update;
   update.slot = slot;

@@ -298,6 +298,7 @@ std::size_t SdxRuntime::session_down(ParticipantId id) {
 }
 
 void SdxRuntime::withdraw(ParticipantId from, Ipv4Prefix prefix) {
+  participant(from);  // reject an unknown id before it reaches the WAL
   if (journal_recording_) {
     persist::WalRecord rec;
     rec.type = persist::WalRecordType::kWithdraw;

@@ -104,7 +104,9 @@ class SdxRuntime {
   /// NO_EXPORT/NO_ADVERTISE, "0:<asn>" per-peer blocking). Before install()
   /// only the route server changes; install() advertises the result. After
   /// install(), the prefix enters the dirty queue and the flush policy
-  /// decides when the fast path runs (at once, by default).
+  /// decides when the fast path runs (at once, by default). Both calls
+  /// throw std::out_of_range for an unknown participant, and a rejected
+  /// call leaves the state and the journal untouched.
   void announce(ParticipantId from, Ipv4Prefix prefix,
                 std::optional<net::AsPath> path = std::nullopt,
                 std::vector<bgp::Community> communities = {});

@@ -15,7 +15,9 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "deployment_state.hpp"
@@ -403,6 +405,78 @@ TEST_F(RecoveryFixture, SessionDownIsOneRecordAndReplays) {
   golden.background_recompile();
   rt2.background_recompile();
   EXPECT_EQ(rt2.compiled().fingerprint(), golden.compiled().fingerprint());
+}
+
+TEST_F(RecoveryFixture, RejectedMutationsLeaveTheJournalRecoverable) {
+  // A mutation the runtime rejects must not reach the WAL: replay would
+  // throw the same error and the journal could never be recovered. Each
+  // rejected call is followed by one accepted update, and the recovered
+  // runtime must equal a twin that only made the accepted one.
+  const auto p4 = Ipv4Prefix::parse("100.4.0.0/16");
+  const auto p7 = Ipv4Prefix::parse("100.7.0.0/16");
+  const std::pair<const char*, void (*)(SdxRuntime&)> rejected[] = {
+      {"withdraw from an unknown id",
+       [](SdxRuntime& r) {
+         EXPECT_THROW(r.withdraw(99, Ipv4Prefix::parse("100.1.0.0/16")),
+                      std::out_of_range);
+       }},
+      {"announce from an unknown id",
+       [](SdxRuntime& r) {
+         EXPECT_THROW(r.announce(99, Ipv4Prefix::parse("100.4.0.0/16"),
+                                 net::AsPath{65003}),
+                      std::out_of_range);
+       }},
+      {"RPKI-invalid announce",
+       [](SdxRuntime& r) {
+         // The ROA names AS 65003 as 100.7.0.0/16's only origin.
+         EXPECT_THROW(r.announce(3, Ipv4Prefix::parse("100.7.0.0/16"),
+                                 net::AsPath{65003, 64666}),
+                      std::invalid_argument);
+       }},
+      {"set_outbound toward an unknown id",
+       [](SdxRuntime& r) {
+         EXPECT_THROW(
+             r.set_outbound(1, {OutboundClause{ClauseMatch{}.dst_port(80),
+                                               99}}),
+             std::invalid_argument);
+       }},
+  };
+
+  SdxRuntime twin;
+  build(twin);
+  twin.announce(c, p4, net::AsPath{65003});
+  // Dumped before probing: flow_table_dump() includes hit counts.
+  const std::string fingerprint = twin.compiled().fingerprint();
+  const auto fib = test::fib_crc(twin);
+  const std::string flows = test::flow_table_dump(twin);
+  const std::string arp = test::arp_dump(twin);
+  const auto expected = probes(twin);
+
+  for (const auto& [what, reject] : rejected) {
+    SCOPED_TRACE(what);
+    TempDir dir;
+    {
+      SdxRuntime rt;
+      build(rt);
+      bgp::RoaTable roas;
+      roas.add(p7, 65003);
+      rt.enable_rpki(std::move(roas), SdxRuntime::RpkiMode::kStrict);
+      rt.attach_journal(dir.path);
+      const auto records = counter(rt, "sdx_journal_records_total");
+      reject(rt);
+      EXPECT_EQ(counter(rt, "sdx_journal_records_total"), records);
+      rt.announce(c, p4, net::AsPath{65003});
+    }
+    SdxRuntime rt2;
+    std::optional<SdxRuntime::RecoveryReport> report;
+    ASSERT_NO_THROW(report = rt2.recover(dir.path));
+    EXPECT_EQ(report->replayed, 1u);
+    EXPECT_EQ(rt2.compiled().fingerprint(), fingerprint);
+    EXPECT_EQ(test::fib_crc(rt2), fib);
+    EXPECT_EQ(test::flow_table_dump(rt2), flows);
+    EXPECT_EQ(test::arp_dump(rt2), arp);
+    EXPECT_EQ(probes(rt2), expected);
+  }
 }
 
 // --- truncation sweep -------------------------------------------------------

@@ -5,7 +5,8 @@
 /// eligibility, reach sets, change events (which participants, and the
 /// advertisers of their old and new best routes) — must agree at every
 /// step. The same model, driven through an SdxRuntime, also checks the
-/// fast path's default vectors and the best-route churn counter.
+/// fast path's default vectors and the best-route churn counter, and that
+/// a full compile's FEC groups are the fast path's signatures.
 
 #include <gtest/gtest.h>
 
@@ -16,8 +17,10 @@
 #include <vector>
 
 #include "bgp/route_server.hpp"
+#include "ixp/ixp_generator.hpp"
 #include "netbase/rng.hpp"
 #include "sdx/compiler.hpp"
+#include "sdx/incremental.hpp"
 #include "sdx/runtime.hpp"
 
 namespace sdx::bgp {
@@ -399,6 +402,82 @@ TEST_P(RuntimeRouteServerModel, BestChangeCounterMatchesTheModel) {
     ASSERT_EQ(counter.value(), expected) << "step " << step << " " << what;
   }
   EXPECT_GT(expected, 0u);
+}
+
+/// Compiles the exchange pairwise and checks that every grouped prefix's
+/// restricted signature is its FEC group's (clauses, defaults). The binding
+/// table interns compiled groups under this key, so a disagreement would
+/// rebind a prefix whose forwarding did not change. Returns the number of
+/// grouped prefixes checked.
+std::size_t expect_signatures_match_groups(
+    const std::vector<core::Participant>& participants,
+    const core::PortMap& ports, const RouteServer& server) {
+  core::CompileOptions options;
+  options.threads = 1;
+  core::IncrementalEngine engine(
+      core::SdxCompiler(participants, ports, server, options));
+  core::VnhAllocator vnh;
+  const core::FecResult& fecs = engine.full_recompile(vnh).fecs;
+  for (const auto& [prefix, g] : fecs.group_of) {
+    const auto sig = engine.signature(prefix);
+    if (!sig.has_value()) {
+      ADD_FAILURE() << prefix.to_string() << " is grouped but has no signature";
+      continue;
+    }
+    EXPECT_EQ(sig->clauses, fecs.groups[g].clauses) << prefix.to_string();
+    EXPECT_EQ(sig->defaults, fecs.groups[g].defaults) << prefix.to_string();
+  }
+  return fecs.group_of.size();
+}
+
+TEST_P(RuntimeRouteServerModel, CompiledGroupsAreTheFastPathSignatures) {
+  SplitMix64 rng(GetParam() * 0x94D049BB133111EBull);
+  core::SdxRuntime rt;
+  ModelServer model;
+  const auto ids = build_exchange(rt, model);
+  std::vector<Ipv4Prefix> universe;
+  for (std::uint32_t i = 0; i < 12; ++i) {
+    universe.push_back(Ipv4Prefix(Ipv4Address((40u + i) << 24), 8));
+  }
+  // Clauses from every local participant: unrestricted, and restricted to
+  // a block covering half the universe, so groups split on both.
+  const Ipv4Prefix block(Ipv4Address(40u << 24), 6);
+  for (std::size_t i = 1; i + 1 < ids.size(); ++i) {
+    rt.set_outbound(
+        ids[i],
+        {core::OutboundClause{core::ClauseMatch{}.dst_port(443),
+                              ids[(i + 1) % (ids.size() - 1)]},
+         core::OutboundClause{core::ClauseMatch{}.dst_port(80).dst(block),
+                              ids[(i + 2) % (ids.size() - 1)]}});
+  }
+  for (int step = 0; step < 150; ++step) {
+    const auto prefix = universe[rng.below(universe.size())];
+    const auto who = ids[rng.below(ids.size())];
+    if (rng.chance(0.75)) {
+      auto a = random_announcement(rng, rt.participant(who).asn, ids.size());
+      rt.announce(who, prefix, a.path, a.communities);
+    } else {
+      rt.withdraw(who, prefix);
+    }
+  }
+  EXPECT_GT(expect_signatures_match_groups(rt.participants(), rt.ports(),
+                                           rt.route_server()),
+            0u);
+}
+
+TEST(CompiledSignatures, GeneratedIxpGroupsAreTheFastPathSignatures) {
+  ixp::GeneratorConfig cfg;
+  cfg.participants = 16;
+  cfg.prefixes = 240;
+  cfg.seed = 21;
+  auto ixp = ixp::generate_ixp(cfg);
+  ixp::PolicySynthConfig pcfg;
+  pcfg.seed = 23;
+  pcfg.policy_prefixes = ixp::sample_policy_prefixes(ixp, 60, 29);
+  ixp::synthesize_policies(ixp, pcfg);
+  EXPECT_GT(
+      expect_signatures_match_groups(ixp.participants, ixp.ports, ixp.server),
+      0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RuntimeRouteServerModel,

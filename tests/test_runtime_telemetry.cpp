@@ -73,15 +73,17 @@ TEST(RuntimeTelemetry, InstallPlusFastPathSurfacesEverySeries) {
   EXPECT_NE(dump.find("# TYPE sdx_route_server_best_changes_total counter"),
             std::string::npos);
 
-  // Compiler: one full pipeline run, every stage priced once.
+  // Compiler: one full pipeline run, every stage priced once. Default
+  // vectors are read from the live route server inside fec_vnh: there is
+  // no best-route snapshot stage.
   EXPECT_NE(dump.find("sdx_compile_runs_total 1"), std::string::npos);
-  for (const char* stage :
-       {"snapshot", "reach", "fec_vnh", "synth", "compose"}) {
+  for (const char* stage : {"reach", "fec_vnh", "synth", "compose"}) {
     EXPECT_NE(dump.find("sdx_compile_stage_seconds_count{stage=\"" +
                         std::string(stage) + "\"} 1"),
               std::string::npos)
         << stage;
   }
+  EXPECT_EQ(dump.find("stage=\"snapshot\""), std::string::npos);
 
   // §4.3.2 fast path: the post-install announce and withdraw ran it.
   EXPECT_NE(dump.find("sdx_fast_path_updates_total 2"), std::string::npos);
@@ -121,14 +123,16 @@ TEST(RuntimeTelemetry, CompilerStageSpansNestUnderOneCompileSpan) {
   ASSERT_EQ(compiles.size(), 1u);  // one install() → one pipeline run
   const auto& compile = compiles.front();
 
-  for (const char* stage :
-       {"snapshot", "reach", "fec_vnh", "synth", "compose"}) {
+  for (const char* stage : {"reach", "fec_vnh", "synth", "compose"}) {
     auto it = std::find_if(
         records.begin(), records.end(),
         [stage](const SpanTracer::Record& r) { return r.name == stage; });
     ASSERT_NE(it, records.end()) << stage;
     EXPECT_TRUE(compile.encloses(*it)) << stage;
   }
+  EXPECT_TRUE(std::none_of(
+      records.begin(), records.end(),
+      [](const SpanTracer::Record& r) { return r.name == "snapshot"; }));
   // The compile itself sits inside the install() span, and the post-install
   // updates recorded fast_update spans.
   auto install = std::find_if(
