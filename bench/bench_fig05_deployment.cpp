@@ -72,7 +72,6 @@ bool fig5a() {
     if (!policy && t >= 565) {
       sdx.set_outbound(
           C, {core::OutboundClause{core::ClauseMatch{}.dst_port(80), B}});
-      sdx.install();
       policy = true;
     }
     if (!withdrawn && t >= 1253) {
@@ -139,7 +138,6 @@ bool fig5b() {
                       .src(net::Ipv4Prefix::parse("204.57.0.0/16")),
                   {{net::Field::kDstIp, i2.value()}},
                   std::nullopt}});
-      sdx.install();
       policy = true;
     }
     double to_1 = 0, to_2 = 0;

@@ -47,9 +47,9 @@ int main() {
   bool withdrawn = false;
   for (double t = 0; t < kDuration; t += kBucket) {
     if (!policy_installed && t >= kPolicyInstall) {
+      // The participant pushes a new policy; the controller redeploys it.
       sdx.set_outbound(
           C, {core::OutboundClause{core::ClauseMatch{}.dst_port(80), B}});
-      sdx.install();  // participant pushes a new policy to the controller
       policy_installed = true;
       std::fprintf(stderr, "[t=%4.0f] AS C installed application-specific "
                            "peering policy\n", t);

@@ -86,7 +86,6 @@ int main() {
         auto clauses = sdx.participant(transit).outbound;
         clauses.push_back(steer);
         sdx.set_outbound(transit, std::move(clauses));
-        sdx.install();
         mitigated = true;
         std::fprintf(stderr,
                      "[t=%2.0f] %s -> scrubber (%llu pkts in window)\n", t,

@@ -76,14 +76,12 @@ int main() {
            core::ClauseMatch{}.src(net::Ipv4Prefix::parse("30.0.0.0/16")),
            {},
            1}});
-  sdx.install();
   blast(sdx, A, "20.0.0.7", 50);
   blast(sdx, C, "30.0.0.7", 50);
   report(sdx, B, "split by source network:");
 
   // Phase 3: drain B1 for maintenance — everything over B2.
   sdx.set_inbound(B, {core::InboundClause{core::ClauseMatch{}, {}, 1}});
-  sdx.install();
   blast(sdx, A, "20.0.0.7", 50);
   blast(sdx, C, "30.0.0.7", 50);
   report(sdx, B, "drain port B1:");

@@ -66,7 +66,6 @@ int main() {
                    .src(net::Ipv4Prefix::parse("204.57.0.0/16")),
                {{net::Field::kDstIp, instance2.value()}},
                std::nullopt}});
-      sdx.install();
       installed = true;
       std::fprintf(stderr, "[t=%4.0f] AWS tenant installed the "
                            "load-balance policy remotely\n", t);

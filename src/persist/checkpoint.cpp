@@ -17,11 +17,11 @@ namespace sdx::persist {
 namespace {
 
 constexpr char kMagic[8] = {'S', 'D', 'X', 'C', 'K', 'P', 'T', '1'};
-// v2: VMAC layout + partitioned compilation artifacts. A v1 checkpoint no
+// Bumped whenever the payload layout changes. An older checkpoint no
 // longer loads (try_load_checkpoint rejects the version), which is the
 // intended behaviour: recovery falls back to WAL replay + cold install
-// rather than adopting tables whose VMAC encoding predates the layout.
-constexpr std::uint32_t kVersion = 3;
+// rather than adopting state encoded under another layout.
+constexpr std::uint32_t kVersion = 4;
 constexpr std::size_t kFileHeaderBytes = 8 + 4 + 4 + 8;
 
 [[noreturn]] void throw_errno(const std::string& what) {
@@ -226,7 +226,6 @@ std::string encode_checkpoint(const CheckpointState& state) {
     }
     e.u32(static_cast<std::uint32_t>(state.unbound.size()));
     for (auto prefix : state.unbound) e.prefix(prefix);
-    e.u64(state.signature_floor);
     e.u32(static_cast<std::uint32_t>(state.remote_bindings.size()));
     for (const auto& [id, binding] : state.remote_bindings) {
       e.u32(id);
@@ -271,7 +270,6 @@ CheckpointState decode_checkpoint(std::string_view payload) {
     for (std::uint32_t i = 0; i < nunbound; ++i) {
       st.unbound.push_back(d.prefix());
     }
-    st.signature_floor = d.u64();
     const std::uint32_t nremote = d.count();
     st.remote_bindings.reserve(nremote);
     for (std::uint32_t i = 0; i < nremote; ++i) {

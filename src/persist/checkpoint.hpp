@@ -72,15 +72,14 @@ struct CheckpointState {
   /// groups do not imply it: every prefix held off its compiled group with
   /// its binding — a fast-path binding, or another group's — sorted by
   /// prefix for a canonical encoding. Restore groups them into entries by
-  /// VNH; a fast entry's band cookie derives from its VNH.
+  /// VNH; a fast entry's band cookie derives from its VNH, and its
+  /// signature is recomputed from one member on the restored RIB (every
+  /// live binding was composed under the checkpointed policies, so every
+  /// fast entry is in the signature index).
   std::vector<std::pair<net::Ipv4Prefix, core::VnhBinding>> fast_bindings;
   /// Prefixes held with no binding (a group member flushed to an empty
   /// signature), sorted.
   std::vector<net::Ipv4Prefix> unbound;
-  /// VNH watermark at the last post-deploy policy change (0: none). Only
-  /// bindings allocated at or above it are in the signature index; restore
-  /// recomputes their signatures from one member each on the restored RIB.
-  std::uint64_t signature_floor = 0;
   /// Remote-participant bindings, sorted by participant id.
   std::vector<std::pair<bgp::ParticipantId, core::VnhBinding>>
       remote_bindings;

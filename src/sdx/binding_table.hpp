@@ -18,10 +18,12 @@
 ///    fast entries only.
 ///
 /// The signature index maps a signature to the entry composed for it under
-/// the current policy. A policy change empties it (invalidate()): entries
-/// composed under the old clauses or stage-2 classifiers keep their members
-/// but can no longer be joined, so the next flush of each member moves it to
-/// an entry composed under the new policy.
+/// the current policy. A post-install policy change either redeploys,
+/// which rebuilds the whole table (reset()), or swaps one partition, which
+/// empties the index (invalidate()): entries composed under the old
+/// clauses keep their members but can no longer be joined, and the swap
+/// re-flushes each member at once, which moves it to an entry composed
+/// under the new policy.
 
 #include <cstdint>
 #include <optional>
@@ -75,7 +77,8 @@ class BindingTable {
   /// VNH first).
   void retire(std::uint32_t id);
 
-  /// Empties the signature index (see the file comment).
+  /// Empties the signature index: a partition swap, before it re-flushes
+  /// every member (see the file comment).
   void invalidate();
 
   bool is_fast(std::uint32_t id) const { return id >= base_count_; }

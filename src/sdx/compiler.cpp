@@ -520,14 +520,10 @@ Classifier SdxCompiler::compose(std::vector<Rule> stage1,
 
 const Classifier& Stage2Memo::get(const SdxCompiler& compiler,
                                   std::size_t slot) {
-  const Participant& p = compiler.participants()[slot];
   if (by_slot_.size() <= slot) by_slot_.resize(compiler.participants().size());
-  Entry& e = by_slot_[slot];
-  if (!e.classifier || e.inbound != p.inbound) {
-    e.classifier = compiler.stage2_for(p);
-    e.inbound = p.inbound;
-  }
-  return *e.classifier;
+  std::optional<Classifier>& entry = by_slot_[slot];
+  if (!entry) entry = compiler.stage2_for(compiler.participants()[slot]);
+  return *entry;
 }
 
 void Stage2Memo::fill(const SdxCompiler& compiler, net::ThreadPool& pool) {

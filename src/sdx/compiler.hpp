@@ -184,26 +184,26 @@ class SdxCompiler;
 
 /// Slot-indexed memo of per-participant stage-2 classifiers (§4.3.1),
 /// used by every composition: the full compile fills one per run, the
-/// incremental engine keeps one for its lifetime. An entry remembers the
-/// inbound clauses it was built from and is rebuilt when they differ from
-/// the participant's current ones, so no composition ever runs through a
-/// classifier that predates an inbound-policy change.
+/// incremental engine keeps one between deploys. An entry is built on
+/// first use and kept until clear(); its owner clears the memo whenever an
+/// inbound policy may have changed (the engine does on every
+/// full_recompile() and adopt(), where every post-install inbound change
+/// ends).
 class Stage2Memo {
  public:
   /// The stage-2 classifier of the local participant in \p slot.
   const policy::Classifier& get(const SdxCompiler& compiler, std::size_t slot);
 
-  /// Brings every local participant's entry up to date across \p pool.
-  /// Until the participants change, get() then only reads, so any number
-  /// of threads may call it concurrently.
+  /// Builds every local participant's missing entry across \p pool. Until
+  /// the next clear(), get() then only reads, so any number of threads may
+  /// call it concurrently.
   void fill(const SdxCompiler& compiler, net::ThreadPool& pool);
 
+  /// Drops every entry.
+  void clear() { by_slot_.clear(); }
+
  private:
-  struct Entry {
-    std::vector<InboundClause> inbound;  ///< what `classifier` was built from
-    std::optional<policy::Classifier> classifier;
-  };
-  std::vector<Entry> by_slot_;
+  std::vector<std::optional<policy::Classifier>> by_slot_;
 };
 
 class SdxCompiler {

@@ -25,12 +25,14 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 const CompiledSdx& IncrementalEngine::full_recompile(VnhAllocator& vnh) {
   clauses_.reset();
+  stage2_.clear();
   current_ = compiler_.compile(vnh);
   return *current_;
 }
 
 const CompiledSdx& IncrementalEngine::adopt(CompiledSdx compiled) {
   clauses_.reset();
+  stage2_.clear();
   current_ = std::move(compiled);
   return *current_;
 }

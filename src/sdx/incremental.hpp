@@ -18,11 +18,13 @@
 /// signature of one prefix, found by one walk of a trie of every clause's
 /// destination blocks. compose() turns a signature and a binding into
 /// rules: synthesis, then the compiler's one serial composer
-/// (SdxCompiler::compose_serial) through the engine's Stage2Memo, which
-/// lives as long as the engine and rebuilds an entry whenever its
-/// participant's inbound clauses change. The runtime interns bindings by
-/// signature and composes only a signature no live binding has (see
-/// binding_table.hpp).
+/// (SdxCompiler::compose_serial) through the engine's Stage2Memo. The
+/// clause index behind signature() and the memo are built on first use and
+/// dropped by every full_recompile() and adopt(): after install() each
+/// inbound change and each pairwise outbound change ends in one of them,
+/// and recompile_partition() drops the clause index for the outbound
+/// change it swaps in. The runtime interns bindings by signature and
+/// composes only a signature no live binding has (see binding_table.hpp).
 ///
 /// fast_update_batch() is the paper's fresh-VNH stage built on the two
 /// pieces, and a single update is a batch of one. A burst groups prefixes
@@ -45,13 +47,15 @@ class IncrementalEngine {
 
   /// The background stage: full pipeline, minimal rule table. Replaces the
   /// engine's current state. Runs the compiler's parallel pipeline at
-  /// CompileOptions::threads width. Like adopt() and
-  /// recompile_partition(), it drops the clause index (policy_changed()).
+  /// CompileOptions::threads width. Drops the clause index and empties the
+  /// stage-2 memo, so the fast stage that follows composes under the
+  /// policies compiled here.
   const CompiledSdx& full_recompile(VnhAllocator& vnh);
 
   /// Installs an externally-compiled result as the engine's current state,
-  /// exactly as if full_recompile() had produced it — how a warm restart
-  /// takes over a checkpoint's compiled tables without compiling.
+  /// exactly as if full_recompile() had produced it (clause index and memo
+  /// dropped) — how a warm restart takes over a checkpoint's compiled
+  /// tables without compiling.
   const CompiledSdx& adopt(CompiledSdx compiled);
 
   /// Attaches the measurement plane to the underlying compiler (see
@@ -88,12 +92,6 @@ class IncrementalEngine {
   /// de-duplicated. Adds the stage-1 rules composed to \p compositions.
   policy::Classifier compose(const Signature& sig, const VnhBinding& binding,
                              std::size_t& compositions);
-
-  /// Drops the clause index behind signature(); the next call rebuilds it
-  /// from the participants' current outbound clauses. Call after any
-  /// outbound policy change (full_recompile() and adopt() drop it
-  /// themselves).
-  void policy_changed() { clauses_.reset(); }
 
   /// One dirty prefix of a batched flush. Prefixes whose restricted
   /// signatures coincide share a binding (and their rules were emitted
@@ -154,8 +152,8 @@ class IncrementalEngine {
   };
 
   /// Every outbound clause's ends by global id, and a trie of their
-  /// destination blocks: built on first use after a policy change. It
-  /// copies what it needs and points into no participant.
+  /// destination blocks: built on first use after a (re)compile. It copies
+  /// what it needs and points into no participant.
   struct ClauseIndex {
     std::vector<ClauseEnds> clauses;
     /// Destination block → the ids of the clauses restricted to it.

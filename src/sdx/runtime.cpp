@@ -185,15 +185,14 @@ void SdxRuntime::set_outbound(ParticipantId id,
     rec.outbound = participant(id).outbound;
     journal_->append(rec);
   }
-  // Partitioned mode: an outbound change dirties exactly one partition —
-  // recompile and swap it in place instead of waiting for the next full
-  // rebuild. (Pairwise mode keeps the historical contract: changes land on
-  // the next install()/recompile; until then only new bindings follow it.)
+  // After install() the change deploys at once. Partitioned mode: an
+  // outbound change dirties exactly one partition — recompile and swap it
+  // in place. Pairwise mode redeploys the whole fabric.
   if (!installed()) return;
   if (options_.partitioned) {
     recompile_participant_partition(id);
   } else {
-    invalidate_bindings();
+    background_recompile();
   }
 }
 
@@ -211,15 +210,10 @@ void SdxRuntime::set_inbound(ParticipantId id,
     journal_->append(rec);
   }
   // An inbound change rewrites this participant's stage-2 classifier, which
-  // is composed into every partition whose clauses target it — not a
-  // single-partition change, so rebuild everything. The WAL record above
-  // covers the derived effects on replay (a recompile writes none).
-  if (!installed()) return;
-  if (options_.partitioned) {
-    background_recompile();
-  } else {
-    invalidate_bindings();
-  }
+  // is composed into every partition and group whose clauses target it, so
+  // it redeploys everything. The WAL record above covers the derived effects
+  // on replay (a recompile writes none).
+  if (installed()) background_recompile();
 }
 
 void SdxRuntime::enable_rpki(bgp::RoaTable table, RpkiMode mode) {
@@ -359,7 +353,6 @@ void SdxRuntime::reset_bindings(const CompiledSdx& compiled,
                                 const persist::CheckpointState* restored) {
   bindings_.reset(compiled.partitioned ? nullptr : &compiled.fecs,
                   compiled.bindings);
-  signature_floor_ = 0;
   if (restored == nullptr) return;
   // Warm restart: every persisted binding names its entry by VNH. A VNH no
   // base entry has is a fast-path binding; its band comes back as residue
@@ -381,16 +374,11 @@ void SdxRuntime::reset_bindings(const CompiledSdx& compiled,
   for (auto prefix : restored->unbound) {
     bindings_.assign(prefix, BindingTable::kNone);
   }
-  // The signature index: every binding allocated at or above the floor,
-  // base entries included only when no policy changed since the deploy.
-  // The checkpoint flushed first, so any member's signature on the
-  // restored RIB is its binding's.
-  signature_floor_ = restored->signature_floor;
-  if (signature_floor_ != 0) bindings_.invalidate();
-  const std::uint32_t pool = vnh_.pool().network().value();
+  // The signature index: no live binding predates the policy in force (a
+  // policy change redeploys, or swaps its partition and rebinds every fast
+  // member), and the checkpoint flushed first, so any member's signature on
+  // the restored RIB is its binding's.
   for (const auto& [id, member] : fast) {
-    const VnhBinding& b = bindings_.entry(id).binding;
-    if (b.vnh.value() - pool < signature_floor_) continue;
     if (auto sig = engine_->signature(member)) {
       bindings_.index(id, std::move(*sig));
     }
@@ -404,12 +392,6 @@ void SdxRuntime::reset_bindings(const CompiledSdx& compiled,
     rule.cookie = extra.cookie;
     table.install(std::move(rule));
   }
-}
-
-void SdxRuntime::invalidate_bindings() {
-  bindings_.invalidate();
-  signature_floor_ = vnh_.allocated();
-  engine_->policy_changed();
 }
 
 const CompiledSdx& SdxRuntime::install() {
@@ -489,7 +471,7 @@ void SdxRuntime::recompile_participant_partition(ParticipantId id) {
   // Every fast-path binding was composed under the old clauses: flush each
   // fast-bound prefix against the emptied signature index, which moves it
   // to a binding composed under the new ones (and retires the old).
-  invalidate_bindings();
+  bindings_.invalidate();
   std::vector<Ipv4Prefix> bound;
   bindings_.for_each_held([&bound](Ipv4Prefix prefix, std::uint32_t id) {
     if (id != BindingTable::kNone) bound.push_back(prefix);
@@ -861,7 +843,6 @@ std::uint64_t SdxRuntime::checkpoint() {
     std::sort(st.fast_bindings.begin(), st.fast_bindings.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     std::sort(st.unbound.begin(), st.unbound.end());
-    st.signature_floor = signature_floor_;
     st.remote_bindings.assign(remote_bindings_.begin(),
                               remote_bindings_.end());
     std::sort(st.remote_bindings.begin(), st.remote_bindings.end(),
@@ -998,26 +979,12 @@ SdxRuntime::RecoveryReport SdxRuntime::recover(
   // instead of one restricted compilation per record.
   const BatchOptions policy = batch_options_;
   batch_options_ = BatchOptions{0, 0};
-  bool policy_replayed = false;
   for (const auto& rec : journal->tail()) {
-    if (installed() &&
-        (rec.type == persist::WalRecordType::kSetOutbound ||
-         rec.type == persist::WalRecordType::kSetInbound)) {
-      policy_replayed = true;
-    }
     replay_record(rec);
     ++report.replayed;
   }
   batch_options_ = policy;
   flush();
-  // Pairwise mode defers a post-install policy change to the next recompile,
-  // and the recompile the live runtime eventually ran is not a WAL record —
-  // replay would otherwise resurrect the stale tables. One coalesced rebuild
-  // restores the never-crashed state. (Partitioned mode recompiled the
-  // affected partitions inline during replay, so nothing is stale.)
-  if (policy_replayed && installed() && !options_.partitioned) {
-    background_recompile();
-  }
   journal_ = std::move(journal);
   wire_journal_hooks();
   journal_->start_recording(/*genesis_if_new=*/false);
@@ -1139,6 +1106,9 @@ void SdxRuntime::enable_verification() {
                                    "packet equivalence classes walked");
     verify_edges_ = &reg.counter("sdx_verify_edges_total",
                                  "forwarding-graph edges traversed");
+    verify_unchecked_ = &reg.counter(
+        "sdx_verify_unchecked_variants_total",
+        "header variants past the enumeration cap, left unchecked");
     // Pre-register every kind so the exposition is shape-stable whether or
     // not a kind ever fires (the bench baselines gate on counter equality).
     for (auto kind :
@@ -1189,6 +1159,7 @@ void SdxRuntime::run_safety_stage(const std::vector<Ipv4Prefix>* dirty) {
   verify_seconds_->observe(last_safety_report_.seconds);
   verify_classes_->inc(last_safety_report_.classes_checked);
   verify_edges_->inc(last_safety_report_.edges_walked);
+  verify_unchecked_->inc(last_safety_report_.unchecked_variants);
   for (const auto& v : last_safety_report_.violations) {
     verify_violations_[static_cast<std::size_t>(v.kind)]->inc();
   }

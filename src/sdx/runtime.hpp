@@ -29,7 +29,10 @@
 ///      optimal tables between bursts, on the control thread, and absorbs
 ///      the queue. A session_down() queues its withdrawals and lets that
 ///      recompile absorb them.
-///   5. send() pushes packets through the emulated data plane end to end.
+///   5. a policy change after install() redeploys at once (see the policies
+///      block below): the two-stage scheme is for BGP updates only, so no
+///      prefix ever forwards under a policy that is no longer set;
+///   6. send() pushes packets through the emulated data plane end to end.
 ///
 /// There is one full deploy, install_compiled(): install(),
 /// background_recompile() and a warm recover() all end in it, and differ
@@ -86,12 +89,15 @@ class SdxRuntime {
   }
   const PortMap& ports() const { return port_map_; }
 
-  // --- policies (recompiled on the next install()) -------------------------
+  // --- policies --------------------------------------------------------------
   //
-  // After install(), a change also retires every fast-path binding from the
-  // signature index, so no later update joins rules composed under the old
-  // policy; in partitioned mode an outbound change recompiles its
-  // partition in place and rebinds every fast-bound prefix at once.
+  // Before install() a change only edits the participant; install()
+  // compiles it. After install() it deploys before the call returns: an
+  // outbound change in partitioned mode recompiles its partition in place
+  // and rebinds every fast-bound prefix; every other change runs
+  // background_recompile(). No binding composed under the old policy
+  // survives the call. A rejected change (std::invalid_argument,
+  // std::out_of_range) leaves the policy as it was.
 
   void set_outbound(ParticipantId id, std::vector<OutboundClause> clauses);
   void set_inbound(ParticipantId id, std::vector<InboundClause> clauses);
@@ -397,11 +403,9 @@ class SdxRuntime {
   /// Partitioned mode, outbound policy change after install(): recompile
   /// only \p id's partition, swap its flow-table band under its cookie,
   /// ARP-bind the fresh bindings, re-advertise the affected prefixes, then
-  /// rebind every fast-bound prefix under the new policy.
+  /// empty the signature index and re-flush every fast-bound prefix, so no
+  /// fast binding outlives the policy it was composed under.
   void recompile_participant_partition(ParticipantId id);
-  /// A policy change after install(): no binding composed under the old
-  /// policy may be joined or kept by a later flush (see BindingTable).
-  void invalidate_bindings();
   /// The band cookie of the fast-path binding \p b.
   std::uint64_t fast_cookie(const VnhBinding& b) const {
     return kFastCookieBase + (b.vnh.value() - vnh_.pool().network().value());
@@ -473,6 +477,7 @@ class SdxRuntime {
   telemetry::Histogram* verify_seconds_ = nullptr;
   telemetry::Counter* verify_classes_ = nullptr;
   telemetry::Counter* verify_edges_ = nullptr;
+  telemetry::Counter* verify_unchecked_ = nullptr;
   /// Violation counters indexed by verify::ViolationKind.
   std::array<telemetry::Counter*, 4> verify_violations_{};
 
@@ -502,11 +507,6 @@ class SdxRuntime {
   /// Every live binding by signature, and each prefix's (see
   /// binding_table.hpp).
   BindingTable bindings_;
-  /// VNH watermark at the last policy change since the deploy (0: none):
-  /// the fast-path bindings allocated below it are out of the signature
-  /// index. VNHs are never reused between deploys, so a checkpoint carries
-  /// the index as this one number.
-  std::uint64_t signature_floor_ = 0;
   /// Per-remote-participant next-hop binding so senders can frame traffic
   /// toward prefixes only a remote participant announces.
   std::unordered_map<ParticipantId, VnhBinding> remote_bindings_;

@@ -25,7 +25,8 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Cap on enumerated header variants (excess clauses share classes).
+/// Cap on enumerated header variants. The variants past it go unchecked;
+/// the report counts them and is not ok() (SafetyReport::unchecked_variants).
 constexpr std::size_t kMaxVariants = 64;
 
 /// Source address of a class whose variant names no source prefix.
@@ -56,8 +57,11 @@ void append_variant_fields(const core::ClauseMatch& match,
   out.push_back(std::move(v));
 }
 
+/// The distinct variants in canonical order, at most kMaxVariants; the
+/// number cut past the cap lands in \p unchecked.
 std::vector<Variant> build_variants(
-    const std::vector<core::Participant>& participants) {
+    const std::vector<core::Participant>& participants,
+    std::size_t& unchecked) {
   std::vector<Variant> out;
   out.push_back(Variant{});  // the default (unpolicied) class
   for (const auto& p : participants) {
@@ -70,7 +74,8 @@ std::vector<Variant> build_variants(
   }
   std::sort(out.begin(), out.end(), variant_less);
   out.erase(std::unique(out.begin(), out.end()), out.end());
-  if (out.size() > kMaxVariants) out.resize(kMaxVariants);
+  unchecked = out.size() > kMaxVariants ? out.size() - kMaxVariants : 0;
+  if (unchecked != 0) out.resize(kMaxVariants);
   return out;
 }
 
@@ -302,8 +307,8 @@ std::string SafetyReport::to_string() const {
   os << "safety report (" << (incremental ? "incremental" : "full") << "): "
      << violations.size() << " violation(s), " << classes_checked
      << " classes, " << edges_walked << " edges, " << prefixes_checked
-     << " prefixes, " << variants << " variants, " << local_rules_checked
-     << " rules audited\n";
+     << " prefixes, " << variants << " variants (" << unchecked_variants
+     << " unchecked), " << local_rules_checked << " rules audited\n";
   for (const auto& v : violations) {
     os << "  [" << kind_name(v.kind) << "] " << v.what << "\n";
     if (v.counterexample) {
@@ -371,7 +376,7 @@ SafetyReport SafetyChecker::full(const DeploymentView& view) {
   classes_total_ = 0;
   edges_total_ = 0;
   violating_.clear();
-  const auto variants = build_variants(*view.participants);
+  const auto variants = build_variants(*view.participants, variants_cut_);
   for (auto prefix : view.known_prefixes()) {
     store(prefix, check_prefix(view, prefix, variants));
   }
@@ -382,7 +387,7 @@ SafetyReport SafetyChecker::full(const DeploymentView& view) {
 SafetyReport SafetyChecker::incremental(const DeploymentView& view,
                                         const std::vector<Ipv4Prefix>& dirty) {
   const auto t0 = std::chrono::steady_clock::now();
-  const auto variants = build_variants(*view.participants);
+  const auto variants = build_variants(*view.participants, variants_cut_);
   std::unordered_set<Ipv4Prefix> seen;
   for (auto prefix : dirty) {
     if (!seen.insert(prefix).second) continue;
@@ -406,6 +411,7 @@ SafetyReport SafetyChecker::assemble(bool incremental, double seconds) const {
   report.incremental = incremental;
   report.seconds = seconds;
   report.variants = variants_seen_;
+  report.unchecked_variants = variants_cut_;
   report.local_rules_checked = local_rules_checked_;
   report.violations = local_;
   for (auto prefix : violating_) {

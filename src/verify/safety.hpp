@@ -43,7 +43,9 @@
 /// O(violations) to reassemble the report: it asks the view whether each
 /// dirty prefix is still known (is_known) and re-anchors rewritten
 /// destinations with known_covering, so nothing in it enumerates the
-/// deployment.
+/// deployment. A pass enumerates at most 64 header variants; the ones past
+/// the cap are counted in SafetyReport::unchecked_variants and make the
+/// report not ok(), so a clean verdict never rests on a silent cut.
 
 #include <cstdint>
 #include <functional>
@@ -111,11 +113,15 @@ struct SafetyReport {
   std::size_t edges_walked = 0;      ///< switch traversals performed
   std::size_t prefixes_checked = 0;
   std::size_t variants = 0;          ///< header variants enumerated
+  /// Distinct header variants past the enumeration cap: no class of theirs
+  /// was walked, so the report proves nothing about them.
+  std::size_t unchecked_variants = 0;
   std::size_t local_rules_checked = 0;
   bool incremental = false;
   double seconds = 0;
 
-  bool ok() const { return violations.empty(); }
+  /// No violation found, and no variant left unchecked.
+  bool ok() const { return violations.empty() && unchecked_variants == 0; }
   std::size_t count(ViolationKind k) const;
   std::string to_string() const;
 };
@@ -221,6 +227,7 @@ class SafetyChecker {
   std::size_t edges_total_ = 0;      ///< sum over cache_
   std::set<Ipv4Prefix> violating_;   ///< cached prefixes with violations
   std::size_t variants_seen_ = 0;
+  std::size_t variants_cut_ = 0;  ///< variants past the cap, last pass
   std::vector<SafetyViolation> local_;
   std::size_t local_rules_checked_ = 0;
 };

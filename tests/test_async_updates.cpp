@@ -346,22 +346,64 @@ TEST_F(AsyncUpdatesFixture, RecompileDropsSupersededFastPathBindings) {
             rt.compiled().fabric.size());
 }
 
-TEST_F(AsyncUpdatesFixture, PostInstallPolicyChangeLandsOnNextRecompile) {
-  // Pairwise mode defers a policy change made after install() to the next
-  // recompile, which must then deploy bit-for-bit what a runtime holding
-  // the new policy from the start installs.
-  const std::vector<OutboundClause> policy = {
-      OutboundClause{ClauseMatch{}.dst_port(22), c}};
-  SdxRuntime golden;
-  build(golden, /*install=*/false);
-  golden.set_outbound(a, policy);
-  golden.install();
+TEST_F(AsyncUpdatesFixture, PostInstallPolicyChangeRedeploysAtOnce) {
+  // Policies are compiled, not fast-pathed: in pairwise mode a change after
+  // install() redeploys before the call returns, bit-for-bit what a runtime
+  // holding the policy from the start installs. 100.1/16 is announced by B
+  // and C, so both of A's clauses reach it and it stays in a base group
+  // while its traffic moves with each change.
+  const auto p1 = Ipv4Prefix::parse("100.1.0.0/16");
+  const std::vector<OutboundClause> outbound = {
+      OutboundClause{ClauseMatch{}.dst_port(80), c},
+      OutboundClause{ClauseMatch{}.dst_port(443), b}};
+  const std::vector<InboundClause> inbound = {
+      InboundClause{ClauseMatch{}.dst_port(80), {}, 1}};
+  // C has two ports here, so its inbound clause moves traffic between them.
+  const auto setup = [&](SdxRuntime& r, bool with_outbound,
+                         bool with_inbound) {
+    r.add_participant("A", 65001);
+    r.add_participant("B", 65002);
+    r.add_participant("C", 65003, 2);
+    r.set_outbound(a, {OutboundClause{ClauseMatch{}.dst_port(80), b},
+                       OutboundClause{ClauseMatch{}.dst_port(443), c}});
+    if (with_outbound) r.set_outbound(a, outbound);
+    if (with_inbound) r.set_inbound(c, inbound);
+    r.announce(b, p1, net::AsPath{65002, 7});
+    r.announce(c, p1, net::AsPath{65003, 7, 8});
+    r.announce(c, Ipv4Prefix::parse("100.9.0.0/16"), net::AsPath{65003});
+    r.install();
+  };
+  SdxRuntime live, golden_out, golden_both;
+  setup(live, false, false);
+  setup(golden_out, true, false);
+  setup(golden_both, true, true);
+  const auto port = [&](ParticipantId id, std::size_t k) {
+    return live.participant(id).ports[k].id;
+  };
+  ASSERT_TRUE(live.current_group(p1).has_value());
+  EXPECT_EQ(egress(live, a, "100.1.2.3", 80), port(b, 0));
+  EXPECT_EQ(egress(live, a, "100.1.2.3", 443), port(c, 0));
+  const auto compiles = [](SdxRuntime& r) {
+    return r.telemetry().metrics.counter("sdx_compile_runs_total").value();
+  };
+  const auto runs = compiles(live);
 
-  rt.set_outbound(a, policy);
-  EXPECT_NE(rt.compiled().fingerprint(), golden.compiled().fingerprint());
-  rt.background_recompile();
-  EXPECT_EQ(rt.compiled().fingerprint(), golden.compiled().fingerprint());
-  EXPECT_EQ(test::flow_table_dump(rt), test::flow_table_dump(golden));
+  live.set_outbound(a, outbound);
+  EXPECT_EQ(compiles(live), runs + 1);
+  EXPECT_EQ(live.compiled().fingerprint(), golden_out.compiled().fingerprint());
+  EXPECT_EQ(test::flow_table_dump(live), test::flow_table_dump(golden_out));
+  EXPECT_TRUE(live.current_group(p1).has_value());
+  EXPECT_EQ(egress(live, a, "100.1.2.3", 80), port(c, 0));
+  EXPECT_EQ(egress(live, a, "100.1.2.3", 443), port(b, 0));
+
+  live.set_inbound(c, inbound);
+  EXPECT_EQ(compiles(live), runs + 2);
+  EXPECT_EQ(live.compiled().fingerprint(),
+            golden_both.compiled().fingerprint());
+  EXPECT_EQ(test::flow_table_dump(live), test::flow_table_dump(golden_both));
+  EXPECT_TRUE(live.current_group(p1).has_value());
+  EXPECT_EQ(egress(live, a, "100.1.2.3", 80), port(c, 1));
+  EXPECT_EQ(egress(live, a, "100.1.2.3", 443), port(b, 0));
 }
 
 // --- bounded update log -----------------------------------------------------

@@ -374,7 +374,6 @@ CheckpointState sample_checkpoint() {
                        {net::Ipv4Address::parse("172.16.0.2"),
                         net::MacAddress(0x020000000002ull)}}};
   st.unbound = {net::Ipv4Prefix::parse("100.3.0.0/16")};
-  st.signature_floor = 9;
   st.remote_bindings = {{4,
                          {net::Ipv4Address::parse("172.16.0.3"),
                           net::MacAddress(0x020000000003ull)}}};
@@ -407,7 +406,6 @@ TEST(Checkpoint, RoundTripPreservesFingerprint) {
             0u);
   EXPECT_EQ(back.fast_bindings, st.fast_bindings);
   EXPECT_EQ(back.unbound, st.unbound);
-  EXPECT_EQ(back.signature_floor, st.signature_floor);
   EXPECT_EQ(back.remote_bindings, st.remote_bindings);
   ASSERT_EQ(back.extra_rules.size(), 1u);
   EXPECT_EQ(back.extra_rules[0].priority, st.extra_rules[0].priority);
@@ -443,13 +441,15 @@ TEST(Checkpoint, CorruptionYieldsNullopt) {
   write_file(path, "not a checkpoint at all");
   EXPECT_FALSE(try_load_checkpoint(path).has_value());
 
-  // An intact file of the previous format version (the u32 after the
+  // An intact file of an earlier format version (the u32 after the
   // 8-byte magic; the CRC covers only the payload) is refused too, so
   // recovery falls back to an older checkpoint or the WAL.
-  std::string older = bytes;
-  older[8] = 2;
-  write_file(path, older);
-  EXPECT_FALSE(try_load_checkpoint(path).has_value());
+  for (const char version : {2, 3}) {
+    std::string older = bytes;
+    older[8] = version;
+    write_file(path, older);
+    EXPECT_FALSE(try_load_checkpoint(path).has_value()) << int{version};
+  }
   write_file(path, bytes);
   EXPECT_TRUE(try_load_checkpoint(path).has_value());
 }

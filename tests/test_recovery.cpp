@@ -177,8 +177,13 @@ TEST_F(RecoveryFixture, RecoveredDeploymentEqualsNeverCrashedTwin) {
   const auto p2 = Ipv4Prefix::parse("100.2.0.0/16");
   const auto p4 = Ipv4Prefix::parse("100.4.0.0/16");
   const auto p5 = Ipv4Prefix::parse("100.5.0.0/16");
-  for (const bool warm : {true, false}) {
-    SCOPED_TRACE(warm ? "warm" : "cold");
+  // With `policy`, the tail also holds a post-install outbound and inbound
+  // change: each redeploys when it is replayed, as it did live.
+  for (const auto [warm, policy] :
+       {std::pair{true, false}, std::pair{false, false}, std::pair{true, true},
+        std::pair{false, true}}) {
+    SCOPED_TRACE(std::string(warm ? "warm" : "cold") +
+                 (policy ? ", policy tail" : ""));
     TempDir dir;
     SdxRuntime twin;
     build(twin);
@@ -194,7 +199,16 @@ TEST_F(RecoveryFixture, RecoveredDeploymentEqualsNeverCrashedTwin) {
       twin.checkpoint();
     }
     twin.withdraw(b, p2);
+    if (policy) {
+      twin.set_outbound(a, {OutboundClause{ClauseMatch{}.dst_port(22), b},
+                            OutboundClause{ClauseMatch{}.dst_port(443), c}});
+    }
     twin.announce(b, p5, net::AsPath{65002});
+    if (policy) {
+      twin.set_inbound(
+          c, {InboundClause{ClauseMatch{}.dst_port(443),
+                            {{net::Field::kDstPort, 8443}}, std::nullopt}});
+    }
     twin.flush();
     if (!warm) {
       // A fingerprint that does not match forces the cold install.
@@ -210,19 +224,20 @@ TEST_F(RecoveryFixture, RecoveredDeploymentEqualsNeverCrashedTwin) {
     SdxRuntime rt2;
     const auto report = rt2.recover(dir.path);
     ASSERT_EQ(report.warm, warm);
-    EXPECT_EQ(report.replayed, 2u);
+    EXPECT_EQ(report.replayed, policy ? 4u : 2u);
+    EXPECT_EQ(rt2.compiled().fingerprint(), twin.compiled().fingerprint());
     EXPECT_EQ(test::fib_crc(rt2), test::fib_crc(twin));
     EXPECT_EQ(test::flow_table_dump(rt2), test::flow_table_dump(twin));
     EXPECT_EQ(test::arp_dump(rt2), test::arp_dump(twin));
     EXPECT_EQ(rt2.fabric().arp().size(), twin.fabric().arp().size());
+    EXPECT_EQ(probes(rt2), probes(twin));
   }
 }
 
 TEST_F(RecoveryFixture, WarmRestartRebuildsTheBindingTable) {
   // Churn that makes, joins and retires fast-path bindings — in the second
-  // case around a post-install policy change, which takes every binding
-  // made before it out of the signature index — then a checkpoint and a
-  // crash. The recovered runtime must carry on exactly like the
+  // case around a post-install policy change, which redeploys and drops
+  // every binding made before it — then a checkpoint and a crash. The recovered runtime must carry on exactly like the
   // never-crashed twin: the same joins, the same fresh bindings, the same
   // bands.
   const auto churn = [](SdxRuntime& r, std::uint64_t seed, int updates) {
@@ -256,7 +271,8 @@ TEST_F(RecoveryFixture, WarmRestartRebuildsTheBindingTable) {
     churn(twin, 11, 200);
     if (policy_change) {
       // The same clause layout with another port: every old signature is
-      // still a valid key, so only the index's state tells the rules apart.
+      // still a valid key, so a binding that outlived the change would be
+      // joined by the churn after it.
       twin.set_outbound(a, {OutboundClause{ClauseMatch{}.dst_port(22), b},
                             OutboundClause{ClauseMatch{}.dst_port(443), c}});
       churn(twin, 12, 60);

@@ -612,5 +612,50 @@ TEST(SafetyVerify, ViolationTelemetryCountsByKind) {
   EXPECT_GE(counter(rt, "sdx_verify_runs_total", {{"mode", "full"}}), 2u);
 }
 
+TEST(SafetyVerify, VariantsPastTheCapAreCountedAndNotOk) {
+  // Each distinct dst-port clause is one header variant, and the default
+  // class is one more. A pass walks at most 64: 63 clauses fit, 70 leave 7
+  // unchecked, and a report that leaves any unchecked is not clean.
+  const auto deploy = [](SdxRuntime& r, std::uint16_t clauses) {
+    auto pa = r.add_participant("A", 65001);
+    auto pb = r.add_participant("B", 65002);
+    std::vector<OutboundClause> out;
+    for (std::uint16_t i = 0; i < clauses; ++i) {
+      out.push_back(OutboundClause{ClauseMatch{}.dst_port(1000 + i), pb});
+    }
+    r.set_outbound(pa, std::move(out));
+    r.announce(pb, Ipv4Prefix::parse("100.1.0.0/16"), net::AsPath{65002});
+    r.install();
+    r.enable_verification();
+  };
+  SdxRuntime at_cap;
+  deploy(at_cap, 63);
+  EXPECT_TRUE(at_cap.last_safety_report().ok())
+      << at_cap.last_safety_report().to_string();
+  EXPECT_EQ(at_cap.last_safety_report().variants, 64u);
+  EXPECT_EQ(at_cap.last_safety_report().unchecked_variants, 0u);
+  EXPECT_EQ(counter(at_cap, "sdx_verify_unchecked_variants_total"), 0u);
+
+  SdxRuntime past;
+  deploy(past, 70);
+  const auto& full = past.last_safety_report();
+  EXPECT_TRUE(full.violations.empty()) << full.to_string();
+  EXPECT_FALSE(full.ok());
+  EXPECT_EQ(full.variants, 64u);
+  EXPECT_EQ(full.unchecked_variants, 7u);
+  EXPECT_NE(full.to_string().find("64 variants (7 unchecked)"),
+            std::string::npos)
+      << full.to_string();
+  EXPECT_EQ(counter(past, "sdx_verify_unchecked_variants_total"), 7u);
+
+  // The incremental stage and the one-shot check count them too.
+  past.announce(2, Ipv4Prefix::parse("100.2.0.0/16"), net::AsPath{65002});
+  ASSERT_TRUE(past.last_safety_report().incremental);
+  EXPECT_EQ(past.last_safety_report().unchecked_variants, 7u);
+  EXPECT_FALSE(past.last_safety_report().ok());
+  EXPECT_EQ(counter(past, "sdx_verify_unchecked_variants_total"), 14u);
+  EXPECT_EQ(past.verify_now().unchecked_variants, 7u);
+}
+
 }  // namespace
 }  // namespace sdx::core
