@@ -105,9 +105,13 @@ void apply_op(SdxRuntime& rt, const Trace& t, const TraceOp& op) {
       clauses.push_back(core::OutboundClause{
           core::ClauseMatch{}.dst(prefix_of(j)).dst_port(53), target});
       rt.set_outbound(p, std::move(clauses));
-      // Policy edits have no fast path; recompile so every oracle side sees
-      // the same deployed state regardless of its update mode.
-      if (rt.installed()) rt.background_recompile();
+      // A post-install policy change deploys before the call returns. A
+      // pairwise one is a full recompile; a partitioned one swaps its
+      // partition in place, which can differ from a full compile, so that
+      // leg recompiles once more and every oracle side sees the same state.
+      if (rt.installed() && rt.compiled().partitioned) {
+        rt.background_recompile();
+      }
       break;
     }
   }

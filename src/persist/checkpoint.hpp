@@ -68,7 +68,7 @@ struct CheckpointState {
   /// compiled.fingerprint() at capture time; the warm-restart gate.
   std::string fingerprint;
 
-  /// The binding table (sdx/binding_table.hpp) as far as the compiled
+  /// The binding table (sdx/install_stage.hpp) as far as the compiled
   /// groups do not imply it: every prefix held off its compiled group with
   /// its binding — a fast-path binding, or another group's — sorted by
   /// prefix for a canonical encoding. Restore groups them into entries by

@@ -58,20 +58,20 @@ struct WalRecord {
   bgp::ParticipantId participant = 0;
 
   // kAddParticipant / kAddRemoteParticipant
-  std::string name;
+  std::string name{};
   net::Asn asn = 0;
   std::uint32_t port_count = 0;
 
   // kSetOutbound / kSetInbound (the full clause list, not a delta — the
   // runtime API is set-not-append, so the record mirrors the call).
-  std::vector<core::OutboundClause> outbound;
-  std::vector<core::InboundClause> inbound;
+  std::vector<core::OutboundClause> outbound{};
+  std::vector<core::InboundClause> inbound{};
 
   // kAnnounce / kWithdraw
-  net::Ipv4Prefix prefix;
+  net::Ipv4Prefix prefix{};
   bool has_path = false;
-  net::AsPath path;
-  std::vector<bgp::Community> communities;
+  net::AsPath path{};
+  std::vector<bgp::Community> communities{};
 };
 
 std::string encode_record(const WalRecord& rec);

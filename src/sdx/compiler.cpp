@@ -19,10 +19,7 @@ using policy::Rule;
 using net::Field;
 using net::FlowMatch;
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
+using telemetry::seconds_since;
 
 /// One pipeline stage: a child span of the compile span, and the stage's
 /// wall time added to \p seconds when the scope ends.

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "netbase/parallel.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace sdx::core {
 
@@ -14,14 +15,7 @@ using policy::Classifier;
 using policy::Rule;
 using net::Field;
 
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
+using telemetry::seconds_since;
 
 const CompiledSdx& IncrementalEngine::full_recompile(VnhAllocator& vnh) {
   clauses_.reset();
@@ -154,7 +148,6 @@ IncrementalEngine::PartitionUpdate IncrementalEngine::recompile_partition(
   for (const auto& kv : part.fecs.group_of) affected.insert(kv.first);
   update.affected.assign(affected.begin(), affected.end());
   std::sort(update.affected.begin(), update.affected.end());
-  update.bindings = part.bindings;
   update.replaced = std::move(current_->partitions[slot].bindings);
   part.seconds = seconds_since(t0);
   update.seconds = part.seconds;

@@ -24,7 +24,7 @@
 /// inbound change and each pairwise outbound change ends in one of them,
 /// and recompile_partition() drops the clause index for the outbound
 /// change it swaps in. The runtime interns bindings by signature and
-/// composes only a signature no live binding has (see binding_table.hpp).
+/// composes only a signature no live binding has (see install_stage.hpp).
 ///
 /// fast_update_batch() is the paper's fresh-VNH stage built on the two
 /// pieces, and a single update is a batch of one. A burst groups prefixes
@@ -66,7 +66,6 @@ class IncrementalEngine {
 
   bool has_compiled() const { return current_.has_value(); }
   const CompiledSdx& current() const { return *current_; }
-  CompiledSdx& current() { return *current_; }
 
   /// A prefix's restricted signature: the outbound clauses it falls into
   /// now (global clause ids, slot-major, ascending) and its default vector.
@@ -119,14 +118,13 @@ class IncrementalEngine {
                                 VnhAllocator& vnh);
 
   /// Result of a single-partition recompilation: the replaced slot, the
-  /// fresh attribute-encoded bindings to ARP-bind, and the prefixes whose
+  /// swapped-out partition's bindings, and the prefixes whose
   /// advertisement (to this partition's owner) must be refreshed — the
   /// union of the old and new partition coverage.
   struct PartitionUpdate {
     std::size_t slot = 0;
     double seconds = 0;
-    std::vector<VnhBinding> bindings;
-    std::vector<VnhBinding> replaced;  ///< the swapped-out partition's
+    std::vector<VnhBinding> replaced;
     std::vector<Ipv4Prefix> affected;  ///< sorted (deterministic order)
   };
 
@@ -141,8 +139,6 @@ class IncrementalEngine {
   /// the shared band are untouched — the ≥10× work saving of a
   /// single-participant policy change.
   PartitionUpdate recompile_partition(ParticipantId owner, VnhAllocator& vnh);
-
-  const SdxCompiler& compiler() const { return compiler_; }
 
  private:
   /// A clause's owner and target: what signature() asks exports_to.

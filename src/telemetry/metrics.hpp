@@ -26,6 +26,7 @@
 /// counters end in `_total`, timings are `_seconds` histograms.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -92,6 +93,12 @@ class Histogram {
 /// Power-of-ten latency buckets (1 µs … 10 s) — the default for the
 /// `_seconds` histograms across the stack.
 std::vector<double> time_buckets();
+
+/// Steady-clock seconds elapsed since \p t0.
+inline double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
 class MetricRegistry {
  public:

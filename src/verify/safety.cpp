@@ -5,6 +5,8 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "telemetry/metrics.hpp"
+
 namespace sdx::verify {
 
 /// A header variant: the non-IP exact matches (proto/ports) of a deployed
@@ -20,10 +22,7 @@ struct Variant {
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
+using telemetry::seconds_since;
 
 /// Cap on enumerated header variants. The variants past it go unchecked;
 /// the report counts them and is not ok() (SafetyReport::unchecked_variants).

@@ -1,13 +1,18 @@
 /// The runtime's binding table under churn: a long seeded announce/withdraw
-/// sequence held to the reference forwarding semantics after every flush
-/// and to exact flow-table and ARP accounting at the end; a rejected
+/// sequence, with a partition swap and a checkpoint-and-recover mid-way,
+/// held to the reference forwarding semantics after every flush and to
+/// exact flow-table and ARP accounting after the swap, after the recovery
+/// and at the end; a rejected
 /// policy change that must leave the policy and the bindings as they were;
 /// an AS-path-only re-announcement that must touch nothing but the changed
 /// receivers' FIBs.
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
+#include <filesystem>
 #include <map>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -109,87 +114,131 @@ void expect_oracle_agreement(SdxRuntime& rt,
   }
 }
 
+/// Exact accounting. The live fast-path bindings are the bindings some
+/// prefix holds that no compiled group has; each owns one band, whose rules
+/// all match its VMAC, and one ARP entry. Returns how many there are.
+std::size_t expect_exact_accounting(SdxRuntime& rt) {
+  const CompiledSdx& compiled = rt.compiled();
+  std::set<std::uint64_t> compiled_macs;
+  for (const auto& b : compiled.bindings) compiled_macs.insert(b.vmac.bits());
+  std::set<std::uint64_t> fast_macs;
+  for (std::size_t i = 0; i < kUniverse; ++i) {
+    const auto binding = rt.current_binding(universe_prefix(i));
+    if (binding && !compiled_macs.contains(binding->vmac.bits())) {
+      fast_macs.insert(binding->vmac.bits());
+    }
+  }
+  EXPECT_EQ(rt.telemetry().metrics.gauge("sdx_fast_path_bindings").value(),
+            static_cast<double>(fast_macs.size()));
+  const auto& table = rt.fabric().sdx_switch().table();
+  std::size_t fast_rules = 0;
+  std::map<std::uint64_t, std::set<std::uint64_t>> macs_of_cookie;
+  for (const dp::FlowRule* r : table.rules()) {
+    if (r->priority < (1u << 24)) continue;  // the base bands
+    ++fast_rules;
+    const auto& m = r->match.field(net::Field::kDstMac);
+    EXPECT_TRUE(m.is_exact()) << r->to_string();
+    EXPECT_TRUE(fast_macs.contains(m.value())) << r->to_string();
+    macs_of_cookie[r->cookie].insert(m.value());
+  }
+  EXPECT_EQ(macs_of_cookie.size(), fast_macs.size());
+  for (const auto& [cookie, macs] : macs_of_cookie) {
+    EXPECT_EQ(macs.size(), 1u) << "cookie " << cookie;
+  }
+  EXPECT_EQ(table.size(), compiled.fabric.size() + fast_rules);
+  std::size_t partition_bindings = 0;
+  for (const auto& part : compiled.partitions) {
+    partition_bindings += part.bindings.size();
+  }
+  const std::size_t routers = 5;  // A, B twice, C, D
+  EXPECT_EQ(rt.fabric().arp().size(),
+            routers + compiled.bindings.size() + partition_bindings +
+                fast_macs.size());
+  return fast_macs.size();
+}
+
+struct TempDir {
+  std::string path;
+  TempDir() {
+    char tmpl[] = "/tmp/sdx_binding_table_XXXXXX";
+    path = ::mkdtemp(tmpl);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+};
+
 TEST(BindingTable, LongChurnStaysBoundedAndMatchesTheOracle) {
   for (const bool partitioned : {false, true}) {
     SCOPED_TRACE(partitioned ? "partitioned" : "pairwise");
     CompileOptions options;
     options.partitioned = partitioned;
-    SdxRuntime rt({}, options);
-    const auto ids = build(rt);
+    auto rt = std::make_unique<SdxRuntime>(bgp::DecisionConfig{}, options);
+    const auto ids = build(*rt);
     net::SplitMix64 rng(partitioned ? 77 : 76);
     for (std::size_t i = 0; i < kUniverse; ++i) {
-      rt.announce(ids[rng.below(ids.size())], universe_prefix(i));
+      rt->announce(ids[rng.below(ids.size())], universe_prefix(i));
     }
-    rt.install();
-    rt.enable_batching({0, 0});
+    rt->install();
+    rt->enable_batching({0, 0});
+    TempDir journal;
     std::size_t flushes = 0;
     for (int update = 0; update < 3000; ++update) {
-      random_update(rt, ids, rng);
+      const std::string where = "update " + std::to_string(update);
+      if (update == 1000 && partitioned) {
+        // The install stage's partition swap, mid-churn: A now sends
+        // HTTPS to D instead of C.
+        rt->flush();
+        rt->set_outbound(
+            ids[0],
+            {OutboundClause{ClauseMatch{}.dst_port(80), ids[1]},
+             OutboundClause{ClauseMatch{}.dst_port(443), ids[3]},
+             OutboundClause{ClauseMatch{}.dst_port(8080).dst(
+                                Ipv4Prefix::parse("100.0.0.0/14")),
+                            ids[3]}});
+        EXPECT_GT(expect_exact_accounting(*rt), 0u);  // re-flushed
+        expect_oracle_agreement(*rt, ids, rng, 50, "after swap");
+      }
+      if (update == 2000) {
+        // The install stage's checkpoint capture and warm restore: a fresh
+        // runtime recovered from the journal carries on the churn.
+        rt->attach_journal(journal.path);
+        rt->checkpoint();
+        auto recovered =
+            std::make_unique<SdxRuntime>(bgp::DecisionConfig{}, options);
+        EXPECT_TRUE(recovered->recover(journal.path).warm);
+        rt = std::move(recovered);
+        rt->enable_batching({0, 0});
+        EXPECT_GT(expect_exact_accounting(*rt), 0u);  // residue restored
+        expect_oracle_agreement(*rt, ids, rng, 50, "after recovery");
+      }
+      if (::testing::Test::HasFailure()) return;
+      random_update(*rt, ids, rng);
       if (!rng.chance(0.3)) continue;
-      rt.flush();
+      rt->flush();
       ++flushes;
-      expect_oracle_agreement(rt, ids, rng, 6,
-                              "update " + std::to_string(update));
+      expect_oracle_agreement(*rt, ids, rng, 6, where);
       if (::testing::Test::HasFatalFailure()) return;
     }
-    rt.flush();
+    rt->flush();
     ASSERT_GT(flushes, 500u);
     // Bindings were made and retired along the way: every fresh binding
     // composed at least one rule.
     std::size_t made = 0;
-    for (const auto& report : rt.update_log()) {
+    for (const auto& report : rt->update_log()) {
       made += report.additional_rules > 0 ? 1 : 0;
     }
-
-    // Exact accounting. The live fast-path bindings are the bindings some
-    // prefix holds that no compiled group has; each owns one band, whose
-    // rules all match its VMAC, and one ARP entry.
-    const CompiledSdx& compiled = rt.compiled();
-    std::set<std::uint64_t> compiled_macs;
-    for (const auto& b : compiled.bindings) compiled_macs.insert(b.vmac.bits());
-    std::set<std::uint64_t> fast_macs;
-    for (std::size_t i = 0; i < kUniverse; ++i) {
-      const auto binding = rt.current_binding(universe_prefix(i));
-      if (binding && !compiled_macs.contains(binding->vmac.bits())) {
-        fast_macs.insert(binding->vmac.bits());
-      }
-    }
-    EXPECT_EQ(
-        rt.telemetry().metrics.gauge("sdx_fast_path_bindings").value(),
-        static_cast<double>(fast_macs.size()));
-    const auto& table = rt.fabric().sdx_switch().table();
-    std::size_t fast_rules = 0;
-    std::map<std::uint64_t, std::set<std::uint64_t>> macs_of_cookie;
-    for (const dp::FlowRule* r : table.rules()) {
-      if (r->priority < (1u << 24)) continue;  // the base bands
-      ++fast_rules;
-      const auto& m = r->match.field(net::Field::kDstMac);
-      ASSERT_TRUE(m.is_exact());
-      EXPECT_TRUE(fast_macs.contains(m.value())) << r->to_string();
-      macs_of_cookie[r->cookie].insert(m.value());
-    }
-    EXPECT_EQ(macs_of_cookie.size(), fast_macs.size());
-    for (const auto& [cookie, macs] : macs_of_cookie) {
-      EXPECT_EQ(macs.size(), 1u) << "cookie " << cookie;
-    }
-    EXPECT_EQ(table.size(), compiled.fabric.size() + fast_rules);
-    EXPECT_GT(made, fast_macs.size() + 50);
-    std::size_t partition_bindings = 0;
-    for (const auto& part : compiled.partitions) {
-      partition_bindings += part.bindings.size();
-    }
-    const std::size_t routers = 5;  // A, B twice, C, D
-    EXPECT_EQ(rt.fabric().arp().size(),
-              routers + compiled.bindings.size() + partition_bindings +
-                  fast_macs.size());
+    const std::size_t live = expect_exact_accounting(*rt);
+    EXPECT_GT(made, live + 50);
 
     // The recompile drops every fast-path binding.
-    rt.background_recompile();
-    EXPECT_EQ(rt.telemetry().metrics.gauge("sdx_fast_path_bindings").value(),
+    rt->background_recompile();
+    EXPECT_EQ(rt->telemetry().metrics.gauge("sdx_fast_path_bindings").value(),
               0.0);
-    EXPECT_EQ(rt.fabric().sdx_switch().table().size(),
-              rt.compiled().fabric.size());
-    expect_oracle_agreement(rt, ids, rng, 50, "after recompile");
+    EXPECT_EQ(rt->fabric().sdx_switch().table().size(),
+              rt->compiled().fabric.size());
+    expect_oracle_agreement(*rt, ids, rng, 50, "after recompile");
   }
 }
 

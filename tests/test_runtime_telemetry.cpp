@@ -111,6 +111,65 @@ TEST(RuntimeTelemetry, InstallPlusFastPathSurfacesEverySeries) {
             std::string::npos);
 }
 
+TEST(RuntimeTelemetry, EveryFamilyExistsOnAFreshRuntime) {
+  // Every family the runtime and its stages own is registered at
+  // construction, so a dump's shape does not depend on which features ran.
+  SdxRuntime rt;
+  const std::string dump = rt.dump_metrics();
+  for (const char* family :
+       {"sdx_fast_path_updates_total", "sdx_fast_path_seconds",
+        "sdx_fast_path_rules_total", "sdx_fast_path_bindings",
+        "sdx_partitions_recompiled_total", "sdx_update_stage_seconds",
+        "sdx_frontend_updates_total", "sdx_ingest_reconnects_total",
+        "sdx_verify_runs_total", "sdx_verify_seconds",
+        "sdx_verify_classes_total", "sdx_verify_edges_total",
+        "sdx_verify_unchecked_variants_total", "sdx_verify_violations_total",
+        "sdx_journal_records_total", "sdx_journal_bytes_total",
+        "sdx_journal_checkpoints_total", "sdx_journal_fsync_seconds",
+        "sdx_recovery_warm_total", "sdx_recovery_cold_total",
+        "sdx_recovery_replayed_records_total", "sdx_recovery_seconds",
+        "sdx_flow_table_rules", "sdx_arp_bindings"}) {
+    EXPECT_NE(dump.find("# TYPE " + std::string(family) + " "),
+              std::string::npos)
+        << family;
+  }
+  for (const char* stage : {"install", "advertise"}) {
+    EXPECT_NE(dump.find("sdx_update_stage_seconds_count{stage=\"" +
+                        std::string(stage) + "\"} 0"),
+              std::string::npos)
+        << stage;
+  }
+}
+
+TEST(RuntimeTelemetry, OneStageCallObservesEachStageOnce) {
+  SdxRuntime rt;
+  auto a = rt.add_participant("A", 65001);
+  auto b = rt.add_participant("B", 65002);
+  rt.set_outbound(a, {OutboundClause{ClauseMatch{}.dst_port(80), b}});
+  rt.announce(b, Ipv4Prefix::parse("100.1.0.0/16"));
+  rt.install();
+  const auto count = [&rt](const char* stage) {
+    return rt.telemetry()
+        .metrics.histogram("sdx_update_stage_seconds", "", {},
+                           {{"stage", stage}})
+        .count();
+  };
+  // install() is one full deploy.
+  EXPECT_EQ(count("install"), 1u);
+  EXPECT_EQ(count("advertise"), 1u);
+  // One flush steps each stage by exactly one.
+  rt.enable_batching({0, 0});
+  rt.announce(b, Ipv4Prefix::parse("100.2.0.0/16"));
+  rt.announce(a, Ipv4Prefix::parse("100.3.0.0/16"));
+  ASSERT_EQ(rt.flush(), 2u);
+  EXPECT_EQ(count("install"), 2u);
+  EXPECT_EQ(count("advertise"), 2u);
+  // So does a full deploy.
+  rt.background_recompile();
+  EXPECT_EQ(count("install"), 3u);
+  EXPECT_EQ(count("advertise"), 3u);
+}
+
 TEST(RuntimeTelemetry, CompilerStageSpansNestUnderOneCompileSpan) {
   SdxRuntime rt;
   drive(rt);
