@@ -15,13 +15,15 @@
 /// verify after every update. ci/check_verify_scaling.py gates that
 /// flatness on this CSV (incremental 50×2000 against 50×500).
 ///
-/// CSV: mode,participants,prefixes,clauses,classes,edges,checks,check_ms
+/// CSV: mode,participants,prefixes,clauses,classes,edges,framings,checks,
+///      check_ms
 ///
 /// check_ms is the per-check mean, so the full and incremental rows are
-/// directly comparable. classes/edges in the incremental rows describe the
-/// whole cached proof the report covers (the checker re-walks only the
-/// dirty prefix; the rest is served from its per-prefix cache), not the
-/// work done — the time column is the honest work measure.
+/// directly comparable. classes, edges and framings are the work of the
+/// row's checks (SafetyReport::work): an incremental check re-walks only
+/// its dirty prefix and serves the rest of the proof from its per-prefix
+/// cache. The checker frames each prefix once per sender, so framings track
+/// prefixes × senders while classes and edges grow with the variants too.
 ///
 /// The metrics snapshot (last configuration) captures the runtime-staged
 /// verification counters: one full run from enable_verification(), one
@@ -99,7 +101,9 @@ int main() {
                                                  {50, 500, 1}};
 
   std::printf("# verification cost — full pass vs incremental re-check\n");
-  std::printf("mode,participants,prefixes,clauses,classes,edges,checks,check_ms\n");
+  std::printf(
+      "mode,participants,prefixes,clauses,classes,edges,framings,checks,"
+      "check_ms\n");
 
   for (const auto& cfg : configs) {
     core::SdxRuntime rt(bgp::DecisionConfig{}, options);
@@ -109,9 +113,9 @@ int main() {
     // full: a from-scratch proof over every class (report.seconds is the
     // checker's own wall time, excluding the audit that verify_now folds in).
     const auto full = rt.verify_now();
-    std::printf("full,%zu,%zu,%zu,%zu,%zu,1,%.3f\n", cfg.participants,
-                cfg.prefixes, clauses, full.classes_checked,
-                full.edges_walked, full.seconds * 1e3);
+    std::printf("full,%zu,%zu,%zu,%zu,%zu,%zu,1,%.3f\n", cfg.participants,
+                cfg.prefixes, clauses, full.work.classes, full.work.edges,
+                full.work.framings, full.seconds * 1e3);
     std::fflush(stdout);
 
     // incremental: prime a standalone checker with the full pass, then
@@ -120,17 +124,17 @@ int main() {
     verify::SafetyChecker checker;
     checker.full(view);
     bench::Stopwatch timer;
-    std::size_t classes = 0;
-    std::size_t edges = 0;
+    verify::SafetyReport::Work work;
     for (std::size_t k = 0; k < incremental_checks; ++k) {
       const auto report =
           checker.incremental(view, {prefix_of(k % cfg.prefixes)});
-      classes += report.classes_checked;
-      edges += report.edges_walked;
+      work.classes += report.work.classes;
+      work.edges += report.work.edges;
+      work.framings += report.work.framings;
     }
-    std::printf("incremental,%zu,%zu,%zu,%zu,%zu,%zu,%.3f\n",
-                cfg.participants, cfg.prefixes, clauses, classes, edges,
-                incremental_checks,
+    std::printf("incremental,%zu,%zu,%zu,%zu,%zu,%zu,%zu,%.3f\n",
+                cfg.participants, cfg.prefixes, clauses, work.classes,
+                work.edges, work.framings, incremental_checks,
                 timer.seconds() * 1e3 / static_cast<double>(incremental_checks));
     std::fflush(stdout);
 

@@ -26,7 +26,7 @@ import os
 import sys
 
 COLUMNS = ["mode", "participants", "prefixes", "clauses", "classes", "edges",
-           "checks", "check_ms"]
+           "framings", "checks", "check_ms"]
 
 # Sizes of bench_verify_cost's full-mode configs that the gate compares.
 PARTICIPANTS = 50

@@ -546,6 +546,10 @@ verify::DeploymentView SdxRuntime::deployment_view() const {
   view.process = [self](const net::PacketHeader& h) {
     return self->fabric_.sdx_switch().table().probe(h);
   };
+  // BorderRouter::frame reads only the destination address (one FIB
+  // lookup, then the next hop's ARP binding) and writes only the four L2
+  // fields, which is the contract the checker's frame-once-per-prefix
+  // relies on; SafetyVerify.FramingReadsOnlyTheDestination holds it.
   view.forward = [self](ParticipantId sender, net::PacketHeader payload)
       -> verify::DeploymentView::Framed {
     const Participant& p = self->participant(sender);

@@ -25,6 +25,14 @@ VerifyStage::VerifyStage(const std::vector<Participant>& participants,
                           "packet equivalence classes walked");
   edges_ = &reg.counter("sdx_verify_edges_total",
                         "forwarding-graph edges traversed");
+  framings_ = &reg.counter("sdx_verify_framings_total",
+                           "border-router framings asked by the checker");
+  proof_classes_ =
+      &reg.gauge("sdx_verify_classes",
+                 "packet equivalence classes in the last report's proof");
+  proof_edges_ =
+      &reg.gauge("sdx_verify_edges",
+                 "forwarding-graph edges in the last report's proof");
   unchecked_ = &reg.counter(
       "sdx_verify_unchecked_variants_total",
       "header variants past the enumeration cap, left unchecked");
@@ -51,8 +59,11 @@ void VerifyStage::run(const verify::DeploymentView& view,
     incremental_runs_->inc();
   }
   seconds_->observe(last_.seconds);
-  classes_->inc(last_.classes_checked);
-  edges_->inc(last_.edges_walked);
+  classes_->inc(last_.work.classes);
+  edges_->inc(last_.work.edges);
+  framings_->inc(last_.work.framings);
+  proof_classes_->set(static_cast<double>(last_.classes_checked));
+  proof_edges_->set(static_cast<double>(last_.edges_walked));
   unchecked_->inc(last_.unchecked_variants);
   for (const auto& v : last_.violations) {
     violations_[static_cast<std::size_t>(v.kind)]->inc();

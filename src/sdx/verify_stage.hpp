@@ -58,8 +58,13 @@ class VerifyStage {
   telemetry::Counter* full_runs_;
   telemetry::Counter* incremental_runs_;
   telemetry::Histogram* seconds_;
+  /// The work of each pass: classes and edges walked, framings asked.
   telemetry::Counter* classes_;
   telemetry::Counter* edges_;
+  telemetry::Counter* framings_;
+  /// The size of the last report's proof (the checker's running totals).
+  telemetry::Gauge* proof_classes_;
+  telemetry::Gauge* proof_edges_;
   telemetry::Counter* unchecked_;
   /// Violation counters indexed by verify::ViolationKind.
   std::array<telemetry::Counter*, 4> violations_{};

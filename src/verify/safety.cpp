@@ -110,27 +110,81 @@ bool is_remote(const DeploymentView& view, ParticipantId id) {
   return false;
 }
 
-bool advertises(const bgp::RouteServer& server, ParticipantId id,
-                Ipv4Prefix prefix) {
-  const auto* routes = server.candidates(prefix);
-  if (routes == nullptr) return false;
-  for (const auto& r : *routes) {
-    if (r.learned_from == id) return true;
-  }
-  return false;
-}
+/// What the walks of one check_prefix call (or one replay) share: the view,
+/// the work they spend, and the BGP relations they ask, each answered once
+/// per argument tuple. The relations read only route-server state, which
+/// does not change during a pass, so the answers hold for every walk of it.
+class Pass {
+ public:
+  explicit Pass(const DeploymentView& view) : view_(view) {}
 
-/// True when every current advertiser of \p prefix is a remote participant:
-/// traffic toward it leaves the model (or is intentionally dropped until an
-/// inbound rewrite redirects it), so a dropped frame is not a blackhole.
-bool only_remote_advertisers(const DeploymentView& view, Ipv4Prefix prefix) {
-  const auto* routes = view.server->candidates(prefix);
-  if (routes == nullptr || routes->empty()) return false;
-  for (const auto& r : *routes) {
-    if (!is_remote(view, r.learned_from)) return false;
+  const DeploymentView& view() const { return view_; }
+  SafetyReport::Work& work() { return work_; }
+
+  /// The sender's framing step, counted.
+  DeploymentView::Framed forward(ParticipantId sender,
+                                 const PacketHeader& payload) {
+    ++work_.framings;
+    return view_.forward(sender, payload);
   }
-  return true;
-}
+
+  bool exports_to(ParticipantId via, ParticipantId to, Ipv4Prefix prefix) {
+    return ask({Relation::kExports, via, to, prefix},
+               [&] { return view_.server->exports_to(via, to, prefix); });
+  }
+
+  bool advertises(ParticipantId id, Ipv4Prefix prefix) {
+    return ask({Relation::kAdvertises, id, 0, prefix}, [&] {
+      const auto* routes = view_.server->candidates(prefix);
+      return routes != nullptr &&
+             std::any_of(routes->begin(), routes->end(),
+                         [&](const auto& r) { return r.learned_from == id; });
+    });
+  }
+
+  /// True when every current advertiser of \p prefix is a remote
+  /// participant: traffic toward it leaves the model (or is intentionally
+  /// dropped until an inbound rewrite redirects it), so a dropped frame is
+  /// not a blackhole.
+  bool only_remote_advertisers(Ipv4Prefix prefix) {
+    return ask({Relation::kOnlyRemote, 0, 0, prefix}, [&] {
+      const auto* routes = view_.server->candidates(prefix);
+      return routes != nullptr && !routes->empty() &&
+             std::all_of(routes->begin(), routes->end(), [&](const auto& r) {
+               return is_remote(view_, r.learned_from);
+             });
+    });
+  }
+
+ private:
+  enum class Relation : std::uint8_t { kExports, kAdvertises, kOnlyRemote };
+  struct Key {
+    Relation relation;
+    ParticipantId a;
+    ParticipantId b;
+    Ipv4Prefix prefix;
+    friend bool operator==(const Key&, const Key&) = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const noexcept {
+      const std::uint64_t ids = (std::uint64_t{k.a} << 32) | k.b;
+      return std::hash<Ipv4Prefix>{}(k.prefix) ^
+             std::hash<std::uint64_t>{}(
+                 ids * 3 + static_cast<std::uint64_t>(k.relation));
+    }
+  };
+
+  template <typename Answer>
+  bool ask(const Key& key, const Answer& answer) {
+    const auto [it, fresh] = answers_.try_emplace(key, false);
+    if (fresh) it->second = answer();
+    return it->second;
+  }
+
+  const DeploymentView& view_;
+  SafetyReport::Work work_;
+  std::unordered_map<Key, bool, KeyHash> answers_;
+};
 
 std::string hops_string(const DeploymentView& view,
                         const std::vector<ParticipantId>& hops) {
@@ -151,15 +205,16 @@ std::vector<ParticipantId> extend(std::vector<ParticipantId> hops,
 /// The shared forwarding-graph walk: one (sender, class) node through the
 /// deployed tables until delivery, loop, or blackhole. `first_frame` must
 /// already be framed (it IS the counterexample packet); every violation
-/// found along the walk is appended to `out`. `describe()` names the class
+/// found along the walk is appended to `out`, and its switch traversals and
+/// re-entry framings are booked to the pass. `describe()` names the class
 /// in violation text; it runs only when a violation is recorded. The walk
 /// only moves on to a participant not yet on its path, so it ends within
 /// one hop per participant.
 template <typename Describe>
-void walk_from(const DeploymentView& view, ParticipantId sender,
-               Ipv4Prefix prefix, const Describe& describe,
-               const PacketHeader& first_frame,
-               std::vector<SafetyViolation>& out, std::size_t& edges) {
+void walk_from(Pass& pass, ParticipantId sender, Ipv4Prefix prefix,
+               const Describe& describe, const PacketHeader& first_frame,
+               std::vector<SafetyViolation>& out) {
+  const DeploymentView& view = pass.view();
   std::vector<ParticipantId> path{sender};
   ParticipantId current = sender;
   PacketHeader frame = first_frame;
@@ -177,13 +232,13 @@ void walk_from(const DeploymentView& view, ParticipantId sender,
 
   for (;;) {
     auto copies = view.process(frame);
-    ++edges;
+    ++pass.work().edges;
     // The switch never hairpins a frame back out its ingress port.
     std::erase_if(copies, [&](const PacketHeader& c) {
       return c.port() == frame.port();
     });
     if (copies.empty()) {
-      if (!only_remote_advertisers(view, dst_prefix)) {
+      if (!pass.only_remote_advertisers(dst_prefix)) {
         out.push_back({ViolationKind::kBlackhole,
                        describe() + ": the fabric dropped the class at " +
                            name_of(view, current) + " (no egress copy)",
@@ -224,7 +279,7 @@ void walk_from(const DeploymentView& view, ParticipantId sender,
       if (!pfx.contains(copy.dst_ip())) {
         if (auto re = view.known_covering(copy.dst_ip())) pfx = *re;
       }
-      if (!view.server->exports_to(x, current, pfx)) {
+      if (!pass.exports_to(x, current, pfx)) {
         out.push_back(
             {ViolationKind::kIsolation,
              describe() + ": " + name_of(view, x) + " attracts traffic for " +
@@ -241,16 +296,16 @@ void walk_from(const DeploymentView& view, ParticipantId sender,
                        witness(extend(path, x))});
         continue;  // never walk deeper along a cycle
       }
-      if (advertises(*view.server, x, pfx)) {
+      if (pass.advertises(x, pfx)) {
         // Physical egress: x advertised the prefix, so its router forwards
         // the traffic upstream. The class is delivered.
         continue;
       }
       // x attracts the class without advertising it — model its re-entry
       // through its own FIB (LPM → next hop → ARP).
-      auto onward = view.forward(x, copy).frame;
+      auto onward = pass.forward(x, copy).frame;
       if (!onward) {
-        if (!only_remote_advertisers(view, pfx)) {
+        if (!pass.only_remote_advertisers(pfx)) {
           out.push_back({ViolationKind::kBlackhole,
                          describe() + ": " + name_of(view, x) +
                              " attracts traffic for " + pfx.to_string() +
@@ -319,14 +374,17 @@ std::string SafetyReport::to_string() const {
 
 SafetyChecker::PrefixFinding SafetyChecker::check_prefix(
     const DeploymentView& view, Ipv4Prefix prefix,
-    const std::vector<Variant>& variants) const {
+    const std::vector<Variant>& variants, SafetyReport::Work& work) const {
   PrefixFinding f;
+  Pass pass(view);
   for (const auto& p : *view.participants) {
     if (p.is_remote()) continue;
+    // Framing reads only the destination (DeploymentView::forward), which
+    // every variant of the prefix shares: frame the representative once and
+    // give each variant its L2 fields.
+    const auto framed = pass.forward(p.id, make_payload(prefix, Variant{}));
+    if (!framed.routed) continue;  // the router holds no route: no traffic
     for (std::size_t vi = 0; vi < variants.size(); ++vi) {
-      const auto framed =
-          view.forward(p.id, make_payload(prefix, variants[vi]));
-      if (!framed.routed) continue;  // the router holds no route: no traffic
       ++f.classes;
       const auto describe = [&] {
         return "class dst=" + prefix.to_string() + " variant#" +
@@ -335,7 +393,7 @@ SafetyChecker::PrefixFinding SafetyChecker::check_prefix(
       if (!framed.frame) {
         // Routed, but the next hop has no ARP answer: the sender's router
         // drops the class before it reaches the fabric.
-        if (!only_remote_advertisers(view, prefix)) {
+        if (!pass.only_remote_advertisers(prefix)) {
           f.violations.push_back(
               {ViolationKind::kBlackhole,
                describe() + ": " + p.name +
@@ -345,10 +403,18 @@ SafetyChecker::PrefixFinding SafetyChecker::check_prefix(
         }
         continue;
       }
-      walk_from(view, p.id, prefix, describe, *framed.frame, f.violations,
-                f.edges);
+      PacketHeader frame = make_payload(prefix, variants[vi]);
+      for (auto field : {net::Field::kSrcMac, net::Field::kDstMac,
+                         net::Field::kEthType, net::Field::kPort}) {
+        frame.set(field, framed.frame->get(field));
+      }
+      walk_from(pass, p.id, prefix, describe, frame, f.violations);
     }
   }
+  f.edges = pass.work().edges;
+  work.classes += f.classes;
+  work.edges += f.edges;
+  work.framings += pass.work().framings;
   return f;
 }
 
@@ -376,11 +442,12 @@ SafetyReport SafetyChecker::full(const DeploymentView& view) {
   edges_total_ = 0;
   violating_.clear();
   const auto variants = build_variants(*view.participants, variants_cut_);
+  SafetyReport::Work work;
   for (auto prefix : view.known_prefixes()) {
-    store(prefix, check_prefix(view, prefix, variants));
+    store(prefix, check_prefix(view, prefix, variants, work));
   }
   variants_seen_ = variants.size();
-  return assemble(false, seconds_since(t0));
+  return assemble(false, work, seconds_since(t0));
 }
 
 SafetyReport SafetyChecker::incremental(const DeploymentView& view,
@@ -388,16 +455,17 @@ SafetyReport SafetyChecker::incremental(const DeploymentView& view,
   const auto t0 = std::chrono::steady_clock::now();
   const auto variants = build_variants(*view.participants, variants_cut_);
   std::unordered_set<Ipv4Prefix> seen;
+  SafetyReport::Work work;
   for (auto prefix : dirty) {
     if (!seen.insert(prefix).second) continue;
     if (view.is_known(prefix)) {
-      store(prefix, check_prefix(view, prefix, variants));
+      store(prefix, check_prefix(view, prefix, variants, work));
     } else {
       drop(prefix);  // the prefix left the deployment entirely
     }
   }
   variants_seen_ = variants.size();
-  return assemble(true, seconds_since(t0));
+  return assemble(true, work, seconds_since(t0));
 }
 
 void SafetyChecker::set_local_findings(SafetyReport audit) {
@@ -405,9 +473,12 @@ void SafetyChecker::set_local_findings(SafetyReport audit) {
   local_rules_checked_ = audit.local_rules_checked;
 }
 
-SafetyReport SafetyChecker::assemble(bool incremental, double seconds) const {
+SafetyReport SafetyChecker::assemble(bool incremental,
+                                     const SafetyReport::Work& work,
+                                     double seconds) const {
   SafetyReport report;
   report.incremental = incremental;
+  report.work = work;
   report.seconds = seconds;
   report.variants = variants_seen_;
   report.unchecked_variants = variants_cut_;
@@ -426,12 +497,11 @@ SafetyReport SafetyChecker::assemble(bool incremental, double seconds) const {
 
 ReplayResult replay(const DeploymentView& view, const Counterexample& cx) {
   std::vector<SafetyViolation> violations;
-  std::size_t edges = 0;
+  Pass pass(view);
   const auto describe = [] { return std::string("replay"); };
-  walk_from(view, cx.sender, cx.prefix, describe, cx.packet, violations,
-            edges);
+  walk_from(pass, cx.sender, cx.prefix, describe, cx.packet, violations);
   ReplayResult result;
-  result.hops = edges;
+  result.hops = pass.work().edges;
   for (const auto& v : violations) {
     result.kinds.push_back(v.kind);
     if (!result.detail.empty()) result.detail += "; ";

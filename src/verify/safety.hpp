@@ -38,14 +38,19 @@
 /// checker (full after a recompile, incremental over dirty prefixes after
 /// fast-path updates); see SdxRuntime::enable_verification().
 ///
-/// Cost: the full pass is O(known prefixes × senders × variants). The
-/// incremental pass is O(dirty prefixes × senders × variants) plus
-/// O(violations) to reassemble the report: it asks the view whether each
-/// dirty prefix is still known (is_known) and re-anchors rewritten
-/// destinations with known_covering, so nothing in it enumerates the
-/// deployment. A pass enumerates at most 64 header variants; the ones past
-/// the cap are counted in SafetyReport::unchecked_variants and make the
-/// report not ok(), so a clean verdict never rests on a silent cut.
+/// Cost: a pass frames each prefix once per sender — O(known prefixes ×
+/// senders) framings for the full pass, O(dirty prefixes × senders) for the
+/// incremental one — because framing reads only the destination
+/// (DeploymentView::forward); the walks are O(× variants) on top. Each BGP
+/// relation a prefix's walks ask (export, advertisement, remote-only
+/// advertisers) is answered once per argument tuple for all of them. The
+/// incremental pass adds O(violations) to reassemble the report: it asks
+/// the view whether each dirty prefix is still known (is_known) and
+/// re-anchors rewritten destinations with known_covering, so nothing in it
+/// enumerates the deployment. A pass enumerates at most 64 header variants;
+/// the ones past the cap are counted in SafetyReport::unchecked_variants and
+/// make the report not ok(), so a clean verdict never rests on a silent
+/// cut.
 
 #include <cstdint>
 #include <functional>
@@ -109,8 +114,10 @@ struct SafetyViolation {
 /// findings are kLocalRule violations counted in local_rules_checked.
 struct SafetyReport {
   std::vector<SafetyViolation> violations;
-  std::size_t classes_checked = 0;   ///< (sender, prefix, variant) walks
-  std::size_t edges_walked = 0;      ///< switch traversals performed
+  /// The proof the report covers: its (sender, prefix, variant) classes
+  /// and the switch traversals their walks took, cached ones included.
+  std::size_t classes_checked = 0;
+  std::size_t edges_walked = 0;
   std::size_t prefixes_checked = 0;
   std::size_t variants = 0;          ///< header variants enumerated
   /// Distinct header variants past the enumeration cap: no class of theirs
@@ -119,6 +126,19 @@ struct SafetyReport {
   std::size_t local_rules_checked = 0;
   bool incremental = false;
   double seconds = 0;
+
+  /// The work of this call alone. A full pass walks every class, so its
+  /// classes and edges equal classes_checked and edges_walked; an
+  /// incremental one re-walks only its dirty prefixes, while the totals
+  /// above describe the whole proof it reassembles.
+  struct Work {
+    std::size_t classes = 0;   ///< classes walked
+    std::size_t edges = 0;     ///< switch traversals
+    /// Border-router framings asked of the view: one per (sender, prefix)
+    /// plus one per re-entry hop.
+    std::size_t framings = 0;
+  };
+  Work work;
 
   /// No violation found, and no variant left unchecked.
   bool ok() const { return violations.empty() && unchecked_variants == 0; }
@@ -149,7 +169,12 @@ struct DeploymentView {
   };
 
   /// The sender's border-router framing step (LPM → next hop → ARP → L2
-  /// rewrite, BorderRouter::frame).
+  /// rewrite, BorderRouter::frame). Contract: it reads only the payload's
+  /// destination address and writes only its source MAC, destination MAC,
+  /// ethertype and port. The checker relies on it: it frames one
+  /// representative per (sender, prefix) and copies those four fields onto
+  /// every header variant of the prefix, which is sound only while no other
+  /// field can change what the router does.
   std::function<Framed(ParticipantId sender, PacketHeader payload)> forward;
 
   /// Owner participant of a physical switch port; nullopt when unclaimed.
@@ -215,12 +240,15 @@ class SafetyChecker {
     std::size_t edges = 0;
   };
 
+  /// Walks every class of \p prefix and adds what it spent to \p work.
   PrefixFinding check_prefix(const DeploymentView& view, Ipv4Prefix prefix,
-                            const std::vector<Variant>& variants) const;
+                            const std::vector<Variant>& variants,
+                            SafetyReport::Work& work) const;
   /// Cache writes keep the running totals and the violating set in step.
   void store(Ipv4Prefix prefix, PrefixFinding finding);
   void drop(Ipv4Prefix prefix);
-  SafetyReport assemble(bool incremental, double seconds) const;
+  SafetyReport assemble(bool incremental, const SafetyReport::Work& work,
+                        double seconds) const;
 
   std::unordered_map<Ipv4Prefix, PrefixFinding> cache_;
   std::size_t classes_total_ = 0;    ///< sum over cache_

@@ -318,6 +318,184 @@ TEST(SafetyVerify, PlantedNextHopWithdrawalIsABlackhole) {
   (void)pa;
 }
 
+constexpr std::string_view kPerVariantReport =
+    "safety report (full): 13 violation(s), 16 classes, 15 edges, 1 "
+    "prefixes, 4 variants (0 unchecked), 0 rules audited\n"
+    "  [isolation] class dst=100.1.0.0/16 variant#1 from A: D attracts "
+    "traffic for 100.1.0.0/16 from A without exporting the prefix to it\n"
+    "    counterexample: packet {port=1 00:16:3e:00:00:01->02:00:00:00:00:00 "
+    "192.0.2.1:0 -> 100.1.0.1:53 proto=0} ingress port 1 (sender 1, dst "
+    "100.1.0.0/16), hops 1 4\n"
+    "  [isolation] class dst=100.1.0.0/16 variant#1 from A: A attracts "
+    "traffic for 100.1.0.0/16 from D without exporting the prefix to it\n"
+    "    counterexample: packet {port=1 00:16:3e:00:00:01->02:00:00:00:00:00 "
+    "192.0.2.1:0 -> 100.1.0.1:53 proto=0} ingress port 1 (sender 1, dst "
+    "100.1.0.0/16), hops 1 4 1\n"
+    "  [loop] class dst=100.1.0.0/16 variant#1 from A: forwarding loop A -> "
+    "D -> A\n"
+    "    counterexample: packet {port=1 00:16:3e:00:00:01->02:00:00:00:00:00 "
+    "192.0.2.1:0 -> 100.1.0.1:53 proto=0} ingress port 1 (sender 1, dst "
+    "100.1.0.0/16), hops 1 4 1\n"
+    "  [isolation] class dst=100.1.0.0/16 variant#2 from A: C attracts "
+    "traffic for 100.1.0.0/16 from A without exporting the prefix to it\n"
+    "    counterexample: packet {port=1 00:16:3e:00:00:01->02:00:00:00:00:00 "
+    "192.0.2.1:0 -> 100.1.0.1:80 proto=0} ingress port 1 (sender 1, dst "
+    "100.1.0.0/16), hops 1 3\n"
+    "  [isolation] class dst=100.1.0.0/16 variant#3 from A: E attracts "
+    "traffic for 100.1.0.0/16 from A without exporting the prefix to it\n"
+    "    counterexample: packet {port=1 00:16:3e:00:00:01->02:00:00:00:00:00 "
+    "192.0.2.1:0 -> 100.1.0.1:8080 proto=0} ingress port 1 (sender 1, dst "
+    "100.1.0.0/16), hops 1 5\n"
+    "  [blackhole] class dst=100.1.0.0/16 variant#3 from A: E attracts "
+    "traffic for 100.1.0.0/16 but its border router has no onward route "
+    "(next hop withdrawn)\n"
+    "    counterexample: packet {port=1 00:16:3e:00:00:01->02:00:00:00:00:00 "
+    "192.0.2.1:0 -> 100.1.0.1:8080 proto=0} ingress port 1 (sender 1, dst "
+    "100.1.0.0/16), hops 1 5\n"
+    "  [isolation] class dst=100.1.0.0/16 variant#1 from D: A attracts "
+    "traffic for 100.1.0.0/16 from D without exporting the prefix to it\n"
+    "    counterexample: packet {port=4 00:16:3e:00:00:04->02:00:00:00:00:00 "
+    "192.0.2.1:0 -> 100.1.0.1:53 proto=0} ingress port 4 (sender 4, dst "
+    "100.1.0.0/16), hops 4 1\n"
+    "  [isolation] class dst=100.1.0.0/16 variant#1 from D: D attracts "
+    "traffic for 100.1.0.0/16 from A without exporting the prefix to it\n"
+    "    counterexample: packet {port=4 00:16:3e:00:00:04->02:00:00:00:00:00 "
+    "192.0.2.1:0 -> 100.1.0.1:53 proto=0} ingress port 4 (sender 4, dst "
+    "100.1.0.0/16), hops 4 1 4\n"
+    "  [loop] class dst=100.1.0.0/16 variant#1 from D: forwarding loop D -> "
+    "A -> D\n"
+    "    counterexample: packet {port=4 00:16:3e:00:00:04->02:00:00:00:00:00 "
+    "192.0.2.1:0 -> 100.1.0.1:53 proto=0} ingress port 4 (sender 4, dst "
+    "100.1.0.0/16), hops 4 1 4\n"
+    "  [blackhole] class dst=100.1.0.0/16 variant#0 from E: E's border "
+    "router has a route but no ARP answer for its next hop\n"
+    "  [blackhole] class dst=100.1.0.0/16 variant#1 from E: E's border "
+    "router has a route but no ARP answer for its next hop\n"
+    "  [blackhole] class dst=100.1.0.0/16 variant#2 from E: E's border "
+    "router has a route but no ARP answer for its next hop\n"
+    "  [blackhole] class dst=100.1.0.0/16 variant#3 from E: E's border "
+    "router has a route but no ARP answer for its next hop\n";
+
+/// The variants of one (sender, prefix) must each be walked, never merged.
+/// A steers three transport ports for q at three transit members, whose
+/// advertisements (and A's own) then vanish behind the control loop's back,
+/// and E's router is left holding q toward a next hop nobody answers ARP
+/// for:
+///   port 80   → C: an isolation breach, then C's FIB re-enters the class
+///               and its default reaches the origin B;
+///   port 53   → D, whose own port-53 clause steers back at A: a loop;
+///   port 8080 → E, whose FIB re-enters the class but cannot frame it: a
+///               blackhole.
+/// A breach precedes the loop and the blackhole: the walk re-enters only at
+/// a member that no longer advertises q, and a member that does not
+/// advertise q cannot export it either. E's own classes of q are a "route
+/// but no ARP answer" blackhole each, and D's port-53 class loops back
+/// through A. The pinned report is the one the checker gave when it framed
+/// every variant separately: framing once per (sender, prefix) must
+/// reproduce it byte for byte.
+TEST(SafetyVerify, PlantedPerVariantFaultsAreReportedPerVariant) {
+  SdxRuntime rt;
+  const auto pa = rt.add_participant("A", 65001);
+  const auto pb = rt.add_participant("B", 65002);
+  const auto pc = rt.add_participant("C", 65003);
+  const auto pd = rt.add_participant("D", 65004);
+  const auto pe = rt.add_participant("E", 65005);
+  const auto q = Ipv4Prefix::parse("100.1.0.0/16");
+  rt.announce(pb, q, net::AsPath{65002});
+  for (auto [who, asn] : {std::pair{pa, 65001u}, {pc, 65003u}, {pd, 65004u},
+                          {pe, 65005u}}) {
+    rt.announce(who, q, net::AsPath{asn, 65002});
+  }
+  rt.set_outbound(pa, {OutboundClause{ClauseMatch{}.dst_port(80), pc},
+                       OutboundClause{ClauseMatch{}.dst_port(53), pd},
+                       OutboundClause{ClauseMatch{}.dst_port(8080), pe}});
+  rt.set_outbound(pd, {OutboundClause{ClauseMatch{}.dst_port(53), pa}});
+  rt.install();
+  verify::SafetyChecker checker;
+  ASSERT_TRUE(checker.full(rt.deployment_view()).ok());
+
+  for (auto who : {pa, pc, pd, pe}) rt.route_server().withdraw(who, q);
+  bgp::UpdateMessage stale;
+  stale.attrs.emplace().next_hop = net::Ipv4Address::parse("172.31.255.254");
+  stale.nlri = {q};
+  rt.router(pe).process_update(stale);
+
+  const auto view = rt.deployment_view();
+  const auto report = checker.full(view);
+  // Variants in canonical order: #0 the default, #1 port 53, #2 port 80,
+  // #3 port 8080.
+  const auto kinds_of = [&](const std::string& cls) {
+    std::vector<ViolationKind> kinds;
+    for (const auto& v : report.violations) {
+      if (v.what.starts_with(cls + ":")) kinds.push_back(v.kind);
+    }
+    return kinds;
+  };
+  const std::string a = "class dst=100.1.0.0/16 variant#";
+  EXPECT_TRUE(kinds_of(a + "0 from A").empty()) << report.to_string();
+  EXPECT_EQ(kinds_of(a + "1 from A"),
+            (std::vector{ViolationKind::kIsolation, ViolationKind::kIsolation,
+                         ViolationKind::kLoop}))
+      << report.to_string();
+  EXPECT_EQ(kinds_of(a + "2 from A"),
+            std::vector{ViolationKind::kIsolation})
+      << report.to_string();
+  EXPECT_EQ(kinds_of(a + "3 from A"),
+            (std::vector{ViolationKind::kIsolation,
+                         ViolationKind::kBlackhole}))
+      << report.to_string();
+  for (const auto& v : report.violations) {
+    if (!v.counterexample) continue;
+    EXPECT_TRUE(verify::replay(view, *v.counterexample).reproduces(v.kind))
+        << v.what;
+  }
+  EXPECT_EQ(report.to_string(), kPerVariantReport);
+}
+
+/// Whether a member exported a prefix depends on the receiver, so one
+/// prefix's walks must not share an answer across senders. S1 and S2 both
+/// steer port 80 at X; behind the control loop's back X's route gains a
+/// community that blocks S2 only. S2's stale steering rule is then a
+/// breach, and S1's, walked first, is not.
+TEST(SafetyVerify, PlantedPerPeerExportBlockIsCheckedPerSender) {
+  SdxRuntime rt;
+  const auto s1 = rt.add_participant("S1", 65001);
+  const auto s2 = rt.add_participant("S2", 65002);
+  const auto px = rt.add_participant("X", 65003);
+  const auto po = rt.add_participant("O", 65004);
+  const auto q = Ipv4Prefix::parse("100.1.0.0/16");
+  rt.announce(po, q, net::AsPath{65004});
+  rt.announce(px, q, net::AsPath{65003, 65004});
+  for (auto who : {s1, s2}) {
+    rt.set_outbound(who, {OutboundClause{ClauseMatch{}.dst_port(80), px}});
+  }
+  rt.install();
+  verify::SafetyChecker checker;
+  ASSERT_TRUE(checker.full(rt.deployment_view()).ok());
+
+  const auto* routes = rt.route_server().candidates(q);
+  ASSERT_NE(routes, nullptr);
+  const auto via_x = std::find_if(routes->begin(), routes->end(),
+                                  [&](const auto& r) {
+                                    return r.learned_from == px;
+                                  });
+  ASSERT_NE(via_x, routes->end());
+  bgp::Route blocked = *via_x;
+  blocked.attrs.communities.push_back(bgp::make_community(0, 65002));
+  rt.route_server().announce(blocked);
+
+  const auto view = rt.deployment_view();
+  const auto report = checker.full(view);
+  ASSERT_EQ(report.violations.size(), 1u) << report.to_string();
+  const auto& v = report.violations.front();
+  EXPECT_EQ(v.kind, ViolationKind::kIsolation);
+  EXPECT_EQ(v.what,
+            "class dst=100.1.0.0/16 variant#1 from S2: X attracts traffic "
+            "for 100.1.0.0/16 from S2 without exporting the prefix to it");
+  ASSERT_TRUE(v.counterexample.has_value());
+  EXPECT_TRUE(verify::replay(view, *v.counterexample).reproduces(v.kind));
+}
+
 // --- incremental re-check ---------------------------------------------------
 
 TEST(SafetyVerify, IncrementalRecheckCoversExactlyDirtyPrefixes) {
@@ -452,6 +630,43 @@ TEST(SafetyVerify, LiveKnownQueriesEqualTheEnumeratedUnion) {
   EXPECT_EQ(view.known_covering(net::Ipv4Address::parse("100.1.7.9")), stale);
 }
 
+TEST(SafetyVerify, StageCountsEachPassAndGaugesTheProof) {
+  SdxRuntime rt;
+  rt.enable_verification();
+  build_clean(rt);
+  // Three senders × three prefixes, each routed by the two members that do
+  // not announce it, × three variants (the default, port 80, port 443). A
+  // clean walk ends in one hop and re-enters no router, so a prefix costs
+  // one framing per sender.
+  const auto full = rt.last_safety_report();
+  EXPECT_EQ(full.classes_checked, 18u);
+  EXPECT_EQ(full.work.classes, full.classes_checked);
+  EXPECT_EQ(full.work.edges, full.edges_walked);
+  EXPECT_EQ(full.work.framings, 9u);
+
+  // One dirty prefix, now announced by B and C, so all three members route
+  // it: the pass walks its nine classes alone and reports the whole proof.
+  rt.announce(3, Ipv4Prefix::parse("100.2.0.0/16"), net::AsPath{65003});
+  const auto incr = rt.last_safety_report();
+  ASSERT_TRUE(incr.incremental);
+  EXPECT_EQ(incr.classes_checked, 21u);
+  EXPECT_EQ(incr.work.classes, 9u);
+  EXPECT_EQ(incr.work.edges, 9u);
+  EXPECT_EQ(incr.work.framings, 3u);
+
+  EXPECT_EQ(counter(rt, "sdx_verify_classes_total"),
+            full.work.classes + incr.work.classes);
+  EXPECT_EQ(counter(rt, "sdx_verify_edges_total"),
+            full.work.edges + incr.work.edges);
+  EXPECT_EQ(counter(rt, "sdx_verify_framings_total"),
+            full.work.framings + incr.work.framings);
+  auto& metrics = rt.telemetry().metrics;
+  EXPECT_EQ(metrics.gauge("sdx_verify_classes").value(),
+            static_cast<double>(incr.classes_checked));
+  EXPECT_EQ(metrics.gauge("sdx_verify_edges").value(),
+            static_cast<double>(incr.edges_walked));
+}
+
 TEST(SafetyVerify, IncrementalStageNeverEnumeratesTheDeployment) {
   SdxRuntime rt;
   auto p1 = rt.add_participant("P1", 65001);
@@ -497,32 +712,42 @@ TEST(SafetyVerify, IncrementalStageNeverEnumeratesTheDeployment) {
   EXPECT_EQ(enumerations, 0u) << "replay must not enumerate either";
 }
 
-TEST(SafetyVerify, ChurnIncrementalReportsEqualFreshFullPasses) {
-  SdxRuntime rt;
-  rt.enable_verification();
-  constexpr std::size_t kMembers = 5;
-  for (std::size_t j = 1; j <= kMembers; ++j) {
+constexpr std::size_t kRingMembers = 5;
+constexpr std::uint32_t kRingPrefixes = 24;
+
+/// Disjoint /24s: 100.7.<i>.0/24.
+Ipv4Prefix ring_prefix(std::uint32_t i) {
+  return Ipv4Prefix(net::Ipv4Address((100u << 24) | (7u << 16) | (i << 8)),
+                    24);
+}
+
+/// kRingMembers members, every other one steering ports 80 and 443 at its
+/// clockwise neighbour, and every other ring prefix announced; installed,
+/// with each update queued until the next flush.
+void deploy_ring(SdxRuntime& rt) {
+  for (std::size_t j = 1; j <= kRingMembers; ++j) {
     rt.add_participant("P" + std::to_string(j),
                        static_cast<net::Asn>(65000 + j));
   }
-  for (std::size_t j = 1; j <= kMembers; j += 2) {
-    const auto to = static_cast<bgp::ParticipantId>(j % kMembers + 1);
+  for (std::size_t j = 1; j <= kRingMembers; j += 2) {
+    const auto to = static_cast<bgp::ParticipantId>(j % kRingMembers + 1);
     rt.set_outbound(static_cast<bgp::ParticipantId>(j),
                     {OutboundClause{ClauseMatch{}.dst_port(80), to},
                      OutboundClause{ClauseMatch{}.dst_port(443), to}});
   }
-  // Disjoint /24s: 100.7.<i>.0/24.
-  const auto slash24 = [](std::uint32_t i) {
-    return Ipv4Prefix(net::Ipv4Address((100u << 24) | (7u << 16) | (i << 8)),
-                      24);
-  };
-  constexpr std::uint32_t kPrefixes = 24;
-  for (std::uint32_t i = 0; i < kPrefixes; i += 2) {
-    rt.announce(static_cast<bgp::ParticipantId>(i % kMembers + 1), slash24(i),
-                net::AsPath{static_cast<net::Asn>(65000 + i % kMembers + 1)});
+  for (std::uint32_t i = 0; i < kRingPrefixes; i += 2) {
+    rt.announce(
+        static_cast<bgp::ParticipantId>(i % kRingMembers + 1), ring_prefix(i),
+        net::AsPath{static_cast<net::Asn>(65000 + i % kRingMembers + 1)});
   }
   rt.install();
   rt.enable_batching({0, 0});
+}
+
+TEST(SafetyVerify, ChurnIncrementalReportsEqualFreshFullPasses) {
+  SdxRuntime rt;
+  rt.enable_verification();
+  deploy_ring(rt);
 
   const auto graph_violations = [](const verify::SafetyReport& r) {
     std::vector<std::pair<ViolationKind, std::string>> out;
@@ -534,8 +759,8 @@ TEST(SafetyVerify, ChurnIncrementalReportsEqualFreshFullPasses) {
   std::mt19937 rng(20240517);
   std::size_t compared = 0;
   for (int op = 0; op < 200; ++op) {
-    const auto who = static_cast<bgp::ParticipantId>(rng() % kMembers + 1);
-    const auto prefix = slash24(rng() % kPrefixes);
+    const auto who = static_cast<bgp::ParticipantId>(rng() % kRingMembers + 1);
+    const auto prefix = ring_prefix(rng() % kRingPrefixes);
     switch (rng() % 3) {
       case 0:
         rt.announce(who, prefix,
@@ -558,6 +783,98 @@ TEST(SafetyVerify, ChurnIncrementalReportsEqualFreshFullPasses) {
     }
   }
   EXPECT_GT(compared, 20u) << "the churn must stage incremental checks";
+}
+
+/// The checker frames one representative per (sender, prefix) and copies
+/// its source MAC, destination MAC, ethertype and port onto every header
+/// variant of the prefix (DeploymentView::forward). That is sound only
+/// while framing reads the destination address and nothing else, and
+/// writes those four fields and nothing else. Over a churned deployment
+/// with a FIB-only prefix and an ARP-less next hop, every local sender must
+/// frame every known prefix alike, whatever the rest of the payload holds.
+TEST(SafetyVerify, FramingReadsOnlyTheDestination) {
+  SdxRuntime rt;
+  deploy_ring(rt);
+  std::mt19937 rng(5);
+  for (int op = 0; op < 120; ++op) {
+    const auto who = static_cast<bgp::ParticipantId>(rng() % kRingMembers + 1);
+    const auto prefix = ring_prefix(rng() % kRingPrefixes);
+    if (rng() % 2 == 0) {
+      rt.announce(who, prefix,
+                  net::AsPath{static_cast<net::Asn>(65000 + who),
+                              static_cast<net::Asn>(1000 + rng() % 5)});
+    } else {
+      rt.withdraw(who, prefix);
+    }
+    if (op % 8 == 7) rt.flush();
+  }
+  rt.flush();
+  // Stale state: drop a prefix behind the runtime's back (only FIBs still
+  // hold it), and the ARP answer of one next hop some router uses.
+  const auto view = rt.deployment_view();
+  const auto known = view.known_prefixes();
+  const auto sole = std::find_if(known.begin(), known.end(), [&](auto prefix) {
+    const auto* routes = rt.route_server().candidates(prefix);
+    return routes != nullptr && routes->size() == 1;
+  });
+  ASSERT_NE(sole, known.end());
+  rt.route_server().withdraw(
+      rt.route_server().candidates(*sole)->front().learned_from, *sole);
+  const bgp::RouteAttributes* route = nullptr;
+  for (const auto& p : rt.participants()) {
+    if ((route = rt.router(p.id).rib().find(known.back())) != nullptr) break;
+  }
+  ASSERT_NE(route, nullptr);
+  ASSERT_TRUE(rt.fabric().arp().unbind(route->next_hop));
+
+  // Each deployed clause's transport fields; every field but the
+  // destination set alone to a few small values; then random headers with
+  // every field but the destination scrambled.
+  std::vector<net::PacketHeader> payloads;
+  for (const std::uint16_t port : {80, 443}) {
+    payloads.push_back(PacketBuilder().proto(6).dst_port(port).build());
+  }
+  for (auto field : net::kAllFields) {
+    for (std::uint64_t value : {1, 6, 7, 17, 53, 80, 443, 8080, 0x0800}) {
+      net::PacketHeader h;
+      h.set(field, value);
+      payloads.push_back(h);
+    }
+  }
+  for (int i = 0; i < 8; ++i) {
+    net::PacketHeader h;
+    for (auto field : net::kAllFields) h.set(field, rng() & 0xffff'ffffu);
+    payloads.push_back(h);
+  }
+  constexpr std::array kL2 = {net::Field::kSrcMac, net::Field::kDstMac,
+                              net::Field::kEthType, net::Field::kPort};
+  std::size_t framed = 0, unframed = 0, unrouted = 0;
+  for (const auto& p : rt.participants()) {
+    for (auto prefix : known) {
+      net::PacketHeader bare;
+      bare.set_dst_ip(net::Ipv4Address(prefix.network().value() | 1u));
+      const auto want = view.forward(p.id, bare);
+      ++(want.frame ? framed : want.routed ? unframed : unrouted);
+      for (auto payload : payloads) {
+        payload.set_dst_ip(bare.dst_ip());
+        const auto got = view.forward(p.id, payload);
+        ASSERT_EQ(got.routed, want.routed) << prefix.to_string();
+        ASSERT_EQ(got.frame.has_value(), want.frame.has_value())
+            << prefix.to_string();
+        if (!got.frame) continue;
+        for (auto field : net::kAllFields) {
+          const bool l2 = std::find(kL2.begin(), kL2.end(), field) != kL2.end();
+          EXPECT_EQ(got.frame->get(field),
+                    (l2 ? *want.frame : payload).get(field))
+              << net::field_name(field) << " from " << p.name << " for "
+              << prefix.to_string();
+        }
+      }
+    }
+  }
+  EXPECT_GT(framed, 0u);
+  EXPECT_GT(unframed, 0u);
+  EXPECT_GT(unrouted, 0u);
 }
 
 // --- report plumbing --------------------------------------------------------
