@@ -63,15 +63,17 @@ inline ixp::GeneratedIxp make_workload(std::size_t participants,
   return ixp;
 }
 
-/// Prints the registry's Prometheus exposition after the CSV rows, each
-/// line prefixed with "# " so CSV consumers skip it, and additionally
-/// writes the raw exposition to the file named by SDX_BENCH_METRICS when
-/// that variable is set (for scraping or diffing runs). The counter series
-/// are byte-stable across thread widths, so two runs of the same bench at
-/// different SDX_BENCH_THREADS settings must produce identical `_total`
-/// lines — a free determinism check on every bench run.
-inline void emit_metrics_snapshot(telemetry::MetricRegistry& metrics) {
-  const std::string dump = metrics.render_prometheus();
+/// Prints a Prometheus exposition after the CSV rows, each line prefixed
+/// with "# " so CSV consumers skip it, and additionally writes the raw
+/// exposition to the file named by SDX_BENCH_METRICS when that variable is
+/// set (for scraping or diffing runs). A bench that drives an SdxRuntime
+/// passes its dump_metrics(), which sets the occupancy gauges (flow-table
+/// rules, ARP bindings, RIB prefixes) before rendering; the others pass
+/// their registry's render_prometheus(). The counter series are byte-stable
+/// across thread widths, so two runs of the same bench at different
+/// SDX_BENCH_THREADS settings must produce identical `_total` lines — a
+/// free determinism check on every bench run.
+inline void emit_metrics_snapshot(const std::string& dump) {
   std::printf("# --- metrics snapshot ---\n");
   std::istringstream is(dump);
   for (std::string line; std::getline(is, line);) {

@@ -98,6 +98,6 @@ int main() {
             telemetry);
   }
 
-  bench::emit_metrics_snapshot(telemetry.metrics);
+  bench::emit_metrics_snapshot(telemetry.metrics.render_prometheus());
   return 0;
 }

@@ -39,6 +39,6 @@ int main() {
   }
   // Aggregate per-stage latency histograms and rule counters across every
   // row above, in comment-prefixed Prometheus form.
-  bench::emit_metrics_snapshot(telemetry.metrics);
+  bench::emit_metrics_snapshot(telemetry.metrics.render_prometheus());
   return 0;
 }

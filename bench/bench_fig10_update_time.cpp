@@ -161,6 +161,6 @@ int main() {
   }
   // Fast-path latency histogram and rule counters across all updates, in
   // comment-prefixed Prometheus form.
-  bench::emit_metrics_snapshot(telemetry.metrics);
+  bench::emit_metrics_snapshot(telemetry.metrics.render_prometheus());
   return 0;
 }

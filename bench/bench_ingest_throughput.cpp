@@ -259,6 +259,6 @@ int main() {
   }
 
   pipeline.stop();
-  bench::emit_metrics_snapshot(rt.telemetry().metrics);
+  bench::emit_metrics_snapshot(rt.dump_metrics());
   return 0;
 }

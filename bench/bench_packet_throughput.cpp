@@ -586,6 +586,6 @@ int main() {
     run_modes(table, mix, compiled_packets(ixp, compiled), budget, metrics);
   }
 
-  bench::emit_metrics_snapshot(metrics);
+  bench::emit_metrics_snapshot(metrics.render_prometheus());
   return 0;
 }

@@ -167,7 +167,7 @@ int main() {
       // sdx_recovery_warm_total=1 and sdx_compile_runs_total absent/0
       // prove the restart skipped the pipeline.
       if (participants == participant_counts.back()) {
-        bench::emit_metrics_snapshot(rt.telemetry().metrics);
+        bench::emit_metrics_snapshot(rt.dump_metrics());
       }
     }
   }

@@ -20,10 +20,13 @@
 ///
 /// check_ms is the per-check mean, so the full and incremental rows are
 /// directly comparable. classes, edges and framings are the work of the
-/// row's checks (SafetyReport::work): an incremental check re-walks only
+/// row's checks (SafetyReport::work): an incremental check re-checks only
 /// its dirty prefix and serves the rest of the proof from its per-prefix
 /// cache. The checker frames each prefix once per sender, so framings track
-/// prefixes × senders while classes and edges grow with the variants too.
+/// prefixes × senders while classes grow with the variants too; edges are
+/// the switch traversals actually probed, one walk per distinct rule a
+/// (sender, prefix)'s classes hit, so they grow with the distinct rules
+/// rather than the variants.
 ///
 /// The metrics snapshot (last configuration) captures the runtime-staged
 /// verification counters: one full run from enable_verification(), one
@@ -145,7 +148,7 @@ int main() {
       rt.enable_verification();
       rt.announce(1, prefix_of(0),
                   net::AsPath{static_cast<net::Asn>(65001)});
-      bench::emit_metrics_snapshot(rt.telemetry().metrics);
+      bench::emit_metrics_snapshot(rt.dump_metrics());
     }
   }
   return 0;

@@ -20,7 +20,10 @@ Two independent checks:
   series must be byte-for-byte equal between the two snapshots. The
   benches are seeded and the pipelines are deterministic, so a counter
   drift (more compiles, more rules, fewer batched updates) is a behavior
-  change even when timing still looks fine.
+  change even when timing still looks fine. The same flag requires both
+  snapshots to hold the same gauge families: a gauge that vanishes from
+  the run (or appears in it) is a change to what the bench observes, even
+  though gauge values themselves are not gated.
 
 Output: plain text on stdout always. When GITHUB_STEP_SUMMARY is set (a
 GitHub Actions step), a markdown table — baseline vs current per gated
@@ -208,6 +211,14 @@ def main():
                     failures.append(
                         f"counter drifted: {key} baseline={b} current={c}")
         print(f"counters: {checked} series compared against baseline")
+        base_gauges = {f for f, t in base_types.items() if t == "gauge"}
+        cur_gauges = {f for f, t in cur_types.items() if t == "gauge"}
+        for family in sorted(base_gauges ^ cur_gauges):
+            where = "missing from the run" if family in base_gauges else \
+                "absent from the baseline"
+            failures.append(f"gauge family {where}: {family}")
+        print(f"gauges: {len(base_gauges | cur_gauges)} families compared "
+              "against baseline")
 
     write_step_summary(args.baseline, hist_rows, counter_rows, failures)
     annotate_failures(failures)

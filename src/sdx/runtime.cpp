@@ -546,6 +546,11 @@ verify::DeploymentView SdxRuntime::deployment_view() const {
   view.process = [self](const net::PacketHeader& h) {
     return self->fabric_.sdx_switch().table().probe(h);
   };
+  // The winning rule's address is its identity, null for a miss.
+  view.rule_of = [self](const net::PacketHeader& h) {
+    return reinterpret_cast<std::uintptr_t>(
+        self->fabric_.sdx_switch().table().lookup(h));
+  };
   // BorderRouter::frame reads only the destination address (one FIB
   // lookup, then the next hop's ARP binding) and writes only the four L2
   // fields, which is the contract the checker's frame-once-per-prefix

@@ -22,11 +22,13 @@ VerifyStage::VerifyStage(const std::vector<Participant>& participants,
   seconds_ = &reg.histogram("sdx_verify_seconds",
                             "safety verification wall time (seconds)");
   classes_ = &reg.counter("sdx_verify_classes_total",
-                          "packet equivalence classes walked");
+                          "packet equivalence classes checked");
   edges_ = &reg.counter("sdx_verify_edges_total",
-                        "forwarding-graph edges traversed");
+                        "forwarding-graph edges probed");
   framings_ = &reg.counter("sdx_verify_framings_total",
                            "border-router framings asked by the checker");
+  lookups_ = &reg.counter("sdx_verify_lookups_total",
+                          "flow-table rule lookups asked by the checker");
   proof_classes_ =
       &reg.gauge("sdx_verify_classes",
                  "packet equivalence classes in the last report's proof");
@@ -62,6 +64,7 @@ void VerifyStage::run(const verify::DeploymentView& view,
   classes_->inc(last_.work.classes);
   edges_->inc(last_.work.edges);
   framings_->inc(last_.work.framings);
+  lookups_->inc(last_.work.lookups);
   proof_classes_->set(static_cast<double>(last_.classes_checked));
   proof_edges_->set(static_cast<double>(last_.edges_walked));
   unchecked_->inc(last_.unchecked_variants);

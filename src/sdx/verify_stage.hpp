@@ -58,10 +58,12 @@ class VerifyStage {
   telemetry::Counter* full_runs_;
   telemetry::Counter* incremental_runs_;
   telemetry::Histogram* seconds_;
-  /// The work of each pass: classes and edges walked, framings asked.
+  /// The work of each pass: classes checked, edges probed, framings and
+  /// rule lookups asked.
   telemetry::Counter* classes_;
   telemetry::Counter* edges_;
   telemetry::Counter* framings_;
+  telemetry::Counter* lookups_;
   /// The size of the last report's proof (the checker's running totals).
   telemetry::Gauge* proof_classes_;
   telemetry::Gauge* proof_edges_;

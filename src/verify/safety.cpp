@@ -128,6 +128,12 @@ class Pass {
     return view_.forward(sender, payload);
   }
 
+  /// The rule that wins a frame, counted.
+  std::uintptr_t rule_of(const PacketHeader& frame) {
+    ++work_.lookups;
+    return view_.rule_of(frame);
+  }
+
   bool exports_to(ParticipantId via, ParticipantId to, Ipv4Prefix prefix) {
     return ask({Relation::kExports, via, to, prefix},
                [&] { return view_.server->exports_to(via, to, prefix); });
@@ -377,6 +383,9 @@ SafetyChecker::PrefixFinding SafetyChecker::check_prefix(
     const std::vector<Variant>& variants, SafetyReport::Work& work) const {
   PrefixFinding f;
   Pass pass(view);
+  // One sender's walks by the rule their frame hits first, each with
+  // whether that rule's first walk delivered in one clean hop.
+  std::vector<std::pair<std::uintptr_t, bool>> walked;
   for (const auto& p : *view.participants) {
     if (p.is_remote()) continue;
     // Framing reads only the destination (DeploymentView::forward), which
@@ -384,6 +393,7 @@ SafetyChecker::PrefixFinding SafetyChecker::check_prefix(
     // give each variant its L2 fields.
     const auto framed = pass.forward(p.id, make_payload(prefix, Variant{}));
     if (!framed.routed) continue;  // the router holds no route: no traffic
+    walked.clear();
     for (std::size_t vi = 0; vi < variants.size(); ++vi) {
       ++f.classes;
       const auto describe = [&] {
@@ -408,13 +418,31 @@ SafetyChecker::PrefixFinding SafetyChecker::check_prefix(
                          net::Field::kEthType, net::Field::kPort}) {
         frame.set(field, framed.frame->get(field));
       }
+      // A rule whose first walk settled in one clean hop proves this class
+      // too (DeploymentView::rule_of); any other outcome is walked again.
+      const auto rule = pass.rule_of(frame);
+      const auto group =
+          std::find_if(walked.begin(), walked.end(),
+                       [&](const auto& w) { return w.first == rule; });
+      if (group != walked.end() && group->second) {
+        ++f.edges;
+        continue;
+      }
+      const std::size_t found = f.violations.size();
+      const std::size_t probed = pass.work().edges;
       walk_from(pass, p.id, prefix, describe, frame, f.violations);
+      const std::size_t hops = pass.work().edges - probed;
+      f.edges += hops;
+      // One hop means no copy re-entered a router.
+      if (group == walked.end()) {
+        walked.emplace_back(rule, hops == 1 && f.violations.size() == found);
+      }
     }
   }
-  f.edges = pass.work().edges;
   work.classes += f.classes;
-  work.edges += f.edges;
+  work.edges += pass.work().edges;
   work.framings += pass.work().framings;
+  work.lookups += pass.work().lookups;
   return f;
 }
 

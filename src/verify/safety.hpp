@@ -41,16 +41,20 @@
 /// Cost: a pass frames each prefix once per sender — O(known prefixes ×
 /// senders) framings for the full pass, O(dirty prefixes × senders) for the
 /// incremental one — because framing reads only the destination
-/// (DeploymentView::forward); the walks are O(× variants) on top. Each BGP
-/// relation a prefix's walks ask (export, advertisement, remote-only
-/// advertisers) is answered once per argument tuple for all of them. The
-/// incremental pass adds O(violations) to reassemble the report: it asks
-/// the view whether each dirty prefix is still known (is_known) and
-/// re-anchors rewritten destinations with known_covering, so nothing in it
-/// enumerates the deployment. A pass enumerates at most 64 header variants;
-/// the ones past the cap are counted in SafetyReport::unchecked_variants and
-/// make the report not ok(), so a clean verdict never rests on a silent
-/// cut.
+/// (DeploymentView::forward). Each variant's frame then costs one rule
+/// lookup (DeploymentView::rule_of), so lookups are O(× variants); walks
+/// are O(distinct rules hit per (sender, prefix)): a variant whose first
+/// rule already carried an earlier variant of the same (sender, prefix) to
+/// a clean one-hop delivery is proven by that walk, and only the others are
+/// walked themselves. Each BGP relation a prefix's walks ask (export,
+/// advertisement, remote-only advertisers) is answered once per argument
+/// tuple for all of them. The incremental pass adds O(violations) to
+/// reassemble the report: it asks the view whether each dirty prefix is
+/// still known (is_known) and re-anchors rewritten destinations with
+/// known_covering, so nothing in it enumerates the deployment. A pass
+/// enumerates at most 64 header variants; the ones past the cap are counted
+/// in SafetyReport::unchecked_variants and make the report not ok(), so a
+/// clean verdict never rests on a silent cut.
 
 #include <cstdint>
 #include <functional>
@@ -115,7 +119,8 @@ struct SafetyViolation {
 struct SafetyReport {
   std::vector<SafetyViolation> violations;
   /// The proof the report covers: its (sender, prefix, variant) classes
-  /// and the switch traversals their walks took, cached ones included.
+  /// and the switch traversals their walks take, cached ones included. A
+  /// class proven by an earlier class's walk counts that walk's one hop.
   std::size_t classes_checked = 0;
   std::size_t edges_walked = 0;
   std::size_t prefixes_checked = 0;
@@ -127,13 +132,16 @@ struct SafetyReport {
   bool incremental = false;
   double seconds = 0;
 
-  /// The work of this call alone. A full pass walks every class, so its
-  /// classes and edges equal classes_checked and edges_walked; an
-  /// incremental one re-walks only its dirty prefixes, while the totals
-  /// above describe the whole proof it reassembles.
+  /// The work of this call alone. A full pass checks every class, so its
+  /// classes equal classes_checked; an incremental one re-checks only its
+  /// dirty prefixes, while the totals above describe the whole proof it
+  /// reassembles. edges counts only the traversals actually probed, so it
+  /// stays below edges_walked whenever one walk proves several classes.
   struct Work {
-    std::size_t classes = 0;   ///< classes walked
-    std::size_t edges = 0;     ///< switch traversals
+    std::size_t classes = 0;   ///< classes checked
+    std::size_t edges = 0;     ///< switch traversals probed
+    /// Rule lookups asked of the view: one per framed class.
+    std::size_t lookups = 0;
     /// Border-router framings asked of the view: one per (sender, prefix)
     /// plus one per re-entry hop.
     std::size_t framings = 0;
@@ -157,6 +165,20 @@ struct DeploymentView {
   /// One switch traversal: FlowTable::probe on the deployed table (process
   /// without the traffic counters).
   std::function<std::vector<PacketHeader>(const PacketHeader&)> process;
+
+  /// The identity of the rule that wins a frame on the deployed table
+  /// (FlowTable::lookup, which moves no counter); every frame no rule
+  /// matches shares one identity. Contract: two frames get equal
+  /// identities only when process() runs both through the same rule. The
+  /// checker relies on it together with the table's own guarantee that a
+  /// rule's actions write only constants (ActionSeq::apply): two frames of
+  /// one (sender, prefix) that hit the same rule yield copies that differ
+  /// only in header-variant fields no action wrote, so a walk that settles
+  /// in that one hop, reading only each copy's port, destination MAC and
+  /// destination address, proves both. A walk that re-enters a router
+  /// carries the variant's fields into its next probe and proves nothing
+  /// for other variants.
+  std::function<std::uintptr_t(const PacketHeader&)> rule_of;
 
   /// What a border router's framing step did with a payload.
   struct Framed {
@@ -240,7 +262,7 @@ class SafetyChecker {
     std::size_t edges = 0;
   };
 
-  /// Walks every class of \p prefix and adds what it spent to \p work.
+  /// Checks every class of \p prefix and adds what it spent to \p work.
   PrefixFinding check_prefix(const DeploymentView& view, Ipv4Prefix prefix,
                             const std::vector<Variant>& variants,
                             SafetyReport::Work& work) const;

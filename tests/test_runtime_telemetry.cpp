@@ -123,7 +123,8 @@ TEST(RuntimeTelemetry, EveryFamilyExistsOnAFreshRuntime) {
         "sdx_frontend_updates_total", "sdx_ingest_reconnects_total",
         "sdx_verify_runs_total", "sdx_verify_seconds",
         "sdx_verify_classes_total", "sdx_verify_edges_total",
-        "sdx_verify_framings_total", "sdx_verify_classes", "sdx_verify_edges",
+        "sdx_verify_framings_total", "sdx_verify_lookups_total",
+        "sdx_verify_classes", "sdx_verify_edges",
         "sdx_verify_unchecked_variants_total", "sdx_verify_violations_total",
         "sdx_journal_records_total", "sdx_journal_bytes_total",
         "sdx_journal_checkpoints_total", "sdx_journal_fsync_seconds",

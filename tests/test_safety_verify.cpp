@@ -6,7 +6,8 @@
 /// counterexample packet that reproduces through FlowTable::process; the
 /// incremental re-check covers exactly the dirty prefixes and answers its
 /// "is this prefix known?" questions from live state, never by enumerating
-/// the deployment.
+/// the deployment; and walking once per rule hit reports exactly what
+/// walking every class reports.
 
 #include <gtest/gtest.h>
 
@@ -376,7 +377,7 @@ constexpr std::string_view kPerVariantReport =
     "  [blackhole] class dst=100.1.0.0/16 variant#3 from E: E's border "
     "router has a route but no ARP answer for its next hop\n";
 
-/// The variants of one (sender, prefix) must each be walked, never merged.
+/// The variants of one (sender, prefix) must each be checked, never merged.
 /// A steers three transport ports for q at three transit members, whose
 /// advertisements (and A's own) then vanish behind the control loop's back,
 /// and E's router is left holding q toward a next hop nobody answers ARP
@@ -391,10 +392,9 @@ constexpr std::string_view kPerVariantReport =
 /// advertise q cannot export it either. E's own classes of q are a "route
 /// but no ARP answer" blackhole each, and D's port-53 class loops back
 /// through A. The pinned report is the one the checker gave when it framed
-/// every variant separately: framing once per (sender, prefix) must
-/// reproduce it byte for byte.
-TEST(SafetyVerify, PlantedPerVariantFaultsAreReportedPerVariant) {
-  SdxRuntime rt;
+/// and walked every variant separately: framing once per (sender, prefix)
+/// and walking once per rule hit must reproduce it byte for byte.
+void plant_per_variant_faults(SdxRuntime& rt) {
   const auto pa = rt.add_participant("A", 65001);
   const auto pb = rt.add_participant("B", 65002);
   const auto pc = rt.add_participant("C", 65003);
@@ -419,7 +419,12 @@ TEST(SafetyVerify, PlantedPerVariantFaultsAreReportedPerVariant) {
   stale.attrs.emplace().next_hop = net::Ipv4Address::parse("172.31.255.254");
   stale.nlri = {q};
   rt.router(pe).process_update(stale);
+}
 
+TEST(SafetyVerify, PlantedPerVariantFaultsAreReportedPerVariant) {
+  SdxRuntime rt;
+  plant_per_variant_faults(rt);
+  verify::SafetyChecker checker;
   const auto view = rt.deployment_view();
   const auto report = checker.full(view);
   // Variants in canonical order: #0 the default, #1 port 53, #2 port 80,
@@ -637,21 +642,30 @@ TEST(SafetyVerify, StageCountsEachPassAndGaugesTheProof) {
   // Three senders × three prefixes, each routed by the two members that do
   // not announce it, × three variants (the default, port 80, port 443). A
   // clean walk ends in one hop and re-enters no router, so a prefix costs
-  // one framing per sender.
+  // one framing per sender, and each class one rule lookup. B and C steer
+  // nothing, so each of their (sender, prefix) pairs hits one rule and is
+  // walked once; A's classes hit its default rule and, where the steered
+  // member exports the prefix, its port-80 or port-443 rule: two walks per
+  // prefix. The proof still counts one edge per class.
   const auto full = rt.last_safety_report();
   EXPECT_EQ(full.classes_checked, 18u);
+  EXPECT_EQ(full.edges_walked, 18u);
   EXPECT_EQ(full.work.classes, full.classes_checked);
-  EXPECT_EQ(full.work.edges, full.edges_walked);
+  EXPECT_EQ(full.work.lookups, 18u);
+  EXPECT_EQ(full.work.edges, 9u);
   EXPECT_EQ(full.work.framings, 9u);
 
   // One dirty prefix, now announced by B and C, so all three members route
-  // it: the pass walks its nine classes alone and reports the whole proof.
+  // it: the pass checks its nine classes alone and reports the whole proof.
+  // A's three classes now hit three rules; B's and C's one each.
   rt.announce(3, Ipv4Prefix::parse("100.2.0.0/16"), net::AsPath{65003});
   const auto incr = rt.last_safety_report();
   ASSERT_TRUE(incr.incremental);
   EXPECT_EQ(incr.classes_checked, 21u);
+  EXPECT_EQ(incr.edges_walked, 21u);
   EXPECT_EQ(incr.work.classes, 9u);
-  EXPECT_EQ(incr.work.edges, 9u);
+  EXPECT_EQ(incr.work.lookups, 9u);
+  EXPECT_EQ(incr.work.edges, 5u);
   EXPECT_EQ(incr.work.framings, 3u);
 
   EXPECT_EQ(counter(rt, "sdx_verify_classes_total"),
@@ -660,6 +674,8 @@ TEST(SafetyVerify, StageCountsEachPassAndGaugesTheProof) {
             full.work.edges + incr.work.edges);
   EXPECT_EQ(counter(rt, "sdx_verify_framings_total"),
             full.work.framings + incr.work.framings);
+  EXPECT_EQ(counter(rt, "sdx_verify_lookups_total"),
+            full.work.lookups + incr.work.lookups);
   auto& metrics = rt.telemetry().metrics;
   EXPECT_EQ(metrics.gauge("sdx_verify_classes").value(),
             static_cast<double>(incr.classes_checked));
@@ -744,6 +760,29 @@ void deploy_ring(SdxRuntime& rt) {
   rt.enable_batching({0, 0});
 }
 
+constexpr std::uint32_t kChurnSeed = 20240517;
+constexpr int kChurnSteps = 200;
+
+/// One step of the seeded ring churn: an announce, a withdrawal or a
+/// flush. True when the step flushed.
+bool churn_step(SdxRuntime& rt, std::mt19937& rng) {
+  const auto who = static_cast<bgp::ParticipantId>(rng() % kRingMembers + 1);
+  const auto prefix = ring_prefix(rng() % kRingPrefixes);
+  switch (rng() % 3) {
+    case 0:
+      rt.announce(who, prefix,
+                  net::AsPath{static_cast<net::Asn>(65000 + who),
+                              static_cast<net::Asn>(1000 + rng() % 5)});
+      return false;
+    case 1:
+      rt.withdraw(who, prefix);
+      return false;
+    default:
+      rt.flush();
+      return true;
+  }
+}
+
 TEST(SafetyVerify, ChurnIncrementalReportsEqualFreshFullPasses) {
   SdxRuntime rt;
   rt.enable_verification();
@@ -756,31 +795,17 @@ TEST(SafetyVerify, ChurnIncrementalReportsEqualFreshFullPasses) {
     }
     return out;
   };
-  std::mt19937 rng(20240517);
+  std::mt19937 rng(kChurnSeed);
   std::size_t compared = 0;
-  for (int op = 0; op < 200; ++op) {
-    const auto who = static_cast<bgp::ParticipantId>(rng() % kRingMembers + 1);
-    const auto prefix = ring_prefix(rng() % kRingPrefixes);
-    switch (rng() % 3) {
-      case 0:
-        rt.announce(who, prefix,
-                    net::AsPath{static_cast<net::Asn>(65000 + who),
-                                static_cast<net::Asn>(1000 + rng() % 5)});
-        break;
-      case 1:
-        rt.withdraw(who, prefix);
-        break;
-      default: {
-        rt.flush();
-        const auto staged = rt.last_safety_report();
-        const auto fresh = rt.verify_now();
-        EXPECT_EQ(staged.prefixes_checked, fresh.prefixes_checked) << op;
-        EXPECT_EQ(staged.classes_checked, fresh.classes_checked) << op;
-        EXPECT_EQ(staged.edges_walked, fresh.edges_walked) << op;
-        EXPECT_EQ(graph_violations(staged), graph_violations(fresh)) << op;
-        compared += staged.incremental ? 1 : 0;
-      }
-    }
+  for (int op = 0; op < kChurnSteps; ++op) {
+    if (!churn_step(rt, rng)) continue;
+    const auto staged = rt.last_safety_report();
+    const auto fresh = rt.verify_now();
+    EXPECT_EQ(staged.prefixes_checked, fresh.prefixes_checked) << op;
+    EXPECT_EQ(staged.classes_checked, fresh.classes_checked) << op;
+    EXPECT_EQ(staged.edges_walked, fresh.edges_walked) << op;
+    EXPECT_EQ(graph_violations(staged), graph_violations(fresh)) << op;
+    compared += staged.incremental ? 1 : 0;
   }
   EXPECT_GT(compared, 20u) << "the churn must stage incremental checks";
 }
@@ -875,6 +900,128 @@ TEST(SafetyVerify, FramingReadsOnlyTheDestination) {
   EXPECT_GT(framed, 0u);
   EXPECT_GT(unframed, 0u);
   EXPECT_GT(unrouted, 0u);
+}
+
+// --- one walk per rule hit ---------------------------------------------------
+
+/// \p view with a fresh rule identity for every lookup: no two classes
+/// share a walk, so the checker walks each one itself.
+verify::DeploymentView ungrouped(verify::DeploymentView view) {
+  view.rule_of = [next = std::uintptr_t{0}](const net::PacketHeader&) mutable {
+    return ++next;
+  };
+  return view;
+}
+
+/// A full pass over \p view must report exactly what the same pass reports
+/// when it walks every class: the same text and the same counterexamples.
+/// Returns the grouped report.
+verify::SafetyReport expect_grouping_invisible(
+    const verify::DeploymentView& view, const std::string& where) {
+  verify::SafetyChecker grouped_checker;
+  verify::SafetyChecker each_checker;
+  const auto grouped = grouped_checker.full(view);
+  const auto each = each_checker.full(ungrouped(view));
+  EXPECT_EQ(grouped.to_string(), each.to_string()) << where;
+  // The reference really walked every class, and grouping only saves.
+  EXPECT_EQ(each.work.edges, each.edges_walked) << where;
+  EXPECT_LE(grouped.work.edges, each.work.edges) << where;
+  EXPECT_EQ(grouped.work.lookups, each.work.lookups) << where;
+  EXPECT_EQ(grouped.violations.size(), each.violations.size()) << where;
+  for (std::size_t i = 0;
+       i < std::min(grouped.violations.size(), each.violations.size()); ++i) {
+    const auto& got = grouped.violations[i].counterexample;
+    const auto& want = each.violations[i].counterexample;
+    EXPECT_EQ(got.has_value(), want.has_value()) << where << " #" << i;
+    if (!got || !want) continue;
+    for (auto field : net::kAllFields) {
+      EXPECT_EQ(got->packet.get(field), want->packet.get(field))
+          << where << " #" << i << " " << net::field_name(field);
+    }
+    EXPECT_EQ(got->ingress_port, want->ingress_port) << where << " #" << i;
+    EXPECT_EQ(got->sender, want->sender) << where << " #" << i;
+    EXPECT_EQ(got->prefix, want->prefix) << where << " #" << i;
+    EXPECT_EQ(got->hops, want->hops) << where << " #" << i;
+  }
+  return grouped;
+}
+
+/// Walking once per rule hit is invisible in every report: on the planted
+/// per-variant faults; on classes that share their first rule, re-enter a
+/// router and part ways at the second hop; and after every flush of the
+/// seeded ring churn.
+TEST(SafetyVerify, GroupedWalksEqualPerVariantWalks) {
+  {
+    SdxRuntime rt;
+    plant_per_variant_faults(rt);
+    expect_grouping_invisible(rt.deployment_view(), "per-variant faults");
+  }
+  {
+    // A's best route for q is X's. X steers port 80 at B and port 443 at
+    // C; behind the control loop's back X and C stop advertising q. Every
+    // class A sends for q hits A's one default rule toward X and re-enters
+    // through X's FIB; there port 443 goes to C, which re-enters toward X
+    // again (a loop), while the rest reach the origin B.
+    SdxRuntime rt;
+    const auto pa = rt.add_participant("A", 65001);
+    const auto px = rt.add_participant("X", 65002);
+    const auto pb = rt.add_participant("B", 65003);
+    const auto pc = rt.add_participant("C", 65004);
+    const auto q = Ipv4Prefix::parse("100.1.0.0/16");
+    rt.announce(px, q, net::AsPath{65002});
+    rt.announce(pb, q, net::AsPath{65003, 7});
+    rt.announce(pc, q, net::AsPath{65004, 7, 8});
+    rt.set_outbound(px, {OutboundClause{ClauseMatch{}.dst_port(80), pb},
+                         OutboundClause{ClauseMatch{}.dst_port(443), pc}});
+    rt.install();
+    ASSERT_TRUE(rt.verify_now().ok());
+    rt.route_server().withdraw(px, q);
+    rt.route_server().withdraw(pc, q);
+
+    const auto view = rt.deployment_view();
+    net::PacketHeader payload;
+    payload.set_dst_ip(net::Ipv4Address::parse("100.1.0.1"));
+    const auto framed = view.forward(pa, payload);
+    ASSERT_TRUE(framed.frame.has_value());
+    auto to_443 = *framed.frame;
+    to_443.set(net::Field::kDstPort, 443);
+    ASSERT_EQ(view.rule_of(*framed.frame), view.rule_of(to_443))
+        << "A's classes must share their first rule";
+
+    const auto report = expect_grouping_invisible(view, "re-entry split");
+    const std::string from_a = "class dst=100.1.0.0/16 variant#";
+    const auto kinds_of = [&](const std::string& cls) {
+      std::vector<ViolationKind> kinds;
+      for (const auto& v : report.violations) {
+        if (v.what.starts_with(cls + ":")) kinds.push_back(v.kind);
+      }
+      return kinds;
+    };
+    // Variants in canonical order: #0 the default, #1 port 80, #2 port 443.
+    EXPECT_EQ(kinds_of(from_a + "0 from A"),
+              std::vector{ViolationKind::kIsolation})
+        << report.to_string();
+    EXPECT_EQ(kinds_of(from_a + "1 from A"),
+              std::vector{ViolationKind::kIsolation})
+        << report.to_string();
+    EXPECT_EQ(kinds_of(from_a + "2 from A"),
+              (std::vector{ViolationKind::kIsolation, ViolationKind::kIsolation,
+                           ViolationKind::kIsolation, ViolationKind::kLoop}))
+        << report.to_string();
+  }
+  {
+    SdxRuntime rt;
+    deploy_ring(rt);
+    std::mt19937 rng(kChurnSeed);
+    std::size_t shared = 0;
+    for (int op = 0; op < kChurnSteps; ++op) {
+      if (!churn_step(rt, rng)) continue;
+      const auto report = expect_grouping_invisible(
+          rt.deployment_view(), "churn step " + std::to_string(op));
+      shared += report.edges_walked - report.work.edges;
+    }
+    EXPECT_GT(shared, 0u) << "the churn must share some walks";
+  }
 }
 
 // --- report plumbing --------------------------------------------------------
